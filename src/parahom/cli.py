@@ -174,6 +174,7 @@ def _run_corrector(config, out_dir):
         "energy_passes": chk["passes"],
         "q_real": np.real(q).tolist(),
         "q_imag": np.imag(q).tolist(),
+        "solver": {"iterations": corr.iterations, "residual": corr.residual},
     }
     dump_json(out, os.path.join(out_dir, "corrector.json"))
     return "corrector.json", {"energy_bound": chk["passes"]}

@@ -63,9 +63,7 @@ def massive_greens_integral(m: float, x, c: float = 1.0) -> float:
 # -- correlation identity -------------------------------------------------------
 
 
-def _stationary_start(
-    V: PotentialSpec, m, cube, dt, burn_in, rng, batch: int, noise_scale=1.0
-):
+def _stationary_start(V: PotentialSpec, m, cube, dt, burn_in, rng, batch: int):
     phi = np.zeros((batch, cube.n_sites))
     for _ in range(burn_in):
         incr = rng.standard_normal(phi.shape)
@@ -265,50 +263,6 @@ def hom_elliptic_greens_quadrature(a_hom: np.ndarray, x, rel_tol: float = 1e-7):
     if err > rel_tol * max(abs(val), 1e-300):
         raise ConfigError(f"quadrature error {err:.2e} too large")
     return float(val)
-
-
-# -- stationary two-point function ------------------------------------------------
-
-
-def correlation_table_mc(
-    V: PotentialSpec,
-    m: float,
-    cube: PeriodicCube,
-    dt: float,
-    n_seeds: int,
-    n_keep: int,
-    thin: int = 1,
-    seed: int = 0,
-    burn_in: int | None = None,
-    gradient: bool = False,
-) -> dict:
-    """Stationary two-point function by time and volume averaging.
-
-    Returns the full table C(x) = <phi(y+x) phi(y)> on the cube (site
-    order), or for ``gradient`` the table of
-    <(grad_1 phi)(y+x) (grad_1 phi)(y)>; per-seed spread gives the
-    standard error.  Uses the FFT autocorrelation of each snapshot.
-    """
-    if burn_in is None:
-        burn_in = int(np.ceil(10.0 / (m * m * dt)))
-    rng_master = np.random.SeedSequence(seed).spawn(n_seeds)
-    tables = np.empty((n_seeds, cube.n_sites))
-    for s in range(n_seeds):
-        rng = np.random.default_rng(rng_master[s])
-        phi = _stationary_start(V, m, cube, dt, burn_in, rng, 1)[0]
-        acc = np.zeros(cube.shape)
-        for k in range(n_keep * thin):
-            incr = rng.standard_normal(phi.shape)
-            phi = phi + dt * langevin_drift(V, m, cube, phi) + np.sqrt(dt) * incr
-            if (k + 1) % thin:
-                continue
-            fld = phi if not gradient else cube.grad(phi)[0]
-            fh = np.fft.fftn(fld.reshape(cube.shape))
-            acc += np.fft.ifftn(fh * np.conj(fh)).real / cube.n_sites
-        tables[s] = (acc / n_keep).ravel()
-    mean = tables.mean(axis=0)
-    stderr = tables.std(axis=0, ddof=1) / np.sqrt(n_seeds)
-    return {"table": mean, "stderr": stderr, "n_seeds": n_seeds}
 
 
 def thm13_decay_check(

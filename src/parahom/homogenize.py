@@ -14,6 +14,12 @@ Neumann series in the contrast b = I - a/Lam with the explicit shift
 operator T_{xi,eta}, extrapolates a_hom = lim_{eta->0} q(0, eta), and
 fits empirical homogenization rates.
 
+Both constructions rest on one engine, the exact space-time Fourier
+symbol of the constant-coefficient operator (eta + D_t) + Lam dxi* dxi.
+T_{xi,eta} divides by it; the corrector is solved matrix-free by a
+Richardson iteration preconditioned with it, whose error map is T b, so
+it converges at the contraction rate 1 - lam/Lam of the Neumann series.
+
 The right side carries the mean-zero projection P so that constant
 coefficients yield Phi = 0 for every xi; at xi = 0 the projection is a
 no-op because dxi* of anything is mean-free there.
@@ -29,12 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.sparse import csr_matrix, eye as sparse_eye, kron as sparse_kron
-from scipy.sparse.linalg import splu
 
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, IntegrityError, SolverError
 from .lattice import PeriodicCube, heat_kernel_1d
-from .parabolic import CoefficientField, solve_forward, constant_coefficients
+from .parabolic import CoefficientField, solve_forward
 
 
 # -- twisted shift calculus on a periodic sample ------------------------------
@@ -75,11 +79,28 @@ def twisted_grad(cube: PeriodicCube, xi, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def twisted_matrix(cube: PeriodicCube, xi, j: int) -> csr_matrix:
-    """Sparse matrix of the twisted difference in direction j."""
-    n = cube.n_sites
-    return (np.exp(-1j * float(np.atleast_1d(xi)[j])) * cube.shift_matrix(j, +1)
-            - sparse_eye(n, format="csr")).tocsr()
+def twisted_div(cube: PeriodicCube, xi, F: np.ndarray) -> np.ndarray:
+    """dxi* F = sum_j e^{i xi_j} F_j(x - e_j) - F_j(x), the adjoint of
+    ``twisted_grad``; ``F`` has shape (..., d, n), the result (..., n)."""
+    ev = np.conj(e_vector(xi) + 1.0)
+    out = np.zeros(F.shape[:-2] + (cube.n_sites,), dtype=complex)
+    for j in range(cube.d):
+        out += ev[j] * cube.shift(F[..., j, :], j, -1) - F[..., j, :]
+    return out
+
+
+def _symbol(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, Lam: float):
+    """Twisted difference symbols d_j(k), shape (d,) + cube.shape, and the
+    symbol eta + tau_l + Lam |d(k)|^2 of (eta + D_t) + Lam dxi* dxi,
+    shape (nt,) + cube.shape.  Its real part is >= eta > 0."""
+    dsym = twisted_shift_symbols(cube, xi)
+    tau = time_symbols(nt, dt).reshape((nt,) + (1,) * cube.d)
+    return dsym, eta + tau + Lam * (np.abs(dsym) ** 2).sum(axis=0)
+
+
+def _spacetime_axes(cube: PeriodicCube) -> tuple:
+    """FFT axes of a (nt, components) + cube.shape array: time and space."""
+    return (0,) + tuple(range(2, 2 + cube.d))
 
 
 def _sample_mean(w: np.ndarray) -> np.ndarray:
@@ -95,7 +116,9 @@ class CorrectorField:
     """Row-vector corrector Phi(xi, eta; x, t_i) on one periodic sample.
 
     ``values[i, k]`` is the k-th component at time level i, flat over
-    sites; complex for xi != 0.
+    sites; complex for xi != 0.  ``iterations`` and ``residual`` record
+    the solve: the sweeps taken and the final relative residual (the
+    largest over the components).
     """
 
     cube: PeriodicCube
@@ -103,94 +126,95 @@ class CorrectorField:
     xi: np.ndarray
     eta: float
     values: np.ndarray  # (nt, d, n) complex
+    iterations: int
+    residual: float
 
     def twisted_gradient(self) -> np.ndarray:
         """dxi Phi with shape (nt, d, d, n); axis -3 is the difference
         direction j, axis -2 the corrector component k."""
-        cube = self.cube
-        nt = self.values.shape[0]
-        out = np.empty((nt, cube.d, cube.d, cube.n_sites), dtype=complex)
-        for k in range(cube.d):
-            out[:, :, k, :] = twisted_grad(cube, self.xi, self.values[:, k, :])
-        return out
+        return np.swapaxes(twisted_grad(self.cube, self.xi, self.values), 1, 2)
 
     def energy_check(self, window, v=None) -> dict:
         """Discrete energy bound: for a unit vector v,
-        eta * mean|Phi v|^2 + lam * mean|dxi Phi v|^2 <= Lam^2 / lam."""
+        eta * mean|Phi v|^2 + lam * mean sum_j |(dxi Phi v)_j|^2 <= Lam^2 / lam."""
         d = self.cube.d
         v = np.ones(d) / np.sqrt(d) if v is None else np.asarray(v, float)
         v = v / np.linalg.norm(v)
         phiv = np.einsum("ikn,k->in", self.values, v)
         gradv = np.einsum("ijkn,k->ijn", self.twisted_gradient(), v)
         lhs = self.eta * float(np.mean(np.abs(phiv) ** 2)) + window.lam * float(
-            np.mean(np.abs(gradv) ** 2)
+            np.mean(np.sum(np.abs(gradv) ** 2, axis=1))
         )
         rhs = window.Lam**2 / window.lam
         return {"lhs": lhs, "rhs": rhs, "passes": bool(lhs <= rhs * (1 + 1e-10))}
 
 
-def _spacetime_operator(a: CoefficientField, xi, eta: float):
-    """Sparse matrix of (eta + D_t) + sum_j D_j^H diag(a_j) D_j on the
-    space-time sample, unknowns ordered time-major."""
-    cube, nt, n = a.cube, a.n_times, a.cube.n_sites
-    D = [twisted_matrix(cube, xi, j) for j in range(cube.d)]
-    blocks = []
-    for i in range(nt):
-        Ai = sum(
-            (D[j].getH() @ csr_matrix(
-                (a.values[i, j], (np.arange(n), np.arange(n))), shape=(n, n)
-            ) @ D[j])
-            for j in range(cube.d)
-        )
-        blocks.append(Ai)
-    # periodic backward time difference (I - P_{i -> i-1}) / dt
-    if nt == 1:
-        C = csr_matrix((1, 1))
-    else:
-        rows = np.arange(nt)
-        P = csr_matrix((np.ones(nt), (rows, (rows - 1) % nt)), shape=(nt, nt))
-        C = (sparse_eye(nt, format="csr") - P) / a.dt
-    big = sparse_kron(C, sparse_eye(n, format="csr"), format="csr").astype(complex)
-    big = big + eta * sparse_eye(nt * n, format="csr")
-    from scipy.sparse import block_diag
-
-    big = (big + block_diag(blocks, format="csr")).tocsr()
-    return big, D
+def _component_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each component of a (nt, d, n) field.  Written
+    out rather than np.linalg.norm, which goes through BLAS and keeps a
+    second BLAS thread spinning for no gain at these sizes."""
+    return np.sqrt(np.sum(np.abs(w) ** 2, axis=(0, 2)))
 
 
 def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
-    """Direct sparse solve of the corrector equation on a periodic sample.
+    """Matrix-free solve of the corrector equation on a periodic sample.
 
-    The right side -P D_k^H a_k is projected to mean zero, which is what
-    makes Phi = 0 the solution for constant coefficients at every xi (at
-    xi = 0 the projection changes nothing).
+    Preconditioned Richardson iteration u <- u + M^{-1} (f - A u), with
+    A = (eta + D_t) + dxi* a dxi applied by stencils and the
+    constant-coefficient operator M = (eta + D_t) + Lam_s dxi* dxi
+    inverted by one space-time FFT.  [lam_s, Lam_s] is the range of the
+    sample's values.  The error map acts on gradients as T_{xi,eta} b with
+    the contrast b = 1 - a/Lam_s, so every sweep shrinks the error by at
+    least the rate 1 - lam_s/Lam_s.  The iteration stops at relative
+    residual 1e-12, or after the sweeps that rate needs to gain 14 digits
+    plus 10; a final residual above 1e-8 max(1, |f|) raises SolverError.
+
+    The right side f = -P D_k^H a_k is projected to mean zero, which is
+    what makes Phi = 0 the solution for constant coefficients at every xi
+    (at xi = 0 the projection changes nothing).
     """
     if eta <= 0:
         raise ConfigError(f"eta must be > 0, got {eta}")
     if not a.diagonal:
         raise ConfigError("corrector solve expects diagonal coefficients")
-    cube, nt, n = a.cube, a.n_times, a.cube.n_sites
+    cube, nt, d = a.cube, a.n_times, a.cube.d
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (cube.d,):
         raise ConfigError(f"xi must have {cube.d} components")
-    big, D = _spacetime_operator(a, xi, eta)
-    lu = splu(big.tocsc())
-    vals = np.empty((nt, cube.d, n), dtype=complex)
-    for k in range(cube.d):
-        rhs = np.empty((nt, n), dtype=complex)
-        for i in range(nt):
-            rhs[i] = -(D[k].getH() @ a.values[i, k].astype(complex))
-        rhs -= rhs.mean()
-        sol = lu.solve(rhs.ravel())
-        resid = big @ sol - rhs.ravel()
-        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-            from .errors import SolverError
+    lam_s, Lam_s = float(a.values.min()), float(a.values.max())
+    rate = 1.0 - lam_s / Lam_s
+    max_iter = 10 + int(np.ceil(np.log(1e-14) / np.log(max(rate, 1e-14))))
+    _, denom = _symbol(cube, xi, nt, a.dt, eta, Lam_s)
+    axes = _spacetime_axes(cube)
+    coeff = a.values[:, None]  # (nt, 1, d_j, n), against gradients (nt, d_k, d_j, n)
 
-            raise SolverError(
-                f"corrector solve residual {np.linalg.norm(resid):.3e}"
-            )
-        vals[:, k, :] = sol.reshape(nt, n)
-    return CorrectorField(cube, a.dt, xi, eta, vals)
+    # component k of the right side is -D_k^H a_k: the divergence of a_k e_k
+    f = -twisted_div(cube, xi, coeff * np.eye(d)[None, :, :, None])
+    f -= f.mean(axis=(0, 2), keepdims=True)
+
+    def residual(u):
+        au = (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
+              + twisted_div(cube, xi, coeff * twisted_grad(cube, xi, u)))
+        return f - au
+
+    f_norm = _component_norms(f)
+    scale = np.where(f_norm > 0, f_norm, 1.0)
+    u = np.zeros_like(f)
+    r, r_norm = f, f_norm
+    iterations = 0
+    while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
+        r_hat = np.fft.fftn(r.reshape((nt, d) + cube.shape), axes=axes)
+        u += np.fft.ifftn(r_hat / denom[:, None], axes=axes).reshape(u.shape)
+        r = residual(u)
+        r_norm = _component_norms(r)
+        iterations += 1
+    rel = float((r_norm / scale).max())
+    if np.any(r_norm > 1e-8 * np.maximum(1.0, f_norm)):
+        raise SolverError(
+            f"corrector solve stopped after {iterations} iterations at "
+            f"relative residual {rel:.3e}"
+        )
+    return CorrectorField(cube, a.dt, xi, eta, u, iterations, rel)
 
 
 # -- q matrix ------------------------------------------------------------------
@@ -243,60 +267,24 @@ def t_operator_apply(
     eta: float,
     dt: float,
     Lam: float,
-    method: str = "fourier",
 ) -> np.ndarray:
     """Apply T_{xi,eta} g = dxi psi where psi solves
     (1/Lam)(eta + D_t) psi + dxi* dxi psi = dxi* g on the periodic sample.
 
-    ``g`` has shape (nt, d, n).  The 'fourier' path divides by the exact
-    space-time symbol (the closed-form heat-kernel time integral); the
-    'solve' path assembles the sparse operator and factorizes it.  Both
-    realize the same operator; per Fourier mode its norm is
-    |d|^2 / |d|^2 + (eta + tau)/Lam| < 1, so T is a contraction for real
-    xi and eta > 0.
+    ``g`` has shape (nt, d, n).  psi is found by dividing by the exact
+    space-time symbol, the same one that preconditions ``corrector_solve``:
+    psi_hat = Lam d^* g_hat / (eta + tau + Lam |d|^2).  Per Fourier mode
+    the norm of T is |d|^2 / ||d|^2 + (eta + tau)/Lam| < 1, so T is a
+    contraction for real xi and eta > 0.
     """
     g = np.asarray(g, dtype=complex)
     nt = g.shape[0]
-    if method == "fourier":
-        dsym = twisted_shift_symbols(cube, xi)  # (d,) + shape
-        tau = time_symbols(nt, dt)  # (nt,)
-        ghat = np.fft.fftn(
-            np.fft.fft(g.reshape((nt, cube.d) + cube.shape), axis=0),
-            axes=tuple(range(2, 2 + cube.d)),
-        )
-        rhs = (np.conj(dsym)[None] * ghat).sum(axis=1)  # (nt,) + shape
-        denom = (np.abs(dsym) ** 2).sum(axis=0)[None] + (
-            eta + tau.reshape((nt,) + (1,) * cube.d)
-        ) / Lam
-        psi_hat = rhs / denom
-        out_hat = dsym[None] * psi_hat[:, None]
-        out = np.fft.ifft(
-            np.fft.ifftn(out_hat, axes=tuple(range(2, 2 + cube.d))), axis=0
-        )
-        return out.reshape(nt, cube.d, cube.n_sites)
-    if method == "solve":
-        ones = np.ones(cube.n_sites)
-        unit = constant_coefficients(cube, dt, 1.0, n_times=nt)
-        unit.values[:] = 1.0
-        big, D = _spacetime_operator(unit, xi, eta / Lam)
-        # _spacetime_operator built eta/Lam + D_t + sum D^H D; rescale time part
-        if nt > 1:
-            rows = np.arange(nt)
-            P = csr_matrix((np.ones(nt), (rows, (rows - 1) % nt)), shape=(nt, nt))
-            C = (sparse_eye(nt, format="csr") - P) / dt
-            corr = sparse_kron(C, sparse_eye(cube.n_sites), format="csr").astype(
-                complex
-            )
-            big = (big - corr + corr / Lam).tocsr()
-        rhs = np.empty((nt, cube.n_sites), dtype=complex)
-        for i in range(nt):
-            rhs[i] = sum(D[j].getH() @ g[i, j] for j in range(cube.d))
-        psi = splu(big.tocsc()).solve(rhs.ravel()).reshape(nt, cube.n_sites)
-        out = np.empty_like(g)
-        for i in range(nt):
-            out[i] = twisted_grad(cube, xi, psi[i])
-        return out
-    raise ConfigError(f"unknown method {method!r}")
+    dsym, denom = _symbol(cube, xi, nt, dt, eta, Lam)
+    axes = _spacetime_axes(cube)
+    g_hat = np.fft.fftn(g.reshape((nt, cube.d) + cube.shape), axes=axes)
+    psi_hat = Lam * (np.conj(dsym) * g_hat).sum(axis=1) / denom
+    out = np.fft.ifftn(dsym * psi_hat[:, None], axes=axes)
+    return out.reshape(nt, cube.d, cube.n_sites)
 
 
 def sample_norm(w: np.ndarray) -> float:

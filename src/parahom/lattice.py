@@ -57,14 +57,6 @@ class PeriodicCube:
         self.L = int(L)
         self.n_sites = self.L**self.d
         self.shape = (self.L,) * self.d
-        # neighbor index tables: site index of x +/- e_j, for sparse operators
-        idx = np.arange(self.n_sites).reshape(self.shape)
-        self.nbr_plus = np.stack(
-            [np.roll(idx, -1, axis=j).ravel() for j in range(self.d)]
-        )
-        self.nbr_minus = np.stack(
-            [np.roll(idx, 1, axis=j).ravel() for j in range(self.d)]
-        )
 
     def __repr__(self):
         return f"PeriodicCube(d={self.d}, L={self.L})"
@@ -148,14 +140,6 @@ class PeriodicCube:
             back[j] -= 1
             total += F[j, self.site_index(back)] - F[j, site]
         return float(total)
-
-    def shift_matrix(self, j: int, step: int = 1) -> csr_matrix:
-        """Sparse matrix S with (S u)(x) = u(x + step*e_j)."""
-        cols = self.nbr_plus[j] if step == 1 else self.nbr_minus[j]
-        n = self.n_sites
-        return csr_matrix(
-            (np.ones(n), (np.arange(n), cols)), shape=(n, n)
-        )
 
     def laplacian_symbol(self) -> np.ndarray:
         """Eigenvalues of div grad on the Fourier grid, shape (L,)*d.

@@ -366,39 +366,24 @@ def aronson_gradient_exponent(tables: list[GreensTable], tau_min: float = 1.0) -
 # -- Duhamel and the damped resolvent ----------------------------------------
 
 
-def duhamel_solve(a: CoefficientField, f: np.ndarray, method: str = "direct") -> np.ndarray:
+def duhamel_solve(a: CoefficientField, f: np.ndarray) -> np.ndarray:
     """Solution of du/ds = (1/2) div(a grad u) - f with u -> 0 at the end
     of the grid, i.e. the Duhamel integral of the forcing.
 
-    ``f`` has shape (n_times, n_sites) on the coefficient grid.  The
-    'direct' method integrates the PDE backwards; 'greens' assembles the
-    representation sum from stored Green's tables.  Both implement the
-    same discrete quadrature u_i = dt * sum_{k>i} P(i, k-1) f_k.
+    ``f`` has shape (n_times, n_sites) on the coefficient grid.  The PDE
+    is integrated backwards, which realizes the discrete quadrature
+    u_i = dt * sum_{k>i} P(i, k-1) f_k.
     """
     if f.shape[0] != a.n_times + 1:
         raise ConfigError(
             f"forcing needs n_times+1={a.n_times + 1} levels, got {f.shape[0]}"
         )
-    nt = f.shape[0]
-    if method == "direct":
-        out = np.zeros_like(f, dtype=float)
-        u = np.zeros(f.shape[1:])
-        for i in range(nt - 2, -1, -1):
-            u = _backward_step(a, u, i) + a.dt * f[i + 1]
-            out[i] = u
-        return out
-    if method == "greens":
-        out = np.zeros_like(f, dtype=float)
-        for k in range(1, nt):
-            # propagator from level k-1 down to every earlier level
-            if k - 1 == 0:
-                out[0] += a.dt * f[k]
-                continue
-            _, tables = greens_backward_matrix(a, t_index=k - 1, s_min_index=0)
-            # tables[i, x, y] = G(y, s_i; x, t_{k-1}); contract over sources
-            out[: k] += a.dt * np.einsum("ixy,x->iy", tables[: k], f[k])
-        return out
-    raise ConfigError(f"unknown method {method!r}")
+    out = np.zeros_like(f, dtype=float)
+    u = np.zeros(f.shape[1:])
+    for i in range(f.shape[0] - 2, -1, -1):
+        u = _backward_step(a, u, i) + a.dt * f[i + 1]
+        out[i] = u
+    return out
 
 
 def damped_resolvent(a: CoefficientField, m: float, g: np.ndarray) -> np.ndarray:

@@ -98,6 +98,17 @@ def test_rerun_is_byte_identical_except_wall_time(tmp_path):
     assert ma["passed"] and ma["tool_version"]
 
 
+def test_corrector_json_records_solver_statistics(tmp_path):
+    cfg = _write(tmp_path, "d = 2\nL = 6\nn_steps = 4\nxi = 0.5,-1.0\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["corrector", "--config", cfg, "--out", str(a)]) == 0
+    assert main(["corrector", "--config", cfg, "--out", str(b)]) == 0
+    data = (a / "corrector.json").read_bytes()
+    assert data == (b / "corrector.json").read_bytes()
+    solver = json.loads(data)["solver"]
+    assert solver["iterations"] > 0 and 0 <= solver["residual"] <= 1e-12
+
+
 def test_seed_flag_and_env_var_override(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "d = 1\nL = 8\nt_indices = 5\nn_samples = 4\n")
     base, enved, flagged = (tmp_path / n for n in ("base", "env", "flag"))

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parahom import (
     ConfigError,
     EllipticityPair,
     PeriodicCube,
     CoefficientField,
+    SolverError,
     a_hom_extract,
     avg_greens_mc,
     constant_coefficients,
@@ -20,6 +23,7 @@ from parahom import (
     rate_fit,
     t_operator_apply,
 )
+from parahom import homogenize
 from parahom.homogenize import q_matrix_single, sample_norm
 
 
@@ -35,6 +39,48 @@ def random_field(d, L, nt, lam, Lam, dt=0.05, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(lam, Lam, size=(nt, d, cube.n_sites))
     return CoefficientField(cube, dt, vals, EllipticityPair(lam, Lam))
+
+
+def dense_differences(cube, xi):
+    """Dense matrices of the twisted differences
+    (D_j u)(x) = e^{-i xi_j} u(x + e_j) - u(x), built from coordinates."""
+    coords = cube.all_coords()
+    n = cube.n_sites
+    out = []
+    for j in range(cube.d):
+        step = coords.copy()
+        step[:, j] += 1
+        D = -np.eye(n, dtype=complex)
+        for x in range(n):
+            D[x, cube.site_index(step[x])] += np.exp(-1j * xi[j])
+        out.append(D)
+    return out
+
+
+def dense_time_difference(nt, n, dt):
+    """Periodic backward difference (u_i - u_{i-1}) / dt on time-major
+    space-time vectors of nt levels of n sites."""
+    C = np.eye(nt) - np.roll(np.eye(nt), -1, axis=1)
+    return np.kron(C / dt, np.eye(n))
+
+
+def dense_corrector_q(a, xi, eta):
+    """q(xi, eta) from a dense solve of
+    (eta + D_t) Phi_k + sum_j D_j^H a_j D_j Phi_k = -P D_k^H a_k."""
+    cube, nt, n, d = a.cube, a.n_times, a.cube.n_sites, a.cube.d
+    D = dense_differences(cube, xi)
+    op = (eta * np.eye(nt * n) + dense_time_difference(nt, n, a.dt)).astype(complex)
+    for i in range(nt):
+        block = slice(i * n, (i + 1) * n)
+        op[block, block] += sum(D[j].conj().T @ (a.values[i, j][:, None] * D[j])
+                                for j in range(d))
+    q = np.diag(a.values.mean(axis=(0, 2))).astype(complex)
+    for k in range(d):
+        rhs = np.concatenate([-(D[k].conj().T @ a.values[i, k]) for i in range(nt)])
+        phi = np.linalg.solve(op, rhs - rhs.mean()).reshape(nt, n)
+        for j in range(d):
+            q[j, k] += np.mean(a.values[:, j] * (phi @ D[j].T))
+    return q
 
 
 # -- twisted calculus ---------------------------------------------------------
@@ -78,6 +124,55 @@ def test_corrector_energy_bound():
         corr = corrector_solve(a, [0.4, 0.1], eta=0.05)
         chk = corr.energy_check(a.window)
         assert chk["passes"], chk
+
+
+def test_energy_check_sums_over_directions():
+    a = random_field(2, 6, 4, 0.5, 2.0, seed=3)
+    xi = np.array([0.5, -1.2])
+    eta = 0.05
+    corr = corrector_solve(a, xi, eta)
+    phiv = corr.values.sum(axis=1) / np.sqrt(2)  # v = (1, 1) / sqrt(2)
+    grid = phiv.reshape((a.n_times,) + a.cube.shape)
+    grad2 = sum(np.abs(np.exp(-1j * xi[j]) * np.roll(grid, -1, axis=1 + j) - grid) ** 2
+                for j in range(2))
+    expected = eta * np.mean(np.abs(phiv) ** 2) + a.window.lam * np.mean(grad2)
+    chk = corr.energy_check(a.window)
+    assert chk["lhs"] == pytest.approx(expected, rel=1e-12)
+    assert chk["passes"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    L=st.sampled_from([2, 4, 6]),
+    nt=st.sampled_from([1, 2, 3]),
+    xi=st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2),
+    log_eta=st.floats(-3.0, 0.0),
+    lam=st.floats(0.1, 1.0),
+    ratio=st.floats(1.0, 5.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_corrector_matches_dense_solve(d, L, nt, xi, log_eta, lam, ratio, seed):
+    a = random_field(d, L, nt, lam, lam * ratio, dt=0.1, seed=seed)
+    xi, eta = np.array(xi[:d]), 10.0**log_eta
+    corr = corrector_solve(a, xi, eta)
+    assert corr.residual <= 1e-12
+    q_dense = dense_corrector_q(a, xi, eta)
+    assert np.abs(q_matrix_single(corr, a) - q_dense).max() <= 1e-10
+
+
+def test_corrector_solver_error_reports_statistics(monkeypatch):
+    # a preconditioner scaled far too small makes the iteration diverge
+    symbol = homogenize._symbol
+
+    def bad_symbol(*args):
+        dsym, denom = symbol(*args)
+        return dsym, 0.1 * denom
+
+    monkeypatch.setattr(homogenize, "_symbol", bad_symbol)
+    a = random_field(1, 8, 3, 0.5, 2.0, seed=1)
+    with pytest.raises(SolverError, match=r"after \d+ iterations at relative residual"):
+        corrector_solve(a, [0.3], eta=0.1)
 
 
 def test_corrector_guards():
@@ -148,14 +243,21 @@ def test_t_operator_contraction():
         assert sample_norm(out) <= sample_norm(g) * (1 + 1e-6)
 
 
-def test_t_operator_two_code_paths_agree():
+def test_t_operator_matches_dense_solve():
     rng = np.random.default_rng(22)
-    cube = PeriodicCube(1, 10)
-    g = rng.standard_normal((4, 1, 10)) + 1j * rng.standard_normal((4, 1, 10))
-    for xi, eta in [([0.0], 0.2), ([0.7], 0.05)]:
-        a = t_operator_apply(cube, g, xi, eta, 0.1, 1.5, method="fourier")
-        b = t_operator_apply(cube, g, xi, eta, 0.1, 1.5, method="solve")
-        assert np.abs(a - b).max() < 1e-6 * max(1.0, np.abs(a).max())
+    cube, nt, dt, Lam = PeriodicCube(2, 4), 4, 0.1, 1.5
+    n = cube.n_sites
+    g = rng.standard_normal((nt, 2, n)) + 1j * rng.standard_normal((nt, 2, n))
+    for xi, eta in [([0.0, 0.0], 0.2), ([0.7, -2.1], 0.05)]:
+        D = dense_differences(cube, xi)
+        op = (eta * np.eye(nt * n) + dense_time_difference(nt, n, dt)) / Lam + np.kron(
+            np.eye(nt), sum(Dj.conj().T @ Dj for Dj in D))
+        rhs = np.concatenate([sum(D[j].conj().T @ g[i, j] for j in range(2))
+                              for i in range(nt)])
+        psi = np.linalg.solve(op, rhs).reshape(nt, n)
+        expected = np.stack([psi @ Dj.T for Dj in D], axis=1)
+        out = t_operator_apply(cube, g, xi, eta, dt, Lam)
+        assert np.abs(out - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
 
 
 # -- Neumann series ---------------------------------------------------------------------

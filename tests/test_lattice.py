@@ -132,15 +132,6 @@ def test_dirichlet_form_nonnegative():
         assert np.allclose(cube.laplacian(phi), cube.div(cube.grad(phi)))
 
 
-def test_shift_matrix_matches_roll():
-    cube = PeriodicCube(2, 4)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(cube.n_sites)
-    for j in range(2):
-        for step in (1, -1):
-            assert np.allclose(cube.shift_matrix(j, step) @ u, cube.shift(u, j, step))
-
-
 def test_laplacian_symbol_matches_operator():
     cube = PeriodicCube(2, 6)
     rng = np.random.default_rng(11)
