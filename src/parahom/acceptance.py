@@ -54,11 +54,11 @@ from .lattice import (
 )
 from .parabolic import (
     CoefficientField,
+    _sweep,
     aronson_fit,
     constant_coefficients,
     damped_perturbation_terms,
     damped_resolvent,
-    div_a_grad,
     greens_backward,
     greens_backward_matrix,
     greens_perturbation_terms,
@@ -503,8 +503,7 @@ def criterion_13():
         for k, si in enumerate(srcs):
             u[k, si] = 1.0
         E = np.zeros_like(u)
-        for i in range(n_steps):
-            un = u - dt2 * div_a_grad(cube2, a.values[i][None], u, diagonal=True)
+        for i, un in _sweep(cube2, a.values.__getitem__, u, range(n_steps), dt2):
             E += w[i] * 0.5 * (u + un)
             u = un
         for j, tri in enumerate(triples):

@@ -139,9 +139,9 @@ def _run_sample_env(config, out_dir):
 
 def _run_greens(config, out_dir):
     p = config.params
-    cube, _, a = _environment(p, p["t_index"], p["seed"])
-    if p["source_site"] >= cube.n_sites:
+    if p["source_site"] >= p["L"] ** p["d"]:
         raise ConfigError("source_site: outside the lattice")
+    cube, _, a = _environment(p, p["t_index"], p["seed"])
     table = greens_backward(a, p["source_site"], p["t_index"])
     xc = _coords(cube, p["source_site"])
     t = p["t_index"] * p["dt"]
@@ -161,9 +161,9 @@ def _run_greens(config, out_dir):
 
 def _run_corrector(config, out_dir):
     p = config.params
-    cube, _, a = _environment(p, p["n_steps"], p["seed"])
-    if len(p["xi"]) != cube.d:
-        raise ConfigError(f"xi: expected {cube.d} components, got {len(p['xi'])}")
+    if len(p["xi"]) != p["d"]:
+        raise ConfigError(f"xi: expected {p['d']} components, got {len(p['xi'])}")
+    _, _, a = _environment(p, p["n_steps"], p["seed"])
     corr = corrector_solve(a, p["xi"], eta=p["eta"])
     chk = corr.energy_check(a.window)
     q = q_matrix_single(corr, a)

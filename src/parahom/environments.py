@@ -17,6 +17,7 @@ value or the Hessian V''(grad phi).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -160,18 +161,22 @@ def langevin_max_dt(V: PotentialSpec, m: float, d: int) -> float:
     return min(1.0 / (2.0 * d * Lam), 1.0 / (m * m))
 
 
-def langevin_step(
-    V: PotentialSpec,
-    m: float,
-    cube: PeriodicCube,
-    dt: float,
-    phi: np.ndarray,
-    rng: np.random.Generator,
-    noise_scale: float = 1.0,
-) -> np.ndarray:
-    """One Euler--Maruyama step; batched over leading axes of ``phi``."""
-    incr = rng.standard_normal(phi.shape) if noise_scale else 0.0
-    return phi + dt * langevin_drift(V, m, cube, phi) + noise_scale * np.sqrt(dt) * incr
+def brownian_increments(rng: np.random.Generator, dt: float, shape, n_steps: int):
+    """Stream of n_steps Brownian increments sqrt(dt) N(0, 1) of ``shape``,
+    drawn one step at a time."""
+    for _ in range(n_steps):
+        yield np.sqrt(dt) * rng.standard_normal(shape)
+
+
+def langevin_path(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
+                  phi: np.ndarray, increments):
+    """The Euler--Maruyama stepper: yield phi after each step
+    phi <- phi + dt drift(phi) + dB, one step per entry dB of
+    ``increments`` (already scaled by sqrt(dt)).  Batched over leading
+    axes of ``phi``; every step makes a new array."""
+    for dB in increments:
+        phi = phi + dt * langevin_drift(V, m, cube, phi) + dB
+        yield phi
 
 
 def langevin_simulate(
@@ -182,15 +187,12 @@ def langevin_simulate(
     n_steps: int,
     burn_in: Optional[int] = None,
     seed: int = 0,
-    noise_scale: float = 1.0,
-    phi0: Optional[np.ndarray] = None,
 ) -> FieldTrajectory:
     """Euler--Maruyama sample of the Langevin field dynamics.
 
-    Starts from phi = 0 (or ``phi0``), discards ``burn_in`` steps (default
-    10/(m^2 dt), a spectral-gap heuristic), then records n_steps + 1
-    levels.  Deterministic in (config, seed).  ``noise_scale=0`` is a test
-    hook for the deterministic flow.
+    Starts from phi = 0, discards ``burn_in`` steps (default 10/(m^2 dt),
+    a spectral-gap heuristic), then records n_steps + 1 levels.
+    Deterministic in (config, seed).
     """
     if m <= 0:
         raise UnsupportedVariantError(
@@ -206,21 +208,20 @@ def langevin_simulate(
     if burn_in < 0:
         raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
     rng = np.random.default_rng(seed)
-    phi = np.zeros(cube.n_sites) if phi0 is None else np.asarray(phi0, float).copy()
-    for _ in range(burn_in):
-        phi = langevin_step(V, m, cube, dt, phi, rng, noise_scale)
+    noise = brownian_increments(rng, dt, cube.n_sites, burn_in + n_steps)
+    phi = np.zeros(cube.n_sites)
+    path = langevin_path(V, m, cube, dt, phi, noise)
+    for phi in itertools.islice(path, burn_in):
+        pass
     values = np.empty((n_steps + 1, cube.n_sites))
     values[0] = phi
-    for i in range(n_steps):
-        phi = langevin_step(V, m, cube, dt, phi, rng, noise_scale)
-        values[i + 1] = phi
+    for i, phi in enumerate(path, 1):
+        values[i] = phi
     prov = {
         "sampler": "langevin-euler-maruyama",
         "seed": int(seed) if np.isscalar(seed) or isinstance(seed, int) else repr(seed),
         "burn_in": int(burn_in),
-        "noise_scale": float(noise_scale),
         "potential": {"form": V.form, "c": V.c, "a_dip": V.a_dip},
-        "phi0": "zero" if phi0 is None else "custom",
     }
     return FieldTrajectory(cube, dt, values, m, prov)
 

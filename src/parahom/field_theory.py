@@ -21,10 +21,15 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .environments import PotentialSpec, langevin_drift, langevin_max_dt
+from .environments import (
+    PotentialSpec,
+    brownian_increments,
+    langevin_max_dt,
+    langevin_path,
+)
 from .errors import ConfigError, UnsupportedVariantError
 from .lattice import PeriodicCube, heat_kernel_1d
-from .parabolic import CoefficientField, div_a_grad
+from .parabolic import CoefficientField, _sweep, greens_backward
 
 # -- oracles for the quadratic case -------------------------------------------
 
@@ -61,14 +66,6 @@ def massive_greens_integral(m: float, x, c: float = 1.0) -> float:
 
 
 # -- correlation identity -------------------------------------------------------
-
-
-def _stationary_start(V: PotentialSpec, m, cube, dt, burn_in, rng, batch: int):
-    phi = np.zeros((batch, cube.n_sites))
-    for _ in range(burn_in):
-        incr = rng.standard_normal(phi.shape)
-        phi = phi + dt * langevin_drift(V, m, cube, phi) + np.sqrt(dt) * incr
-    return phi
 
 
 def correlation_identity_check(
@@ -120,79 +117,68 @@ def correlation_identity_check(
     if anchors is None:
         anchors = [cube.site_index(np.zeros(cube.d, dtype=int))]
     anchors = list(anchors)
-    # all delta sources needed: anchors and their x-shifts
+    if not all(0 <= site < cube.n_sites for site in anchors):
+        raise ConfigError(f"anchors: sites must lie in [0, {cube.n_sites})")
+    n_anchors, n_x = len(anchors), len(x_list)
+    # all delta sources needed: anchors and their x-shifts; pair p = (anchor,
+    # x) in anchor-major order reads sources s_pos[p] and a_pos[p]
     src_sites = []
-    pair_idx = []  # (shifted source position, anchor source position) per (anchor, x)
+    s_pos, a_pos = [], []
     for a_site in anchors:
         a_coord = cube.site_coords(a_site)
-        a_pos = _index_of(src_sites, a_site)
         for x in x_list:
-            s_site = cube.site_index(a_coord + x)
-            pair_idx.append((_index_of(src_sites, s_site), a_pos))
+            a_pos.append(_index_of(src_sites, a_site))
+            s_pos.append(_index_of(src_sites, cube.site_index(a_coord + x)))
+    sites = np.array(src_sites)
     n_src = len(src_sites)
+
+    def anchor_mean(pairs):
+        """(b, pairs) -> (b, x): the average over anchors, in C order (a
+        gather leaves F order, which would change how the sample mean sums)."""
+        pairs = np.ascontiguousarray(pairs).reshape(-1, n_anchors, n_x)
+        return pairs.sum(axis=1) / n_anchors
+
     rng = np.random.default_rng(seed)
     lhs_all = []
     rhs_all = []
     done = 0
     while done < n_samples:
         b = min(batch, n_samples - done)
-        phi = _stationary_start(V, m, cube, dt, burn_in, rng, b)
-        a_store = np.empty((n_win, b, cube.d, cube.n_sites), dtype=np.float32)
-        for i in range(n_win):
-            a_store[i] = V.d2v_diag(cube.grad(phi))
-            incr = rng.standard_normal(phi.shape)
-            phi = phi + dt * langevin_drift(V, m, cube, phi) + np.sqrt(dt) * incr
+        # a stationary stretch: burn_in steps from 0, then the window, whose
+        # coefficients are kept (the batch axis broadcasts over sources)
+        phi = np.zeros((b, cube.n_sites))
+        a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
+        noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
+        for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
+            if k >= burn_in:
+                a_store[k - burn_in] = V.d2v_diag(cube.grad(phi))[:, None]
+            phi = phi_next
         # left side at the terminal level
-        lhs = np.zeros((b, len(x_list)))
-        for p, (s_pos, a_pos) in enumerate(pair_idx):
-            lhs[:, p % len(x_list)] += (
-                phi[:, src_sites[s_pos]] * phi[:, src_sites[a_pos]] / len(anchors)
-            )
+        lhs = anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]])
         if method == "forward":
             # literal Laplace quadrature of the forward solution, anchored
             # at the terminal level and driven by the reversed coefficient
             # history (the stationary environment is reversible in law)
-            rhs = np.zeros((b, len(x_list)))
             w = dt * np.exp(-m * m * dt * np.arange(n_win))
-            uu = np.zeros((b, len(anchors), cube.n_sites))
-            for ai, a_site in enumerate(anchors):
-                uu[:, ai, a_site] = 1.0
-            shifted = [
-                [cube.site_index(cube.site_coords(a_site) + x) for x in x_list]
-                for a_site in anchors
-            ]
-            for i in range(n_win):
-                for ai in range(len(anchors)):
-                    for xi in range(len(x_list)):
-                        rhs[:, xi] += (
-                            w[i] * uu[:, ai, shifted[ai][xi]] / len(anchors)
-                        )
-                a_now = a_store[n_win - 1 - i].astype(float)[:, None]
-                uu = uu - dt * div_a_grad(cube, a_now, uu, diagonal=True)
+            u = np.zeros((b, n_anchors, cube.n_sites))
+            u[:, np.arange(n_anchors), anchors] = 1.0
+            rows = np.repeat(np.arange(n_anchors), n_x)
+            targets = sites[s_pos]
+            rhs = w[0] * anchor_mean(u[:, rows, targets])
+            sweep = _sweep(cube, a_store.__getitem__, u, range(n_win - 1, 0, -1), dt)
+            for k, (_, u) in enumerate(sweep, 1):
+                rhs += w[k] * anchor_mean(u[:, rows, targets])
         else:
-            # pathwise: u <- J_i u with J = I - (dt/2)(div a grad + m^2)
+            # pathwise: u <- J_i u with J = I - (dt/2)(div a grad + m^2),
+            # written as rho (I - h div a grad) with rho = 1 - m^2 dt/2
             u = np.zeros((b, n_src, cube.n_sites))
-            for pos, site in enumerate(src_sites):
-                u[:, pos, site] = 1.0
-            rhs = np.zeros((b, len(x_list)))
-
-            def accumulate(u, rhs):
-                for p, (s_pos, a_pos) in enumerate(pair_idx):
-                    rhs[:, p % len(x_list)] += (
-                        dt
-                        * (u[:, s_pos, :] * u[:, a_pos, :]).sum(axis=-1)
-                        / len(anchors)
-                    )
-
-            accumulate(u, rhs)
-            for i in range(n_win - 1, 0, -1):
-                a_now = a_store[i].astype(float)[:, None]  # broadcast over sources
-                u = (
-                    u
-                    - (dt / 2.0) * div_a_grad(cube, a_now, u, diagonal=True)
-                    - (dt * m * m / 2.0) * u
-                )
-                accumulate(u, rhs)
+            u[:, np.arange(n_src), sites] = 1.0
+            rho = 1.0 - m * m * dt / 2.0
+            rhs = dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
+            sweep = _sweep(cube, a_store.__getitem__, u, range(n_win - 1, 0, -1),
+                           dt / (2.0 * rho), rho)
+            for _, u in sweep:
+                rhs += dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
         lhs_all.append(lhs)
         rhs_all.append(rhs)
         done += b
@@ -297,38 +283,6 @@ def thm13_decay_check(
 # -- Malliavin derivative ----------------------------------------------------------
 
 
-def langevin_with_increments(
-    V: PotentialSpec,
-    m: float,
-    cube: PeriodicCube,
-    dt: float,
-    n_steps: int,
-    seed: int = 0,
-):
-    """Trajectory from phi(0) = 0 together with the Brownian increments
-    that produced it, for replay-based differentiation."""
-    rng = np.random.default_rng(seed)
-    incr = np.sqrt(dt) * rng.standard_normal((n_steps, cube.n_sites))
-    values = np.empty((n_steps + 1, cube.n_sites))
-    values[0] = 0.0
-    phi = values[0]
-    for i in range(n_steps):
-        phi = phi + dt * langevin_drift(V, m, cube, phi) + incr[i]
-        values[i + 1] = phi
-    return values, incr
-
-
-def _replay(V, m, cube, dt, incr, bump_step, bump_site, delta):
-    phi = np.zeros(cube.n_sites)
-    for i in range(incr.shape[0]):
-        noise = incr[i]
-        if i == bump_step:
-            noise = noise.copy()
-            noise[bump_site] += delta
-        phi = phi + dt * langevin_drift(V, m, cube, phi) + noise
-    return phi
-
-
 def malliavin_fd_check(
     V: PotentialSpec,
     m: float,
@@ -352,14 +306,22 @@ def malliavin_fd_check(
         raise ConfigError(f"delta must lie in [1e-7, 1e-3], got {delta}")
     if not 0 <= s_index <= t_index:
         raise ConfigError("need 0 <= s_index <= t_index")
-    from .parabolic import greens_backward
-
-    values, incr = langevin_with_increments(V, m, cube, dt, t_index, seed)
-    base = values[t_index, x_site]
+    for name, site in (("y_site", y_site), ("x_site", x_site)):
+        if not 0 <= site < cube.n_sites:
+            raise ConfigError(f"{name}: site {site} outside [0, {cube.n_sites})")
     if s_index == t_index:
         return {"fd_value": 0.0, "formula_value": 0.0, "rel_error": 0.0}
-    bumped = _replay(V, m, cube, dt, incr, s_index, y_site, delta)
-    fd = (bumped[x_site] - base) / delta
+    # the path from phi(0) = 0, and its replay with one increment bumped
+    incr = np.sqrt(dt) * np.random.default_rng(seed).standard_normal(
+        (t_index, cube.n_sites))
+    values = np.zeros((t_index + 1, cube.n_sites))
+    for i, phi in enumerate(langevin_path(V, m, cube, dt, values[0], incr), 1):
+        values[i] = phi
+    bumped = incr.copy()
+    bumped[s_index, y_site] += delta
+    for phi in langevin_path(V, m, cube, dt, values[0], bumped):
+        pass
+    fd = (phi[x_site] - values[t_index, x_site]) / delta
     a_vals = V.d2v_diag(cube.grad(values))  # (nt+1, d, n)
     a = CoefficientField(cube, dt, a_vals, V.window, diagonal=True)
     table = greens_backward(a, x_site, t_index, s_min_index=s_index)
@@ -416,22 +378,19 @@ def poincare_variance_check(
     done = 0
     while done < n_samples:
         b = min(batch, n_samples - done)
-        traj = np.empty((n_steps + 1, b, cube.n_sites))
-        traj[0] = 0.0
-        phi = traj[0]
-        for i in range(n_steps):
-            incr = rng.standard_normal(phi.shape)
-            phi = phi + dt * langevin_drift(V, m, cube, phi) + np.sqrt(dt) * incr
-            traj[i + 1] = phi
+        traj = np.zeros((n_steps + 1, b, cube.n_sites))
+        noise = brownian_increments(rng, dt, traj[0].shape, n_steps)
+        for i, phi in enumerate(langevin_path(V, m, cube, dt, traj[0], noise), 1):
+            traj[i] = phi
+        phi = traj[-1]
         g_vals = np.concatenate([g_vals, np.asarray(functional.value(phi))])
         # backward damped evolution of the terminal gradient
         w = np.asarray(functional.grad(phi), dtype=float)
         # the increment of step i feeds through the Jacobians of steps
         # i+1 .. n-1 only; the last increment enters undamped
         norm2 = dt * (w**2).sum(axis=-1)
-        for i in range(n_steps - 1, 0, -1):
-            a_now = V.d2v_diag(cube.grad(traj[i]))
-            w = rho * (w - (dt / 2.0) * div_a_grad(cube, a_now, w, diagonal=True))
+        coeff = lambda i: V.d2v_diag(cube.grad(traj[i]))
+        for _, w in _sweep(cube, coeff, w, range(n_steps - 1, 0, -1), dt / 2.0, rho):
             norm2 += dt * (w**2).sum(axis=-1)
         d_norms = np.concatenate([d_norms, norm2])
         done += b

@@ -7,6 +7,12 @@ here.  Time stepping is explicit Euler with the environment's own step,
 coefficients piecewise constant on each step, so every solve is a finite
 product of sparse-stencil applications and bit-reproducible.
 
+All of them run through one streaming kernel, ``_sweep``, which yields
+(i, u) after each step u <- rho (u - h div(a_i grad u) + f_i) over a given
+step order; each caller keeps only the levels or reductions it needs.  A
+field with ``n_times == 1`` is constant in time and serves every step;
+any other field must cover every step a solve takes, else ConfigError.
+
 Discrete conventions (used consistently by every operation):
 
 * forward step      u_{i+1} = u_i - dt * div(a_i grad u_i)
@@ -46,10 +52,6 @@ class CoefficientField:
     @property
     def n_times(self) -> int:
         return self.values.shape[0]
-
-    def at(self, i: int) -> np.ndarray:
-        """Coefficient slice for step i (clamped to the stored range)."""
-        return self.values[min(max(i, 0), self.n_times - 1)]
 
     def validate(self, tol: float = 1e-12) -> None:
         """Raise IntegrityError if any matrix leaves the spectral window."""
@@ -132,6 +134,61 @@ def _check_dt(a: CoefficientField) -> None:
         )
 
 
+def _check_levels(a: CoefficientField, g: np.ndarray, name: str, m: float = 1.0):
+    """Data on the levels 0..n_times of the field, and a positive mass."""
+    if m <= 0:
+        raise ConfigError(f"mass must be > 0, got {m}")
+    if g.shape[0] != a.n_times + 1:
+        raise ConfigError(
+            f"{name} needs n_times+1={a.n_times + 1} levels, got {g.shape[0]}"
+        )
+
+
+def _slices(values: np.ndarray, n_steps: int):
+    """Lookup i -> a_i for steps 0..n_steps-1 of a coefficient stack.
+
+    A stack of one level is constant in time and serves every step; any
+    other stack must hold a level for each step, else ConfigError.
+    """
+    if values.shape[0] == 1:
+        return lambda i: values[0]
+    if n_steps > values.shape[0]:
+        raise ConfigError(
+            f"{n_steps} steps need {n_steps} coefficient levels, "
+            f"the field has {values.shape[0]}"
+        )
+    return values.__getitem__
+
+
+def _sweep(cube, coeff, u, steps, h, rho=1.0, forcing=None, diagonal=True):
+    """The time-stepping kernel: for i in ``steps`` (in the given order)
+    make the step u <- rho (u - h div(a_i grad u) + f_i) and yield (i, u).
+
+    ``coeff(i)`` returns a_i and ``forcing(i)`` returns f_i (no forcing
+    when None).  Every step makes a new array, so a caller may keep the
+    ones it yields.  Batch axes of u broadcast against those of a_i.
+    """
+    for i in steps:
+        u = u - h * div_a_grad(cube, coeff(i), u, diagonal)
+        if forcing is not None:
+            u = u + forcing(i)
+        if rho != 1.0:
+            u = rho * u
+        yield i, u
+
+
+def _backward_table(a, end, lo, hi, h, rho=1.0, forcing=None):
+    """Levels lo..hi of the backward sweep on ``a`` that starts from
+    ``end`` at level hi; row k holds level lo + k."""
+    coeff = _slices(a.values, hi)
+    out = np.empty((hi - lo + 1,) + end.shape)
+    out[-1] = end
+    steps = range(hi - 1, lo - 1, -1)
+    for i, u in _sweep(a.cube, coeff, end, steps, h, rho, forcing, a.diagonal):
+        out[i - lo] = u
+    return out
+
+
 # -- forward problem -------------------------------------------------------
 
 
@@ -143,14 +200,13 @@ def solve_forward(a: CoefficientField, h: np.ndarray, n_steps: int) -> np.ndarra
     if present).  The discrete L2 norm is non-increasing step to step.
     """
     _check_dt(a)
+    coeff = _slices(a.values, n_steps)
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ConfigError("initial data must be finite")
     out = np.empty((n_steps + 1,) + h.shape)
     out[0] = h
-    u = h.copy()
-    for i in range(n_steps):
-        u = u - a.dt * div_a_grad(a.cube, a.at(i), u, a.diagonal)
+    for i, u in _sweep(a.cube, coeff, h, range(n_steps), a.dt, diagonal=a.diagonal):
         out[i + 1] = u
     return out
 
@@ -185,11 +241,6 @@ class GreensTable:
         return (self.t_index - self.s_indices) * self.dt
 
 
-def _backward_step(a: CoefficientField, u: np.ndarray, i: int) -> np.ndarray:
-    """One backward level: apply I - (dt/2) div(a_i grad .)."""
-    return u - (a.dt / 2.0) * div_a_grad(a.cube, a.at(i), u, a.diagonal)
-
-
 def greens_backward(
     a: CoefficientField,
     source_site: int,
@@ -207,15 +258,10 @@ def greens_backward(
     _check_dt(a)
     if not 0 <= s_min_index < t_index:
         raise ConfigError(f"need 0 <= s_min_index < t_index, got {s_min_index}, {t_index}")
-    n = a.cube.n_sites
-    u = np.zeros(n)
-    u[source_site] = 1.0
     levels = np.arange(s_min_index, t_index + 1)
-    vals = np.empty((levels.size, n))
-    vals[-1] = u
-    for k, i in enumerate(range(t_index - 1, s_min_index - 1, -1)):
-        u = _backward_step(a, u, i)
-        vals[levels.size - 2 - k] = u
+    delta = np.zeros(a.cube.n_sites)
+    delta[source_site] = 1.0
+    vals = _backward_table(a, delta, s_min_index, t_index, a.dt / 2.0)
     return GreensTable(
         a.cube, a.dt, source_site, t_index, levels, vals, a.window, a.diagonal
     )
@@ -231,15 +277,9 @@ def greens_backward_matrix(
     over sources x.  Returns (s_indices, values).
     """
     _check_dt(a)
-    n = a.cube.n_sites
-    u = np.eye(n)
     levels = np.arange(s_min_index, t_index + 1)
-    vals = np.empty((levels.size, n, n))
-    vals[-1] = u
-    for k, i in enumerate(range(t_index - 1, s_min_index - 1, -1)):
-        u = _backward_step(a, u, i)
-        vals[levels.size - 2 - k] = u
-    return levels, vals
+    eye = np.eye(a.cube.n_sites)
+    return levels, _backward_table(a, eye, s_min_index, t_index, a.dt / 2.0)
 
 
 def periodic_greens(
@@ -374,16 +414,9 @@ def duhamel_solve(a: CoefficientField, f: np.ndarray) -> np.ndarray:
     is integrated backwards, which realizes the discrete quadrature
     u_i = dt * sum_{k>i} P(i, k-1) f_k.
     """
-    if f.shape[0] != a.n_times + 1:
-        raise ConfigError(
-            f"forcing needs n_times+1={a.n_times + 1} levels, got {f.shape[0]}"
-        )
-    out = np.zeros_like(f, dtype=float)
-    u = np.zeros(f.shape[1:])
-    for i in range(f.shape[0] - 2, -1, -1):
-        u = _backward_step(a, u, i) + a.dt * f[i + 1]
-        out[i] = u
-    return out
+    _check_levels(a, f, "forcing")
+    return _backward_table(a, np.zeros(f.shape[1:]), 0, a.n_times, a.dt / 2.0,
+                           forcing=lambda i: a.dt * f[i + 1])
 
 
 def damped_resolvent(a: CoefficientField, m: float, g: np.ndarray) -> np.ndarray:
@@ -394,19 +427,10 @@ def damped_resolvent(a: CoefficientField, m: float, g: np.ndarray) -> np.ndarray
     Satisfies the resolvent bound ||v||_2 <= 2 m^{-2} ||g||_2 in the
     space-time norm (dt-weighted).
     """
-    if m <= 0:
-        raise ConfigError(f"mass must be > 0, got {m}")
-    if g.shape[0] != a.n_times + 1:
-        raise ConfigError(
-            f"data needs n_times+1={a.n_times + 1} levels, got {g.shape[0]}"
-        )
+    _check_levels(a, g, "data", m)
     rho = float(np.exp(-m * m * a.dt / 2.0))
-    out = np.zeros(g.shape, dtype=float)
-    v = np.zeros(g.shape[1:])
-    for i in range(g.shape[0] - 2, -1, -1):
-        v = rho * (_backward_step(a, v, i) + a.dt * g[i + 1])
-        out[i] = v
-    return out
+    return _backward_table(a, np.zeros(g.shape[1:]), 0, a.n_times, a.dt / 2.0,
+                           rho, lambda i: a.dt * g[i + 1])
 
 
 def spacetime_norm(v: np.ndarray, dt: float) -> float:
@@ -436,6 +460,27 @@ class PerturbationSeries:
         return np.array([spacetime_norm(t, self.dt) for t in self.terms])
 
 
+def _contrast_series(a, b, end, lo, hi, rho, forcing, n_max) -> PerturbationSeries:
+    """Terms 0..n_max of the contrast expansion on the levels lo..hi.
+
+    Term 0 is the backward sweep of the free field (constant coefficients
+    Lam, damping ``rho``) from ``end`` with ``forcing``; term n is the same
+    sweep from zero, forced at step i by (dt Lam/2) div(b_i grad) of term
+    n-1 one level later.  ``b`` is the lookup i -> b_i.
+    """
+    free = constant_coefficients(a.cube, a.dt, a.window.Lam)
+
+    def contrast_forcing(prev):
+        scale = a.dt * a.window.Lam / 2.0
+        return lambda i: scale * div_a_grad(a.cube, b(i), prev[i + 1 - lo], a.diagonal)
+
+    terms = [_backward_table(free, end, lo, hi, a.dt / 2.0, rho, forcing)]
+    for _ in range(n_max):
+        terms.append(_backward_table(free, np.zeros_like(end), lo, hi, a.dt / 2.0,
+                                     rho, contrast_forcing(terms[-1])))
+    return PerturbationSeries(terms=terms, dt=a.dt)
+
+
 def greens_perturbation_terms(
     a: CoefficientField,
     source_site: int,
@@ -452,69 +497,20 @@ def greens_perturbation_terms(
     ``greens_backward`` table geometrically with ratio <= 1 - lam/Lam.
     """
     _check_dt(a)
-    cube, dt, Lam = a.cube, a.dt, a.window.Lam
-    b = a.contrast()
-    levels = np.arange(s_min_index, t_index + 1)
-    ns = levels.size
-
-    def free_step(u):
-        return u - (dt * Lam / 2.0) * cube.laplacian(u)
-
-    # n = 0: free evolution of the terminal delta
-    terms = []
-    u = np.zeros(cube.n_sites)
-    u[source_site] = 1.0
-    t0 = np.empty((ns, cube.n_sites))
-    t0[-1] = u
-    for k, i in enumerate(range(t_index - 1, s_min_index - 1, -1)):
-        u = free_step(u)
-        t0[ns - 2 - k] = u
-    terms.append(t0)
-    for _ in range(n_max):
-        prev = terms[-1]
-        tn = np.zeros((ns, cube.n_sites))
-        u = np.zeros(cube.n_sites)
-        for k, i in enumerate(range(t_index - 1, s_min_index - 1, -1)):
-            row = ns - 1 - k  # level of prev being consumed (i + 1)
-            forcing = div_a_grad(cube, b[min(i, b.shape[0] - 1)], prev[row], a.diagonal)
-            u = free_step(u) + (dt * Lam / 2.0) * forcing
-            tn[ns - 2 - k] = u
-        terms.append(tn)
-    return PerturbationSeries(terms=terms, dt=dt)
+    b = _slices(a.contrast(), t_index)
+    delta = np.zeros(a.cube.n_sites)
+    delta[source_site] = 1.0
+    return _contrast_series(a, b, delta, s_min_index, t_index, 1.0, None, n_max)
 
 
 def damped_perturbation_terms(
     a: CoefficientField, m: float, g: np.ndarray, n_max: int
 ) -> PerturbationSeries:
     """Terms v_n of the damped expansion; partial sums telescope exactly to
-    the ``damped_resolvent`` output, and ||v_n|| <= m^{-2} (1-lam/Lam)^n ||g||.
+    the ``damped_resolvent`` output, and ||v_n|| <= 2 m^{-2} (1-lam/Lam)^n ||g||.
     """
-    if m <= 0:
-        raise ConfigError(f"mass must be > 0, got {m}")
-    cube, dt, Lam = a.cube, a.dt, a.window.Lam
-    b = a.contrast()
-    rho = float(np.exp(-m * m * dt / 2.0))
-    nt = g.shape[0]
-
-    def free_step(u):
-        return u - (dt * Lam / 2.0) * cube.laplacian(u)
-
-    terms = []
-    v = np.zeros(g.shape[1:])
-    t0 = np.zeros(g.shape, dtype=float)
-    for i in range(nt - 2, -1, -1):
-        v = rho * (free_step(v) + dt * g[i + 1])
-        t0[i] = v
-    terms.append(t0)
-    for _ in range(n_max):
-        prev = terms[-1]
-        tn = np.zeros(g.shape, dtype=float)
-        v = np.zeros(g.shape[1:])
-        for i in range(nt - 2, -1, -1):
-            forcing = div_a_grad(
-                cube, b[min(i, b.shape[0] - 1)], prev[i + 1], a.diagonal
-            )
-            v = rho * (free_step(v) + (dt * Lam / 2.0) * forcing)
-            tn[i] = v
-        terms.append(tn)
-    return PerturbationSeries(terms=terms, dt=dt)
+    _check_levels(a, g, "data", m)
+    b = _slices(a.contrast(), a.n_times)
+    rho = float(np.exp(-m * m * a.dt / 2.0))
+    return _contrast_series(a, b, np.zeros(g.shape[1:]), 0, a.n_times, rho,
+                            lambda i: a.dt * g[i + 1], n_max)

@@ -150,6 +150,26 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     assert "L" in capsys.readouterr().err  # diagnostic names the field
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("malliavin", "L = 8\nx_site = 9999\n"),
+    ("malliavin", "L = 8\ny_site = 9999\n"),
+    ("correlate", "L = 8\nanchors = 9999\n"),
+    ("greens", "L = 8\nsource_site = 9999\n"),
+    ("corrector", "d = 2\nL = 4\nxi = 0.5\n"),
+], ids=["x_site", "y_site", "anchors", "source_site", "xi"])
+def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
+                                                      monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr("parahom.cli.langevin_simulate", no_compute)
+    monkeypatch.setattr("parahom.field_theory.langevin_path", no_compute)
+    cfg = _write(tmp_path, text)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    key = text.splitlines()[-1].split(" = ")[0]
+    assert key in capsys.readouterr().err
+
+
 def test_exit_code_1_on_verdict_failure(tmp_path):
     # noise-dominated rate fit: the report carries a warning, verdict fails
     rng = np.random.default_rng(0)

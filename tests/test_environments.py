@@ -18,7 +18,7 @@ from parahom import (
     load_trajectory,
     poincare_fourier_check,
 )
-from parahom.environments import langevin_drift
+from parahom.environments import brownian_increments, langevin_drift, langevin_path
 
 
 # -- potentials --------------------------------------------------------------
@@ -53,14 +53,41 @@ def test_langevin_zero_noise_decay_of_constant_field():
     cube = PeriodicCube(1, 8)
     V = PotentialSpec("quadratic", c=1.0)
     m, dt, K = 1.0, 0.01, 2.0
-    traj = langevin_simulate(
-        V, m, cube, dt, n_steps=100, burn_in=0, seed=0, noise_scale=0.0,
-        phi0=np.full(cube.n_sites, K),
-    )
+    zero = np.zeros(cube.n_sites)
+    phi0 = np.full(cube.n_sites, K)
+    path = list(langevin_path(V, m, cube, dt, phi0, [zero] * 100))
     # gradient term vanishes on constants: phi(t) = K e^{-m^2 t / 2}
     expect = K * np.exp(-m * m * dt * 100 / 2.0)
-    assert np.abs(traj.values[-1] - expect).max() < 2e-3  # O(dt)
-    assert traj.values.shape == (101, 8)
+    assert np.abs(path[-1] - expect).max() < 2e-3  # O(dt)
+    assert len(path) == 100
+
+
+def test_langevin_streamed_and_predrawn_increments_agree():
+    cube = PeriodicCube(2, 4)
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
+    m, dt, n = 1.0, 0.05, 30
+    phi0 = np.zeros((3, cube.n_sites))
+
+    def path(phi, increments):
+        return np.array(list(langevin_path(V, m, cube, dt, phi, increments)))
+
+    base = path(phi0, brownian_increments(np.random.default_rng(7), dt, phi0.shape, n))
+    drawn = np.sqrt(dt) * np.random.default_rng(7).standard_normal((n,) + phi0.shape)
+    assert np.array_equal(path(phi0, drawn), base)
+    # a zero bump replays the base path exactly; a nonzero one moves it
+    # only from the bumped step on
+    bumped = drawn.copy()
+    bumped[12, 1, 5] += 0.0
+    assert np.array_equal(path(phi0, bumped), base)
+    bumped[12, 1, 5] += 1e-3
+    moved = path(phi0, bumped)
+    assert np.array_equal(moved[:12], base[:12])
+    assert not np.array_equal(moved[12:], base[12:])
+    # langevin_simulate runs this stepper on streamed draws from phi = 0
+    traj = langevin_simulate(V, m, cube, dt, n - 5, burn_in=5, seed=7)
+    rng = np.random.default_rng(7)
+    full = path(phi0[0], brownian_increments(rng, dt, cube.n_sites, n))
+    assert np.array_equal(traj.values, full[4:])
 
 
 def test_langevin_drift_indicator_hand_computed():

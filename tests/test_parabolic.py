@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parahom import (
     ConfigError,
@@ -32,6 +34,62 @@ def random_diagonal_field(cube, dt, n_times, lam, Lam, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(lam, Lam, size=(n_times, cube.d, cube.n_sites))
     return CoefficientField(cube, dt, vals, EllipticityPair(lam, Lam), diagonal=True)
+
+
+# Hypothesis inputs for the kernel invariants: a lattice (d, L), a window
+# [lam, Lam], a step dt as a fraction of the stability bound, and a seed
+# for the coefficient values.
+lattices = st.sampled_from([(1, 2), (1, 4), (1, 6), (2, 2), (2, 4), (2, 6), (3, 2)])
+lams = st.floats(0.1, 1.0)
+contrasts = st.floats(1.0, 4.0)  # Lam / lam
+dt_fractions = st.floats(0.05, 1.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def drawn_field(lattice, n_times, lam, ratio, dt_fraction, seed):
+    cube = PeriodicCube(*lattice)
+    window = EllipticityPair(lam, lam * ratio)
+    dt = dt_fraction * max_stable_dt(window, cube.d)
+    return random_diagonal_field(cube, dt, n_times, window.lam, window.Lam, seed)
+
+
+def dense_step(a, i, h):
+    """Dense oracle of one step: I - h D^T diag(a_i) D, with D the
+    forward-difference matrix, so that D^T diag(a_i) D = div(a_i grad .)."""
+    n = a.cube.n_sites
+    D = a.cube.grad(np.eye(n)).transpose(1, 2, 0).reshape(a.cube.d * n, n)
+    a_i = a.values[0 if a.n_times == 1 else i].ravel()
+    return np.eye(n) - h * D.T @ (a_i[:, None] * D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice=lattices, n_times=st.integers(1, 8), lam=lams, ratio=contrasts,
+       dt_fraction=dt_fractions, m=st.floats(0.3, 3.0), seed=seeds)
+def test_solves_match_dense_step_matrices(lattice, n_times, lam, ratio,
+                                          dt_fraction, m, seed):
+    a = drawn_field(lattice, n_times, lam, ratio, dt_fraction, seed)
+    n, dt = a.cube.n_sites, a.dt
+    rng = np.random.default_rng(seed)
+    # forward: u_{i+1} = (I - dt D^T a_i D) u_i
+    u = rng.standard_normal(n)
+    traj = solve_forward(a, u, n_times)
+    for i in range(n_times):
+        u = dense_step(a, i, dt) @ u
+        assert np.abs(traj[i + 1] - u).max() <= 1e-12
+    # backward: every source row through I - (dt/2) D^T a_i D
+    _, mats = greens_backward_matrix(a, t_index=n_times)
+    P = np.eye(n)
+    for i in range(n_times - 1, -1, -1):
+        P = P @ dense_step(a, i, dt / 2.0).T
+        assert np.abs(mats[i] - P).max() <= 1e-12
+    # damped: v_i = rho (M_i v_{i+1} + dt g_{i+1})
+    g = rng.standard_normal((n_times + 1, n))
+    v = damped_resolvent(a, m, g)
+    rho = np.exp(-m * m * dt / 2.0)
+    w = np.zeros(n)
+    for i in range(n_times - 1, -1, -1):
+        w = rho * (dense_step(a, i, dt / 2.0) @ w + dt * g[i + 1])
+        assert np.abs(v[i] - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 # -- coefficient fields -----------------------------------------------------------
@@ -84,11 +142,14 @@ def test_forward_constant_initial_stays_constant():
     assert np.abs(traj - 3.3).max() < 1e-13
 
 
-def test_forward_l2_contraction():
-    cube = PeriodicCube(2, 8)
-    a = random_diagonal_field(cube, 0.05, 30, 0.5, 2.0, seed=4)
-    rng = np.random.default_rng(5)
-    traj = solve_forward(a, rng.standard_normal(cube.n_sites), 30)
+@settings(max_examples=40, deadline=None)
+@given(lattice=lattices, n_times=st.integers(1, 30), lam=lams, ratio=contrasts,
+       dt_fraction=dt_fractions, seed=seeds)
+@example(lattice=(2, 8), n_times=30, lam=0.5, ratio=4.0, dt_fraction=0.4, seed=4)
+def test_forward_l2_contraction(lattice, n_times, lam, ratio, dt_fraction, seed):
+    a = drawn_field(lattice, n_times, lam, ratio, dt_fraction, seed)
+    rng = np.random.default_rng(seed + 1)
+    traj = solve_forward(a, rng.standard_normal(a.cube.n_sites), n_times)
     norms = np.linalg.norm(traj, axis=-1)
     assert np.all(np.diff(norms) <= 1e-12)
 
@@ -121,11 +182,14 @@ def test_greens_terminal_delta_and_constant_reduction():
     assert np.abs(table.values[100] - oracle).max() < 5e-3
 
 
-def test_greens_sum_rules_and_nonnegativity():
-    cube = PeriodicCube(2, 6)
-    dt = 0.9 * max_stable_dt(EllipticityPair(0.5, 2.0), 2)
-    a = random_diagonal_field(cube, dt, 40, 0.5, 2.0, seed=6)
-    levels, mats = greens_backward_matrix(a, t_index=40)
+@settings(max_examples=40, deadline=None)
+@given(lattice=lattices, n_times=st.integers(1, 40), lam=lams, ratio=contrasts,
+       dt_fraction=dt_fractions, seed=seeds)
+@example(lattice=(2, 6), n_times=40, lam=0.5, ratio=4.0, dt_fraction=0.9, seed=6)
+def test_greens_sum_rules_and_nonnegativity(lattice, n_times, lam, ratio,
+                                            dt_fraction, seed):
+    a = drawn_field(lattice, n_times, lam, ratio, dt_fraction, seed)
+    levels, mats = greens_backward_matrix(a, t_index=n_times)
     # sum over y (axis -1) and over sources x (axis -2), every stored level
     assert np.abs(mats.sum(axis=-1) - 1.0).max() < 1e-12
     assert np.abs(mats.sum(axis=-2) - 1.0).max() < 1e-12
@@ -157,6 +221,22 @@ def test_greens_invalid_levels():
     a = constant_coefficients(cube, 0.1, 1.0, n_times=5)
     with pytest.raises(ConfigError):
         greens_backward(a, 0, t_index=3, s_min_index=3)
+
+
+def test_steps_beyond_the_field_raise():
+    cube = PeriodicCube(1, 4)
+    a = random_diagonal_field(cube, 0.1, 5, 0.5, 2.0, seed=20)
+    with pytest.raises(ConfigError, match="coefficient levels"):
+        greens_backward(a, 0, t_index=8)
+    with pytest.raises(ConfigError, match="coefficient levels"):
+        greens_perturbation_terms(a, 0, t_index=8, n_max=1)
+    with pytest.raises(ConfigError, match="coefficient levels"):
+        solve_forward(a, np.zeros(cube.n_sites), 6)
+    with pytest.raises(ConfigError, match="levels"):
+        damped_perturbation_terms(a, 1.0, np.zeros((9, cube.n_sites)), 1)
+    # a one-level field is constant in time and serves every step
+    const = constant_coefficients(cube, 0.1, 1.0, n_times=1)
+    assert greens_backward(const, 0, t_index=8).values.shape == (9, cube.n_sites)
 
 
 # -- periodization ----------------------------------------------------------------------
@@ -337,20 +417,36 @@ def test_greens_perturbation_partial_sums_geometric():
     assert resid[-1] < 1e-2 * resid[0]
 
 
-def test_damped_perturbation_sums_telescope_and_contract():
-    cube = PeriodicCube(1, 10)
-    m = 1.0
-    a = random_diagonal_field(cube, 0.08, 25, 1.0, 2.0, seed=18)
-    g = np.random.default_rng(19).standard_normal((26, cube.n_sites))
+@settings(max_examples=30, deadline=None)
+@given(lattice=lattices, n_times=st.integers(1, 120), lam=lams, ratio=contrasts,
+       dt_fraction=dt_fractions, m=st.floats(0.3, 3.0), offset=st.floats(0.0, 3.0),
+       seed=seeds)
+@example(lattice=(1, 10), n_times=25, lam=1.0, ratio=2.0, dt_fraction=0.32, m=1.0,
+         offset=0.0, seed=18)
+def test_damped_perturbation_sums_telescope_and_contract(
+    lattice, n_times, lam, ratio, dt_fraction, m, offset, seed
+):
+    a = drawn_field(lattice, n_times, lam, ratio, dt_fraction, seed)
+    # the offset puts weight on the constant mode, which the free sweep
+    # does not damp: term 0 then comes close to the 2 m^-2 resolvent bound
+    g = offset + np.random.default_rng(seed + 1).standard_normal(
+        (n_times + 1, a.cube.n_sites))
     v = damped_resolvent(a, m, g)
-    ser = damped_perturbation_terms(a, m, g, 10)
-    # exact telescoping: high partial sums converge to the direct solve
-    resid = spacetime_norm(ser.partial_sums()[-1] - v, a.dt)
-    assert resid < 1e-6 * spacetime_norm(v, a.dt)
+    n_max = 10
+    ser = damped_perturbation_terms(a, m, g, n_max)
     norms = ser.norms()
     contrast = a.window.contrast
     gnorm = spacetime_norm(g, a.dt)
     for n, nn in enumerate(norms):
-        assert nn <= (1.0 / m**2) * contrast**n * gnorm * (1 + 1e-9)
-    ratios = norms[1:] / norms[:-1]
+        assert nn <= (2.0 / m**2) * contrast**n * gnorm * (1 + 1e-9)
+    # exact telescoping: v - (v_0 + ... + v_n) is the damped resolvent of
+    # the contrast forcing (Lam/2) div(b grad v_n), one level later
+    cube, Lam, b = a.cube, a.window.Lam, a.contrast()
+    last = ser.terms[-1]
+    forcing = np.zeros_like(g)
+    forcing[1:] = (Lam / 2.0) * cube.div(b * cube.grad(last[1:]))
+    remainder = damped_resolvent(a, m, forcing)
+    gap = v - ser.partial_sums()[-1] - remainder
+    assert np.abs(gap).max() <= 1e-12 * max(1.0, np.abs(v).max())
+    ratios = norms[1:] / np.maximum(norms[:-1], 1e-300)
     assert np.all(ratios <= contrast + 0.05)
