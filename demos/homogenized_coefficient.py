@@ -8,19 +8,10 @@ regularization ladder with Richardson extrapolation.
 
 import numpy as np
 
-from parahom import (
-    CoefficientMap,
-    EllipticityPair,
-    PeriodicCube,
-    PotentialSpec,
-    a_hom_extract,
-    coefficient_field,
-    corrector_solve,
-    langevin_simulate,
-    q_matrix,
-)
+from parahom import EllipticityPair, PeriodicCube, PotentialSpec, a_hom_extract
+from parahom.environments import sample_environment
+from parahom.homogenize import q_ladder
 from parahom.parabolic import CoefficientField
-from parahom.homogenize import q_matrix_single
 
 # -- 1D two-phase medium: a in {1, 4}, exact a_hom = harmonic mean = 1.6 ------
 
@@ -29,7 +20,7 @@ vals = np.where(np.arange(32) % 2 == 0, 1.0, 4.0)[None, None, :]
 a = CoefficientField(cube, 0.1, vals.copy(), EllipticityPair(1.0, 4.0))
 
 etas = np.array([1e-1, 1e-2, 1e-3])
-qs = [q_matrix_single(corrector_solve(a, [0.0], eta=float(e)), a) for e in etas]
+qs = [q.value for q in q_ladder([a], [0.0], etas)]
 out = a_hom_extract(etas, qs)
 print("two-phase medium:")
 for e, q in zip(etas, qs):
@@ -39,18 +30,11 @@ print(f"  extrapolated a_hom = {out['a_hom'][0, 0]:.6f} (exact 1.6)\n")
 # -- fluctuating dipole environment in d=2 ------------------------------------
 
 V = PotentialSpec("dipole", c=1.0, a_dip=0.5)
-cmap = CoefficientMap("matrix-of-gradient", potential=V)
 cell = PeriodicCube(2, 8)
 etas = np.array([0.15, 0.015, 0.0015])
 
-qs = []
-for eta in etas:
-    pairs = []
-    for k in range(8):
-        traj = langevin_simulate(V, 0.5, cell, 0.1, 16, seed=40 + k)
-        af = coefficient_field(traj, cmap)
-        pairs.append((corrector_solve(af, [0.0, 0.0], eta=float(eta)), af))
-    qs.append(q_matrix(pairs))
+fields = [sample_environment(V, 0.5, cell, 0.1, 16, 40 + k) for k in range(8)]
+qs = q_ladder(fields, [0.0, 0.0], etas)
 
 out = a_hom_extract(etas, [q.value for q in qs])
 print("dipole environment (d=2, a_dip=0.5, 8 samples per eta):")

@@ -4,29 +4,23 @@ and the command-line ``verify`` runner.
 Each ``criterion_N`` returns a dict with keys ``id``, ``title``, ``passed``,
 ``detail`` and ``seconds``.  The checks are deterministic: every random
 draw is seeded.
+
+The experiment kinds of ``parahom.cli`` run the same pipelines: criteria 1,
+9, 10, 11 and 12 are ``heat-kernel``, ``correlate``, ``malliavin``,
+``poincare`` and ``sde-appendix``, and criterion 13(a) is ``thm13``;
+criteria 2, 3 and 13 share ``sample_environment`` with ``sample-env``,
+``greens``, ``corrector`` and ``avg-greens``, criteria 6 and 13 share
+``q_ladder`` with ``qmatrix`` and ``ahom``.
 """
 
 import time
 
 import numpy as np
 
-from .convex_diffusion import (
-    convex_diffusion_simulate,
-    cosine_perturbed_potential,
-    exact_gaussian_path,
-    feynman_kac_estimate,
-    path_action_hessian_probe,
-    quadratic_potential,
-    stationary_moments_check,
-)
-from .environments import (
-    CoefficientMap,
-    PotentialSpec,
-    coefficient_field,
-    langevin_simulate,
-)
+from .convex_diffusion import finite_dimensional_suite
+from .environments import PotentialSpec, sample_environment
 from .field_theory import (
-    TerminalFunctional,
+    TERMINAL_FUNCTIONALS,
     correlation_identity_check,
     malliavin_fd_check,
     massive_lattice_greens,
@@ -35,23 +29,17 @@ from .field_theory import (
 )
 from .homogenize import (
     a_hom_extract,
-    avg_greens_mc,
+    avg_kernel_excess,
     corrector_solve,
     greens_hat_formula,
     greens_hat_quadrature,
     neumann_series_q,
+    q_ladder,
     q_matrix_single,
-    rate_fit,
     sample_norm,
     t_operator_apply,
 )
-from .lattice import (
-    EllipticityPair,
-    PeriodicCube,
-    heat_kernel_solver,
-    heat_kernel_table,
-    hom_gaussian_kernel,
-)
+from .lattice import EllipticityPair, PeriodicCube, heat_kernel_solver, heat_kernel_table
 from .parabolic import (
     CoefficientField,
     _sweep,
@@ -79,14 +67,6 @@ def _result(cid, title, passed, detail, t0):
     }
 
 
-def _dipole_field(d, L, a_dip, m, dt, n_steps, seed):
-    cube = PeriodicCube(d, L)
-    V = PotentialSpec("dipole", c=1.0, a_dip=a_dip)
-    cmap = CoefficientMap("matrix-of-gradient", potential=V)
-    traj = langevin_simulate(V, m, cube, dt, n_steps, seed=seed)
-    return coefficient_field(traj, cmap)
-
-
 def criterion_1():
     """Heat-kernel solver vs. Bessel-product closed form."""
     t0 = time.time()
@@ -112,9 +92,10 @@ def criterion_1():
 def criterion_2():
     """Green's-matrix row and source sums equal one on dipole environments."""
     t0 = time.time()
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
     worst = 0.0
     for k in range(20):
-        a = _dipole_field(2, 16, 0.3, 1.0, 0.1, 10, seed=200 + k)
+        a = sample_environment(V, 1.0, PeriodicCube(2, 16), 0.1, 10, 200 + k)
         _, mats = greens_backward_matrix(a, t_index=10)
         worst = max(worst, float(np.abs(mats.sum(axis=1) - 1.0).max()))
         worst = max(worst, float(np.abs(mats.sum(axis=2) - 1.0).max()))
@@ -127,9 +108,10 @@ def criterion_3():
     """Gaussian-envelope constant stabilizes under sample doubling."""
     t0 = time.time()
     rng = np.random.default_rng(3)
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
     tables = []
     for k in range(100):
-        a = _dipole_field(2, 12, 0.3, 1.0, 0.1, 40, seed=300 + k)
+        a = sample_environment(V, 1.0, PeriodicCube(2, 12), 0.1, 40, 300 + k)
         tables.append(greens_backward(a, int(rng.integers(a.cube.n_sites)), 40))
     fit = aronson_fit(tables)
     detail = (
@@ -206,8 +188,7 @@ def criterion_6():
     vals = np.where(np.arange(32) % 2 == 0, 1.0, 4.0)[None, None, :]
     a = CoefficientField(cube, 0.1, vals.copy(), EllipticityPair(1.0, 4.0))
     etas = np.array([1e-1, 1e-2, 1e-3])
-    qs = [q_matrix_single(corrector_solve(a, [0.0], eta=float(e)), a) for e in etas]
-    out = a_hom_extract(etas, qs)
+    out = a_hom_extract(etas, [q.value for q in q_ladder([a], [0.0], etas)])
     err = abs(out["a_hom"][0, 0] - 1.6)
     cube2 = PeriodicCube(2, 6)
     ac = constant_coefficients(cube2, 0.05, 1.7, n_times=4)
@@ -329,22 +310,9 @@ def criterion_11():
     cube = PeriodicCube(1, 8)
     Vq = PotentialSpec("quadratic", c=1.0)
     Vd = PotentialSpec("dipole", c=1.0, a_dip=0.3)
-
-    def site_grad(phi):
-        g = np.zeros_like(phi)
-        g[..., 0] = 1.0
-        return g
-
-    cases = [
-        (Vq, TerminalFunctional(
-            value=lambda phi: phi[..., 0], grad=site_grad, name="phi(0)")),
-        (Vd, TerminalFunctional(
-            value=lambda phi: np.tanh(phi).sum(axis=-1),
-            grad=lambda phi: 1.0 / np.cosh(phi) ** 2, name="sum tanh")),
-        (Vd, TerminalFunctional(
-            value=lambda phi: np.sin(phi).sum(axis=-1),
-            grad=np.cos, name="sum sin")),
-    ]
+    cases = [(Vq, TERMINAL_FUNCTIONALS["site"]),
+             (Vd, TERMINAL_FUNCTIONALS["tanh-sum"]),
+             (Vd, TERMINAL_FUNCTIONALS["sin-sum"])]
     ratios, ok = [], True
     for k, (V, F) in enumerate(cases):
         out = poincare_variance_check(V, 1.0, cube, 0.05, 120, F, 10000, seed=11 + k)
@@ -357,107 +325,42 @@ def criterion_11():
 def criterion_12():
     """Finite-dimensional diffusion: moments, integrator, estimator, probe."""
     t0 = time.time()
-    mom = stationary_moments_check(
-        np.diag([1.0, 4.0]), [1.0, 1.0], lags=[], dt=0.1, n_keep=20000, seed=12
-    )
-    cov = stationary_moments_check(
-        [[2.0]], [0.0], lags=[0.0, 1.0], dt=0.02, n_keep=40000, seed=13
-    )
-    moments_ok = mom["mean_passes"] and all(l["passes"] for l in cov["lags"])
-
-    A = np.array([[1.5, 0.4], [0.4, 0.8]])
-    b = np.array([0.2, -0.1])
-    W = quadratic_potential(A, b)
-    errs = []
-    for dt, n in [(0.1, 10), (0.05, 20)]:
-        path = convex_diffusion_simulate(W, dt, n, noise_scale=0.0, phi0=[1.0, -1.0])
-        exact = exact_gaussian_path(A, b, dt, np.zeros((n, 2)), phi0=[1.0, -1.0])
-        errs.append(np.abs(path.values - exact).max())
-    path, incr = convex_diffusion_simulate(W, 0.05, 200, seed=14, return_increments=True)
-    noisy_gap = float(np.abs(path.values - exact_gaussian_path(A, b, 0.05, incr)).max())
-    euler_ok = errs[1] < 0.7 * errs[0] and noisy_gap < 0.15
-
-    Wc = cosine_perturbed_potential(0.3)
-    fk = feynman_kac_estimate(
-        Wc, lambda p: p[:, 0] ** 2, T=5.0, n_paths=30000, dt=0.01, seed=15
-    )
-    path_c = convex_diffusion_simulate(Wc, 0.02, 120000, seed=16)
-    vals = path_c.values[20000:, 0] ** 2
-    ta = float(vals.mean())
-    ta_sigma = float(vals[::50].std() / np.sqrt(vals[::50].size / 20.0))
-    fk_gap = abs(fk["estimate"] - ta)
-    fk_tol = 3.0 * float(np.hypot(fk["sigma"], ta_sigma))
-    fk_ok = (not fk["degenerate"]) and fk_gap <= fk_tol
-
-    probe_q = path_action_hessian_probe(
-        quadratic_potential(np.eye(1)), np.full(41, 1.5 * np.pi), h=0.25
-    )
-    probe_c = path_action_hessian_probe(Wc, np.full(41, 1.5 * np.pi), h=0.25)
-    probe_ok = probe_q["min_eigenvalue"] > 0 and probe_c["min_eigenvalue"] < -1e-3
-
-    passed = moments_ok and euler_ok and fk_ok and probe_ok
+    out, verdicts = finite_dimensional_suite(12)
+    errs = out["integrator_errors"]
     detail = (
-        f"moments {'ok' if moments_ok else 'FAIL'}; integrator halving "
-        f"{errs[1] / errs[0]:.2f}, noisy gap {noisy_gap:.3f}; estimator gap "
-        f"{fk_gap:.4f} vs 3 sigma {fk_tol:.4f}; probe eigenvalues "
-        f"{probe_q['min_eigenvalue']:.3f} / {probe_c['min_eigenvalue']:.3f}"
+        f"moments {'ok' if verdicts['stationary_moments'] else 'FAIL'}; "
+        f"integrator halving {errs[1] / errs[0]:.2f}, noisy gap "
+        f"{out['integrator_gap']:.3f}; estimator gap {out['fk_gap']:.4f} vs "
+        f"3 sigma {out['fk_tolerance']:.4f}; probe eigenvalues "
+        f"{out['min_eigenvalue_quadratic']:.3f} / {out['min_eigenvalue']:.3f}"
     )
-    return _result(12, "finite-dimensional diffusion suite", passed, detail, t0)
-
-
-def _c_hom_isotropic(d, L, nt, a_dip, m, dt, etas, n_env, seed):
-    """Homogenized scalar coefficient from the space-time cell problem,
-    extrapolated over a regularization ladder and averaged over samples."""
-    xi = [0.0] * d
-    per_eta = {e: [] for e in etas}
-    for k in range(n_env):
-        a = _dipole_field(d, L, a_dip, m, dt, nt, seed=seed + k)
-        for e in etas:
-            q = q_matrix_single(corrector_solve(a, xi, eta=float(e)), a)
-            per_eta[e].append(q)
-    qs = [np.mean(per_eta[e], axis=0) for e in etas]
-    out = a_hom_extract(np.array(etas), qs)
-    return float(np.trace(out["a_hom"]).real / d)
+    return _result(12, "finite-dimensional diffusion suite", all(verdicts.values()),
+                   detail, t0)
 
 
 def criterion_13():
     """Decay-rate measurements beyond the leading homogenized kernel."""
     t0 = time.time()
     # -- part (a): d=3 environment-averaged kernel vs. Gaussian profile ----
-    c3 = _c_hom_isotropic(3, 8, 16, a_dip=0.3, m=1.0, dt=0.1,
-                          etas=[0.13, 0.013, 0.0013], n_env=4, seed=1300)
-    cube3 = PeriodicCube(3, 16)
     V3 = PotentialSpec("dipole", c=1.0, a_dip=0.3)
-    cmap = CoefficientMap("matrix-of-gradient", potential=V3)
-    dt3 = 0.1
-    t_idx = np.array([20, 30, 45, 68, 100])
-
-    def sampler(seed_seq):
-        traj = langevin_simulate(V3, 1.0, cube3, dt3, 100, seed=seed_seq)
-        return coefficient_field(traj, cmap)
-
-    mc = avg_greens_mc(sampler, cube3, cube3.site_index([0, 0, 0]), t_idx,
-                       n_samples=100, seed=1301)
-    shifts = np.arange(-3, 4) * 16
-    images = np.stack(np.meshgrid(shifts, shifts, shifts, indexing="ij"),
-                      axis=-1).reshape(-1, 3)
-    origin = cube3.site_index([0, 0, 0])
-    diffs_a, se_a = [], []
-    for j, ti in enumerate(t_idx):
-        ref = sum(hom_gaussian_kernel(im, ti * dt3, c3 * np.eye(3)) for im in images)
-        diffs_a.append(abs(mc["mean"][j, origin] - ref))
-        se_a.append(mc["stderr"][j, origin])
-    rep_a = rate_fit(1.3 * t_idx * dt3 + 1.0, np.array(diffs_a),
-                     mode="greens-decay", d=3)
+    etas3 = [0.13, 0.013, 0.0013]
+    cells3 = [sample_environment(V3, 1.0, PeriodicCube(3, 8), 0.1, 16, 1300 + k)
+              for k in range(4)]
+    qs3 = [q.value for q in q_ladder(cells3, [0.0] * 3, etas3)]
+    c3 = float(np.trace(a_hom_extract(np.array(etas3), qs3)["a_hom"]).real / 3)
+    rep_a = avg_kernel_excess(V3, 1.0, PeriodicCube(3, 16), 0.1,
+                              [20, 30, 45, 68, 100], 100, c3, seed=1301)["report"]
     part_a_ok = rep_a.alpha_hat > 0 and rep_a.alpha_lower > 0
 
     # -- part (b): d=2 gradient-level elliptic kernel decay ----------------
     m2, dt2, L2 = 0.25, 0.1, 32
-    c2 = _c_hom_isotropic(2, 12, 32, a_dip=0.7, m=m2, dt=dt2,
-                          etas=[0.15, 0.015, 0.0015], n_env=64, seed=1400)
-    cube2 = PeriodicCube(2, L2)
     V2 = PotentialSpec("dipole", c=1.0, a_dip=0.7)
-    cmap2 = CoefficientMap("matrix-of-gradient", potential=V2)
+    etas2 = [0.15, 0.015, 0.0015]
+    cells2 = [sample_environment(V2, m2, PeriodicCube(2, 12), dt2, 32, 1400 + k)
+              for k in range(64)]
+    qs2 = [q.value for q in q_ladder(cells2, [0.0] * 2, etas2)]
+    c2 = float(np.trace(a_hom_extract(np.array(etas2), qs2)["a_hom"]).real / 2)
+    cube2 = PeriodicCube(2, L2)
     n_steps = int(np.ceil(-np.log(1e-5) / (m2 * m2) / dt2))
     rho = np.exp(-m2 * m2 * dt2)
     w = rho ** np.arange(n_steps) * (1 - rho) / (m2 * m2)
@@ -497,8 +400,7 @@ def criterion_13():
     n_env = 600
     first = np.zeros((n_env, len(probes)))
     for s in range(n_env):
-        traj = langevin_simulate(V2, m2, cube2, dt2, n_steps, seed=1500 + s)
-        a = coefficient_field(traj, cmap2)
+        a = sample_environment(V2, m2, cube2, dt2, n_steps, 1500 + s)
         u = np.zeros((len(srcs), cube2.n_sites))
         for k, si in enumerate(srcs):
             u[k, si] = 1.0

@@ -122,6 +122,8 @@ SCHEMAS = {
     },
     "malliavin": {
         **_ENV_KEYS,
+        # the identity holds to O(dt): 1e-3 meets the 1e-3 verdict
+        "dt": Key(float, 1e-3, _positive, "positive time step"),
         "y_site": Key(int, 1, lambda x: x >= 0),
         "s_index": Key(int, 50, lambda x: x >= 0),
         "x_site": Key(int, 0, lambda x: x >= 0),

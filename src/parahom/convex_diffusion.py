@@ -321,3 +321,74 @@ def path_action_hessian_probe(
         "log_concave": bool(min_eig >= -tol),
         "hessian": H,
     }
+
+
+# -- the finite-dimensional suite ----------------------------------------------------
+
+
+def finite_dimensional_suite(seed: int, n_keep: int = 20000,
+                             n_paths: int = 30000) -> tuple[dict, dict]:
+    """Criterion 12's checks of the R^k diffusion, on the seeds seed .. seed + 4:
+    stationary mean (``n_keep`` steps) and covariances (2 n_keep steps)
+    within 3 sigma; Euler error halving and pathwise gap; the Feynman--Kac
+    estimate (``n_paths`` paths) against a long time average; the sign of
+    the path-action Hessian for a quadratic and a cosine potential.
+    Returns (measurements, verdicts).
+    """
+    mom = stationary_moments_check(
+        np.diag([1.0, 4.0]), [1.0, 1.0], lags=[], dt=0.1, n_keep=n_keep, seed=seed
+    )
+    cov = stationary_moments_check(
+        [[2.0]], [0.0], lags=[0.0, 1.0], dt=0.02, n_keep=2 * n_keep, seed=seed + 1
+    )
+    moments_ok = mom["mean_passes"] and all(l["passes"] for l in cov["lags"])
+
+    A = np.array([[1.5, 0.4], [0.4, 0.8]])
+    b = np.array([0.2, -0.1])
+    W = quadratic_potential(A, b)
+    errs = []
+    for dt, n in [(0.1, 10), (0.05, 20)]:
+        path = convex_diffusion_simulate(W, dt, n, noise_scale=0.0, phi0=[1.0, -1.0])
+        exact = exact_gaussian_path(A, b, dt, np.zeros((n, 2)), phi0=[1.0, -1.0])
+        errs.append(float(np.abs(path.values - exact).max()))
+    path, incr = convex_diffusion_simulate(W, 0.05, 200, seed=seed + 2,
+                                           return_increments=True)
+    noisy_gap = float(np.abs(path.values - exact_gaussian_path(A, b, 0.05, incr)).max())
+    euler_ok = errs[1] < 0.7 * errs[0] and noisy_gap < 0.15
+
+    Wc = cosine_perturbed_potential(0.3)
+    fk = feynman_kac_estimate(
+        Wc, lambda p: p[:, 0] ** 2, T=5.0, n_paths=n_paths, dt=0.01, seed=seed + 3
+    )
+    path_c = convex_diffusion_simulate(Wc, 0.02, 120000, seed=seed + 4)
+    vals = path_c.values[20000:, 0] ** 2
+    ta = float(vals.mean())
+    ta_sigma = float(vals[::50].std() / np.sqrt(vals[::50].size / 20.0))
+    fk_gap = abs(fk["estimate"] - ta)
+    fk_tol = 3.0 * float(np.hypot(fk["sigma"], ta_sigma))
+    fk_ok = (not fk["degenerate"]) and fk_gap <= fk_tol
+
+    probe_q = path_action_hessian_probe(
+        quadratic_potential(np.eye(1)), np.full(41, 1.5 * np.pi), h=0.25
+    )
+    probe_c = path_action_hessian_probe(Wc, np.full(41, 1.5 * np.pi), h=0.25)
+    probe_ok = probe_q["min_eigenvalue"] > 0 and probe_c["min_eigenvalue"] < -1e-3
+
+    measurements = {
+        "mean_hat": [float(v) for v in mom["mean_hat"]],
+        "integrator_errors": errs,
+        "integrator_gap": noisy_gap,
+        "fk_estimate": fk["estimate"],
+        "fk_sigma": fk["sigma"],
+        "fk_gap": fk_gap,
+        "fk_tolerance": fk_tol,
+        "min_eigenvalue_quadratic": probe_q["min_eigenvalue"],
+        "min_eigenvalue": probe_c["min_eigenvalue"],
+    }
+    verdicts = {
+        "stationary_moments": bool(moments_ok),
+        "integrator_pathwise": bool(euler_ok),
+        "estimator_nondegenerate": bool(fk_ok),
+        "log_concavity_probe": bool(probe_ok),
+    }
+    return measurements, verdicts

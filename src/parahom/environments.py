@@ -321,6 +321,18 @@ def coefficient_field(traj: FieldTrajectory, cmap: CoefficientMap) -> Coefficien
     return out
 
 
+def sample_environment(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
+                       n_steps: int, seed=0) -> CoefficientField:
+    """One random environment: the Langevin path of ``langevin_simulate``
+    through the matrix-of-gradient map a = V''(grad phi).
+
+    The seed comes last, so ``functools.partial(sample_environment, V, m,
+    cube, dt, n_steps)`` is a sampler for ``avg_greens_mc``.
+    """
+    traj = langevin_simulate(V, m, cube, dt, n_steps, seed=seed)
+    return coefficient_field(traj, CoefficientMap("matrix-of-gradient", potential=V))
+
+
 # -- Poincare criterion via the space-time Fourier transform ---------------------
 
 

@@ -349,6 +349,25 @@ class TerminalFunctional:
     name: str = ""
 
 
+def _site_grad(phi):
+    g = np.zeros_like(phi)
+    g[..., 0] = 1.0
+    return g
+
+
+# the terminal functionals of the variance checks, by name
+TERMINAL_FUNCTIONALS = {
+    "site": TerminalFunctional(
+        value=lambda phi: phi[..., 0], grad=_site_grad, name="phi(0)"),
+    "tanh-sum": TerminalFunctional(
+        value=lambda phi: np.tanh(phi).sum(axis=-1),
+        grad=lambda phi: 1.0 / np.cosh(phi) ** 2, name="sum tanh"),
+    "sin-sum": TerminalFunctional(
+        value=lambda phi: np.sin(phi).sum(axis=-1),
+        grad=np.cos, name="sum sin"),
+}
+
+
 def poincare_variance_check(
     V: PotentialSpec,
     m: float,

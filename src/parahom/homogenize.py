@@ -31,14 +31,16 @@ by mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
 from .errors import ConfigError, IntegrityError, SolverError
-from .lattice import PeriodicCube, heat_kernel_1d
-from .parabolic import CoefficientField, solve_forward
+from .environments import PotentialSpec, sample_environment
+from .lattice import PeriodicCube, heat_kernel_1d, hom_gaussian_kernel
+from .parabolic import CoefficientField, _point_source, solve_forward
 
 
 # -- twisted shift calculus on a periodic sample ------------------------------
@@ -243,18 +245,33 @@ def q_matrix_single(corr: CorrectorField, a: CoefficientField) -> np.ndarray:
     return base + corr_term
 
 
+def _q_estimate(per_sample: list, xi, eta: float) -> QMatrix:
+    """Mean of per-sample q matrices, with per-entry standard errors
+    (zero for a single sample)."""
+    qs = np.stack(per_sample)
+    mean = qs.mean(axis=0)
+    if len(qs) > 1:
+        stderr = np.abs(qs - mean).std(axis=0, ddof=1) / np.sqrt(len(qs))
+    else:
+        stderr = np.zeros_like(mean, dtype=float)
+    return QMatrix(np.atleast_1d(np.asarray(xi, dtype=float)), eta, mean, stderr, len(qs))
+
+
 def q_matrix(pairs: list) -> QMatrix:
     """Average q over independent (corrector, coefficient sample) pairs."""
     if not pairs:
         raise ConfigError("need at least one (corrector, sample) pair")
-    qs = np.stack([q_matrix_single(c, a) for c, a in pairs])
-    mean = qs.mean(axis=0)
-    if len(pairs) > 1:
-        stderr = np.abs(qs - mean).std(axis=0, ddof=1) / np.sqrt(len(pairs))
-    else:
-        stderr = np.zeros_like(mean, dtype=float)
     corr = pairs[0][0]
-    return QMatrix(corr.xi, corr.eta, mean, stderr, len(pairs))
+    return _q_estimate([q_matrix_single(c, a) for c, a in pairs], corr.xi, corr.eta)
+
+
+def q_ladder(fields: list, xi, etas) -> list:
+    """The regularization ladder: q(xi, eta) averaged over the
+    already-sampled coefficient ``fields``, one QMatrix per eta of ``etas``
+    (in the given order).  Each field is solved once per eta and sampled
+    only once."""
+    return [q_matrix([(corrector_solve(a, xi, eta=float(eta)), a) for a in fields])
+            for eta in etas]
 
 
 # -- the shift operator T and the Neumann series --------------------------------
@@ -341,16 +358,7 @@ def neumann_series_q(
             q = q + terms[-1]
         per_sample.append(q)
         ledger_norms.append([float(np.linalg.norm(t)) for t in terms])
-    qs = np.stack(per_sample)
-    mean = qs.mean(axis=0)
-    stderr = (
-        np.abs(qs - mean).std(axis=0, ddof=1) / np.sqrt(len(samples))
-        if len(samples) > 1
-        else np.zeros_like(mean, dtype=float)
-    )
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    ledger = {"term_norms": ledger_norms}
-    return QMatrix(xi, eta, mean, stderr, len(samples)), ledger
+    return _q_estimate(per_sample, xi, eta), {"term_norms": ledger_norms}
 
 
 # -- eta -> 0 extrapolation ------------------------------------------------------
@@ -402,12 +410,11 @@ def avg_greens_mc(
     """
     if n_samples < 2:
         raise ConfigError("need n_samples >= 2 for error bars")
+    delta = _point_source(cube, source_site)
     t_indices = np.asarray(t_indices, dtype=int)
     children = np.random.SeedSequence(seed).spawn(n_samples)
     acc = np.zeros((t_indices.size, cube.n_sites))
     acc2 = np.zeros_like(acc)
-    delta = np.zeros(cube.n_sites)
-    delta[source_site] = 1.0
     for s in range(n_samples):
         a = sampler(children[s])
         traj = solve_forward(a, delta, int(t_indices.max()))
@@ -419,6 +426,35 @@ def avg_greens_mc(
     stderr = np.sqrt(var / (n_samples - 1))
     return {"t_indices": t_indices, "mean": mean, "stderr": stderr,
             "n_samples": n_samples}
+
+
+def avg_kernel_excess(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
+                      t_indices, n_samples: int, c_hom: float, seed: int = 0) -> dict:
+    """The kernel at the origin averaged over ``n_samples`` draws of
+    ``sample_environment`` (V, m, cube, dt), against the Gaussian of
+    diffusivity c_hom I summed over the torus images -3L..3L, and the
+    ``greens-decay`` fit of their difference against Lam t + 1.
+
+    Returns per t_index the ``mean`` and ``stderr`` at the origin, the
+    ``gaussian`` and the ``diffs``, plus the RateReport ``report``.
+    """
+    t_indices = np.asarray(t_indices, dtype=int)
+    sampler = functools.partial(sample_environment, V, m, cube, dt,
+                                int(t_indices.max()))
+    origin = cube.site_index([0] * cube.d)
+    mc = avg_greens_mc(sampler, cube, origin, t_indices, n_samples, seed=seed)
+    shifts = np.arange(-3, 4) * cube.L
+    grids = np.meshgrid(*([shifts] * cube.d), indexing="ij")
+    images = np.stack(grids, axis=-1).reshape(-1, cube.d)
+    a_hom = c_hom * np.eye(cube.d)
+    gaussian = np.array([sum(hom_gaussian_kernel(im, ti * dt, a_hom) for im in images)
+                         for ti in t_indices])
+    mean = mc["mean"][:, origin]
+    diffs = np.abs(mean - gaussian)
+    report = rate_fit(V.window.Lam * t_indices * dt + 1.0, diffs,
+                      mode="greens-decay", d=cube.d)
+    return {"mean": mean, "stderr": mc["stderr"][:, origin],
+            "gaussian": gaussian, "diffs": diffs, "report": report}
 
 
 # -- Fourier--Laplace transform of the constant-coefficient kernel ----------------

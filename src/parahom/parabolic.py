@@ -144,6 +144,16 @@ def _check_levels(a: CoefficientField, g: np.ndarray, name: str, m: float = 1.0)
         )
 
 
+def _point_source(cube: PeriodicCube, source_site: int) -> np.ndarray:
+    """The unit mass at ``source_site``; ConfigError for a site outside
+    [0, n_sites) (a negative index would silently wrap)."""
+    if not 0 <= source_site < cube.n_sites:
+        raise ConfigError(f"source_site: site {source_site} outside [0, {cube.n_sites})")
+    delta = np.zeros(cube.n_sites)
+    delta[source_site] = 1.0
+    return delta
+
+
 def _slices(values: np.ndarray, n_steps: int):
     """Lookup i -> a_i for steps 0..n_steps-1 of a coefficient stack.
 
@@ -259,8 +269,7 @@ def greens_backward(
     if not 0 <= s_min_index < t_index:
         raise ConfigError(f"need 0 <= s_min_index < t_index, got {s_min_index}, {t_index}")
     levels = np.arange(s_min_index, t_index + 1)
-    delta = np.zeros(a.cube.n_sites)
-    delta[source_site] = 1.0
+    delta = _point_source(a.cube, source_site)
     vals = _backward_table(a, delta, s_min_index, t_index, a.dt / 2.0)
     return GreensTable(
         a.cube, a.dt, source_site, t_index, levels, vals, a.window, a.diagonal
@@ -498,8 +507,7 @@ def greens_perturbation_terms(
     """
     _check_dt(a)
     b = _slices(a.contrast(), t_index)
-    delta = np.zeros(a.cube.n_sites)
-    delta[source_site] = 1.0
+    delta = _point_source(a.cube, source_site)
     return _contrast_series(a, b, delta, s_min_index, t_index, 1.0, None, n_max)
 
 

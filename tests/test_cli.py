@@ -9,6 +9,7 @@ import pytest
 from parahom import ConfigError, heat_kernel
 from parahom.cli import main, run, verify_suite
 from parahom.config import (
+    KINDS,
     ExperimentConfig,
     fmt17,
     load_config,
@@ -141,6 +142,16 @@ def test_run_writes_manifest_with_verdicts(tmp_path):
     assert os.path.exists(tmp_path / "m" / "manifest.json")
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_passes_at_its_default_config(kind, tmp_path):
+    # rate-fit has no defaults for its data: a clean power law eps^2
+    raw = ({"scales": "1,0.5,0.25,0.125", "values": "1,0.26,0.0624,0.0158"}
+           if kind == "rate-fit" else {})
+    manifest = run(resolve_config(kind, raw), str(tmp_path))
+    assert manifest["passed"], manifest["verdicts"]
+    assert os.path.exists(tmp_path / manifest["artifact"])
+
+
 # -- exit codes ----------------------------------------------------------------
 
 
@@ -162,7 +173,7 @@ def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
     def no_compute(*args, **kwargs):
         raise AssertionError("simulated before the config was checked")
 
-    monkeypatch.setattr("parahom.cli.langevin_simulate", no_compute)
+    monkeypatch.setattr("parahom.environments.langevin_simulate", no_compute)
     monkeypatch.setattr("parahom.field_theory.langevin_path", no_compute)
     cfg = _write(tmp_path, text)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -27,6 +27,7 @@ from parahom import (
     aronson_fit,
     aronson_constant,
     aronson_gradient_exponent,
+    avg_greens_mc,
 )
 
 
@@ -237,6 +238,21 @@ def test_steps_beyond_the_field_raise():
     # a one-level field is constant in time and serves every step
     const = constant_coefficients(cube, 0.1, 1.0, n_times=1)
     assert greens_backward(const, 0, t_index=8).values.shape == (9, cube.n_sites)
+
+
+@pytest.mark.parametrize("site", [4, 9, -1])
+def test_source_site_outside_the_lattice_raises(site):
+    a = constant_coefficients(PeriodicCube(1, 4), 0.1, 1.0, n_times=3)
+
+    def no_sample(seed):
+        raise AssertionError("sampled before the source site was checked")
+
+    with pytest.raises(ConfigError, match="source_site"):
+        greens_backward(a, site, 2)
+    with pytest.raises(ConfigError, match="source_site"):
+        greens_perturbation_terms(a, site, t_index=2, n_max=1)
+    with pytest.raises(ConfigError, match="source_site"):
+        avg_greens_mc(no_sample, a.cube, site, [1, 2], 2)
 
 
 # -- periodization ----------------------------------------------------------------------
