@@ -5,7 +5,6 @@ from .errors import ConfigError, IntegrityError, SolverError, UnsupportedVariant
 from .lattice import (
     EllipticityPair,
     PeriodicCube,
-    heat_kernel,
     heat_kernel_1d,
     heat_kernel_solver,
     heat_kernel_table,
@@ -61,7 +60,6 @@ from .field_theory import (
     correlation_identity_check,
     hom_elliptic_greens,
     malliavin_fd_check,
-    massive_greens_integral,
     massive_lattice_greens,
     poincare_variance_check,
     thm13_decay_check,

@@ -9,8 +9,10 @@ artifacts; the manifest additionally records the wall time of the run.
 Each kind runs the pipeline of an acceptance criterion through the same
 functions: ``sample-env``, ``greens``, ``corrector`` and ``avg-greens``
 sample with ``sample_environment`` (criteria 2, 3, 13); ``qmatrix`` and
-``ahom`` run the eta-ladder ``q_ladder`` (criteria 6, 13); ``thm13`` is
-criterion 13(a) (``avg_kernel_excess``); ``heat-kernel``, ``correlate``,
+``ahom`` run the eta-ladder ``q_ladder`` (criteria 6, 13); ``thm13`` runs
+criterion 13(a)'s pipeline (``avg_kernel_excess``), by default as a
+scaled-down stand-in at d=1, dt=0.05 (the criterion runs d=3, L=16,
+dt=0.1); ``heat-kernel``, ``correlate``,
 ``malliavin``, ``poincare`` and ``sde-appendix`` are criteria 1, 9, 10, 11
 and 12 (``finite_dimensional_suite``).  A runner maps params to (payload,
 verdicts) and only ``run`` writes files: a dict payload becomes

@@ -73,19 +73,45 @@ class PotentialSpec:
             out = out + self.a_dip * np.cos(z)
         return out.sum(axis=-2) if out.ndim >= 2 else out.sum()
 
-    def dv(self, z: np.ndarray) -> np.ndarray:
-        """Componentwise V'(z)."""
+    def dv(self, z: np.ndarray, out=None) -> np.ndarray:
+        """Componentwise V'(z); into ``out`` when given (``z`` itself may
+        serve)."""
         z = np.asarray(z, dtype=float)
         if self.form == "quadratic":
-            return self.c * z
-        return self.c * z - self.a_dip * np.sin(z)
+            return np.multiply(self.c, z, out=out)
+        dip = np.sin(z)
+        dip *= self.a_dip
+        out = np.multiply(self.c, z, out=out)
+        out -= dip
+        return out
 
-    def d2v_diag(self, z: np.ndarray) -> np.ndarray:
-        """Diagonal entries of V''(z), componentwise."""
+    def d2v_diag(self, z: np.ndarray, out=None) -> np.ndarray:
+        """Diagonal entries of V''(z), componentwise; into ``out`` when
+        given (``z`` itself may serve)."""
         z = np.asarray(z, dtype=float)
         if self.form == "quadratic":
-            return np.full_like(z, self.c)
-        return self.c - self.a_dip * np.cos(z)
+            if out is None:
+                return np.full_like(z, self.c)
+            out[...] = self.c
+            return out
+        out = np.cos(z, out=out)
+        out *= self.a_dip
+        return np.subtract(self.c, out, out=out)
+
+
+def hessian_coefficients(V: PotentialSpec, cube: PeriodicCube, phi: np.ndarray,
+                         out=None) -> np.ndarray:
+    """The coefficients diag V''(grad phi), shape phi.shape[:-1] + (d,
+    n_sites), computed in ``out`` (or a new array) without temporaries.
+    For the quadratic potential they are the constant c and no gradient
+    is taken."""
+    phi = np.asarray(phi, dtype=float)
+    if out is None:
+        out = np.empty(phi.shape[:-1] + (cube.d, cube.n_sites))
+    if V.form == "quadratic":
+        out[...] = V.c
+        return out
+    return V.d2v_diag(cube.grad(phi, out=out), out=out)
 
 
 # -- trajectories -------------------------------------------------------------
@@ -149,10 +175,23 @@ def load_trajectory(path: str) -> FieldTrajectory:
 
 
 def langevin_drift(
-    V: PotentialSpec, m: float, cube: PeriodicCube, phi: np.ndarray
+    V: PotentialSpec, m: float, cube: PeriodicCube, phi: np.ndarray,
+    out=None, work=None,
 ) -> np.ndarray:
-    """-(1/2) [ div(V'(grad phi)) + m^2 phi ].  Broadcasts over batch axes."""
-    return -0.5 * (cube.div(V.dv(cube.grad(phi))) + m * m * phi)
+    """-(1/2) [ div(V'(grad phi)) + m^2 phi ].  Broadcasts over batch axes.
+
+    Computed in place in ``out`` (phi's shape) with ``work`` (shape
+    phi.shape[:-1] + (d, n_sites)) as the gradient and flux buffer, each
+    made when not given.
+    """
+    flux = cube.grad(phi, out=work)
+    V.dv(flux, out=flux)
+    out = cube.div(flux, out=out)
+    # the flux is spent: its first component takes m^2 phi
+    mass = np.multiply(m * m, phi, out=flux[..., 0, :])
+    out += mass
+    out *= -0.5
+    return out
 
 
 def langevin_max_dt(V: PotentialSpec, m: float, d: int) -> float:
@@ -163,19 +202,29 @@ def langevin_max_dt(V: PotentialSpec, m: float, d: int) -> float:
 
 def brownian_increments(rng: np.random.Generator, dt: float, shape, n_steps: int):
     """Stream of n_steps Brownian increments sqrt(dt) N(0, 1) of ``shape``,
-    drawn one step at a time."""
+    drawn one step at a time, each a new array."""
+    scale = np.sqrt(dt)
     for _ in range(n_steps):
-        yield np.sqrt(dt) * rng.standard_normal(shape)
+        dB = rng.standard_normal(shape)
+        dB *= scale
+        yield dB
 
 
 def langevin_path(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
                   phi: np.ndarray, increments):
     """The Euler--Maruyama stepper: yield phi after each step
     phi <- phi + dt drift(phi) + dB, one step per entry dB of
-    ``increments`` (already scaled by sqrt(dt)).  Batched over leading
-    axes of ``phi``; every step makes a new array."""
+    ``increments`` (already scaled by sqrt(dt), of phi's shape).  Batched
+    over leading axes of ``phi``; the drift is formed in buffers made once
+    per path, and every yielded phi is a new array."""
+    phi = np.asarray(phi, dtype=float)
+    drift = np.empty(phi.shape)
+    work = np.empty(phi.shape[:-1] + (cube.d, cube.n_sites))
     for dB in increments:
-        phi = phi + dt * langevin_drift(V, m, cube, phi) + dB
+        step = langevin_drift(V, m, cube, phi, out=drift, work=work)
+        step *= dt
+        phi = phi + step
+        phi += dB
         yield phi
 
 
@@ -314,8 +363,7 @@ def coefficient_field(traj: FieldTrajectory, cmap: CoefficientMap) -> Coefficien
             scal[:, None, :], (traj.values.shape[0], cube.d, cube.n_sites)
         ).copy()
     else:
-        grads = cube.grad(traj.values)  # (nt, d, n)
-        vals = cmap.potential.d2v_diag(grads)
+        vals = hessian_coefficients(cmap.potential, cube, traj.values)
     out = CoefficientField(cube, traj.dt, vals, cmap.window, diagonal=True)
     out.validate()
     return out

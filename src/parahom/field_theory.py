@@ -19,16 +19,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .environments import (
     PotentialSpec,
     brownian_increments,
+    hessian_coefficients,
     langevin_max_dt,
     langevin_path,
 )
 from .errors import ConfigError, UnsupportedVariantError
-from .lattice import PeriodicCube, heat_kernel_1d
+from .lattice import PeriodicCube
 from .parabolic import CoefficientField, _sweep, greens_backward
 
 # -- oracles for the quadratic case -------------------------------------------
@@ -47,22 +48,6 @@ def massive_lattice_greens(cube: PeriodicCube, m: float, x) -> float:
             2j * np.pi * np.fft.fftfreq(cube.L) * x[j]
         ).reshape(shape)
     return float((phase / A).sum().real / cube.n_sites)
-
-
-def massive_greens_integral(m: float, x, c: float = 1.0) -> float:
-    """(c grad* grad + m^2)^{-1}(x, 0) on the infinite lattice as the
-    Laplace-time integral of the Bessel-product heat kernel."""
-    x = np.atleast_1d(np.asarray(x, dtype=int))
-
-    def integrand(t):
-        out = np.exp(-m * m * t)
-        for xj in x:
-            out *= float(heat_kernel_1d(np.array([xj]), c * t)[0])
-        return out
-
-    t_max = -np.log(1e-16) / (m * m)
-    val, _ = integrate.quad(integrand, 0.0, t_max, limit=400)
-    return float(val)
 
 
 # -- correlation identity -------------------------------------------------------
@@ -148,10 +133,12 @@ def correlation_identity_check(
         # coefficients are kept (the batch axis broadcasts over sources)
         phi = np.zeros((b, cube.n_sites))
         a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
+        a_work = np.empty((b, cube.d, cube.n_sites))
         noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
         for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
             if k >= burn_in:
-                a_store[k - burn_in] = V.d2v_diag(cube.grad(phi))[:, None]
+                hessian_coefficients(V, cube, phi, a_work)
+                a_store[k - burn_in] = a_work[:, None]
             phi = phi_next
         # left side at the terminal level
         lhs = anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]])
@@ -236,21 +223,6 @@ def hom_elliptic_greens(a_hom: np.ndarray, x, gradient: bool = False):
     return quad ** (-(d - 2) / 2.0) / ((d - 2) * omega * np.sqrt(det))
 
 
-def hom_elliptic_greens_quadrature(a_hom: np.ndarray, x, rel_tol: float = 1e-7):
-    """Independent evaluation of the d >= 3 Green's function by radial
-    Gaussian-time quadrature: Gamma(x) = int_0^infty (4 pi t)^{-d/2}
-    det^{-1/2} exp(-x.a^{-1}x/4t) dt."""
-    from .lattice import hom_gaussian_kernel
-
-    val, err = integrate.quad(
-        lambda t: hom_gaussian_kernel(x, t, a_hom), 0.0, np.inf, limit=600,
-        epsabs=1e-13, epsrel=1e-13,
-    )
-    if err > rel_tol * max(abs(val), 1e-300):
-        raise ConfigError(f"quadrature error {err:.2e} too large")
-    return float(val)
-
-
 def thm13_decay_check(
     diffs: np.ndarray,
     radii: np.ndarray,
@@ -322,7 +294,7 @@ def malliavin_fd_check(
     for phi in langevin_path(V, m, cube, dt, values[0], bumped):
         pass
     fd = (phi[x_site] - values[t_index, x_site]) / delta
-    a_vals = V.d2v_diag(cube.grad(values))  # (nt+1, d, n)
+    a_vals = hessian_coefficients(V, cube, values)  # (nt+1, d, n)
     a = CoefficientField(cube, dt, a_vals, V.window, diagonal=True)
     table = greens_backward(a, x_site, t_index, s_min_index=s_index)
     # the bump lands at the end of step s_index, i.e. at level s_index + 1
@@ -408,7 +380,8 @@ def poincare_variance_check(
         # the increment of step i feeds through the Jacobians of steps
         # i+1 .. n-1 only; the last increment enters undamped
         norm2 = dt * (w**2).sum(axis=-1)
-        coeff = lambda i: V.d2v_diag(cube.grad(traj[i]))
+        a_work = np.empty((b, cube.d, cube.n_sites))
+        coeff = lambda i: hessian_coefficients(V, cube, traj[i], a_work)
         for _, w in _sweep(cube, coeff, w, range(n_steps - 1, 0, -1), dt / 2.0, rho):
             norm2 += dt * (w**2).sum(axis=-1)
         d_norms = np.concatenate([d_norms, norm2])

@@ -88,58 +88,64 @@ class PeriodicCube:
 
     # -- shifts and differential operators -------------------------------
 
-    def _grid(self, field: np.ndarray) -> np.ndarray:
-        return np.asarray(field).reshape(field.shape[:-1] + self.shape)
+    def _grid(self, field: np.ndarray, j: int) -> np.ndarray:
+        """View of ``field`` as (..., L**j, L, L**(d-1-j)): axis -2 is the
+        coordinate j.  Splitting the site axis never copies, so writes to
+        the view land in ``field``."""
+        L = self.L
+        return field.reshape(field.shape[:-1] + (L**j, L, L ** (self.d - 1 - j)))
 
-    def shift(self, field: np.ndarray, j: int, step: int = 1) -> np.ndarray:
-        """Field evaluated at x + step*e_j.  Broadcasts over leading axes."""
-        out = np.roll(self._grid(field), -step, axis=-self.d + j)
-        return out.reshape(field.shape)
-
-    def grad(self, phi: np.ndarray) -> np.ndarray:
-        """Forward-difference gradient, shape (..., d, n_sites)."""
-        phi = np.asarray(phi)
-        out = np.empty(phi.shape[:-1] + (self.d, self.n_sites), dtype=phi.dtype)
-        for j in range(self.d):
-            out[..., j, :] = self.shift(phi, j, +1) - phi
+    def _out(self, out, shape, dtype, field: np.ndarray) -> np.ndarray:
+        """``out``, or a new array of ``shape`` when it is None; ConfigError
+        when ``out`` may overlap the input ``field``."""
+        if out is None:
+            return np.empty(shape, dtype=dtype)
+        if np.may_share_memory(out, field):
+            raise ConfigError("out must not overlap the input")
         return out
 
-    def div(self, F: np.ndarray) -> np.ndarray:
-        """Adjoint of grad: (div F)(x) = sum_j [F_j(x - e_j) - F_j(x)]."""
+    def _shift_into(self, field: np.ndarray, out: np.ndarray, j: int, step: int):
+        """out <- field at x + step*e_j, by two slice copies along axis j."""
+        src, dst = self._grid(field, j), self._grid(out, j)
+        s = step % self.L
+        dst[..., : self.L - s, :] = src[..., s:, :]
+        dst[..., self.L - s :, :] = src[..., :s, :]
+
+    def shift(self, field: np.ndarray, j: int, step: int = 1, out=None) -> np.ndarray:
+        """Field evaluated at x + step*e_j.  Broadcasts over leading axes.
+
+        Written into ``out`` when given (an array of the field's shape, or
+        one the field broadcasts to, that does not overlap it)."""
+        field = np.asarray(field)
+        out = self._out(out, field.shape, field.dtype, field)
+        self._shift_into(field, out, j, step)
+        return out
+
+    def grad(self, phi: np.ndarray, out=None) -> np.ndarray:
+        """Forward-difference gradient, shape (..., d, n_sites); into
+        ``out`` when given, as for ``shift``."""
+        phi = np.asarray(phi)
+        out = self._out(out, phi.shape[:-1] + (self.d, self.n_sites), phi.dtype, phi)
+        for j in range(self.d):
+            out_j = out[..., j, :]
+            self._shift_into(phi, out_j, j, +1)
+            out_j -= phi
+        return out
+
+    def div(self, F: np.ndarray, out=None) -> np.ndarray:
+        """Adjoint of grad: (div F)(x) = sum_j [F_j(x - e_j) - F_j(x)],
+        summed from zero in the order j = 0..d-1; into ``out`` when given,
+        as for ``shift``."""
         F = np.asarray(F)
-        out = np.zeros(F.shape[:-2] + (self.n_sites,), dtype=F.dtype)
+        out = self._out(out, F.shape[:-2] + (self.n_sites,), F.dtype, F)
+        out[...] = 0
+        term = np.empty_like(out)
         for j in range(self.d):
-            Fj = F[..., j, :]
-            out += self.shift(Fj, j, -1) - Fj
+            F_j = F[..., j, :]
+            self._shift_into(F_j, term, j, -1)
+            term -= F_j
+            out += term
         return out
-
-    def laplacian(self, phi: np.ndarray) -> np.ndarray:
-        """div(grad phi) = sum_j [2 phi - phi(.+e_j) - phi(.-e_j)] (>= 0 operator)."""
-        phi = np.asarray(phi)
-        out = 2.0 * self.d * phi.astype(np.result_type(phi, float), copy=True)
-        for j in range(self.d):
-            out -= self.shift(phi, j, +1)
-            out -= self.shift(phi, j, -1)
-        return out
-
-    def grad_at(self, phi: np.ndarray, site: int) -> np.ndarray:
-        """Gradient vector at one site."""
-        coords = self.site_coords(site)  # validates the index
-        out = np.empty(self.d)
-        for j in range(self.d):
-            step = coords.copy()
-            step[j] += 1
-            out[j] = phi[self.site_index(step)] - phi[site]
-        return out
-
-    def div_at(self, F: np.ndarray, site: int) -> float:
-        coords = self.site_coords(site)
-        total = 0.0
-        for j in range(self.d):
-            back = coords.copy()
-            back[j] -= 1
-            total += F[j, self.site_index(back)] - F[j, site]
-        return float(total)
 
     def laplacian_symbol(self) -> np.ndarray:
         """Eigenvalues of div grad on the Fourier grid, shape (L,)*d.
@@ -171,17 +177,6 @@ def heat_kernel_1d(x: np.ndarray, t: float) -> np.ndarray:
         return (x == 0).astype(float)
     return special.ive(np.abs(x), 2.0 * t)
 
-
-def heat_kernel(x, t: float) -> float | np.ndarray:
-    """Exact heat kernel G(x, t) on Z^d solving dG/dt + div grad G = 0.
-
-    Factorizes over coordinates: G(x, t) = prod_j e^{-2t} I_{x_j}(2t).
-    ``x`` is an integer point (or an (..., d) array of points).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=int))
-    vals = heat_kernel_1d(x, t)
-    out = np.prod(vals, axis=-1)
-    return out if out.size > 1 else float(out[0])
 
 def heat_kernel_table(d: int, radius: int, t: float) -> np.ndarray:
     """G(x, t) tabulated on the box [-radius, radius]^d, shape (2r+1,)*d."""

@@ -108,17 +108,31 @@ def constant_coefficients(
     )
 
 
-def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, diagonal: bool):
+def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, diagonal: bool,
+               work=None):
     """Apply u -> div(a grad u).  Broadcasts over leading axes of u and a.
 
     For diagonal coefficients ``a`` has shape (..., d, n_sites); the entry
-    a_j(x) weights the edge (x, x+e_j).
+    a_j(x) weights the edge (x, x+e_j).  ``work`` is an optional pair
+    (flux, out) of buffers from ``_stencil_work``; the result is then
+    written into its ``out``.
     """
+    flux, out = (None, None) if work is None else work
     if diagonal:
-        return cube.div(a * cube.grad(u))
+        g = cube.grad(u, out=flux)
+        return cube.div(np.multiply(a, g, out=g), out=out)
     g = cube.grad(u)  # (..., d, n)
     flux = np.einsum("...jkn,...kn->...jn", a, g)
-    return cube.div(flux)
+    return cube.div(flux, out=out)
+
+
+def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, diagonal: bool):
+    """Buffers (flux, out) for ``div_a_grad(cube, a, u, diagonal)``, sized
+    to the broadcast of the batch axes of u and a."""
+    lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-2] if diagonal else a.shape[:-3])
+    dtype = np.result_type(a, u)
+    return (np.empty(lead + (cube.d, cube.n_sites), dtype),
+            np.empty(lead + (cube.n_sites,), dtype))
 
 
 def max_stable_dt(window: EllipticityPair, d: int) -> float:
@@ -175,15 +189,22 @@ def _sweep(cube, coeff, u, steps, h, rho=1.0, forcing=None, diagonal=True):
     make the step u <- rho (u - h div(a_i grad u) + f_i) and yield (i, u).
 
     ``coeff(i)`` returns a_i and ``forcing(i)`` returns f_i (no forcing
-    when None).  Every step makes a new array, so a caller may keep the
-    ones it yields.  Batch axes of u broadcast against those of a_i.
+    when None).  The stencil works in one set of buffers per sweep; every
+    step makes a new u, so a caller may keep the ones it yields.  Batch
+    axes of u broadcast against those of a_i.
     """
+    work = None
     for i in steps:
-        u = u - h * div_a_grad(cube, coeff(i), u, diagonal)
+        a_i = coeff(i)
+        if work is None or work[1].shape != u.shape:
+            work = _stencil_work(cube, a_i, u, diagonal)
+        du = div_a_grad(cube, a_i, u, diagonal, work)
+        du *= h
+        u = u - du
         if forcing is not None:
-            u = u + forcing(i)
+            u += forcing(i)
         if rho != 1.0:
-            u = rho * u
+            u *= rho
         yield i, u
 
 

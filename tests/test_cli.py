@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from parahom import ConfigError, heat_kernel
+from parahom import ConfigError, heat_kernel_1d
 from parahom.cli import main, run, verify_suite
 from parahom.config import (
     KINDS,
@@ -82,7 +82,7 @@ def test_heat_kernel_csv_contains_oracle_row(tmp_path):
     assert body[0] == "x0,t,value,oracle,abs_err"
     row0 = dict(zip(body[0].split(","), body[1 + 10].split(",")))
     assert row0["x0"] == "0"
-    assert float(row0["oracle"]) == pytest.approx(heat_kernel([0], 1.0), abs=1e-15)
+    assert float(row0["oracle"]) == pytest.approx(heat_kernel_1d(np.array([0]), 1.0)[0], abs=1e-15)
     assert abs(float(row0["value"]) - float(row0["oracle"])) < 1e-10
 
 

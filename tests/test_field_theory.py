@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from parahom import (
     ConfigError,
@@ -12,12 +13,39 @@ from parahom import (
     correlation_identity_check,
     hom_elliptic_greens,
     malliavin_fd_check,
-    massive_greens_integral,
     massive_lattice_greens,
     poincare_variance_check,
     thm13_decay_check,
 )
-from parahom.field_theory import hom_elliptic_greens_quadrature
+from parahom import heat_kernel_1d, hom_gaussian_kernel
+
+
+def massive_greens_integral(m, x, c=1.0):
+    """(c grad* grad + m^2)^{-1}(x, 0) on the infinite lattice as the
+    Laplace-time integral of the Bessel-product heat kernel."""
+    x = np.atleast_1d(np.asarray(x, dtype=int))
+
+    def integrand(t):
+        out = np.exp(-m * m * t)
+        for xj in x:
+            out *= float(heat_kernel_1d(np.array([xj]), c * t)[0])
+        return out
+
+    t_max = -np.log(1e-16) / (m * m)
+    val, _ = integrate.quad(integrand, 0.0, t_max, limit=400)
+    return float(val)
+
+
+def hom_elliptic_greens_quadrature(a_hom, x, rel_tol=1e-7):
+    """The d >= 3 Green's function of -div(a_hom grad) by Gaussian-time
+    quadrature: Gamma(x) = int_0^infty (4 pi t)^{-d/2} det^{-1/2}
+    exp(-x.a^{-1}x/4t) dt."""
+    val, err = integrate.quad(
+        lambda t: hom_gaussian_kernel(x, t, a_hom), 0.0, np.inf, limit=600,
+        epsabs=1e-13, epsrel=1e-13,
+    )
+    assert err <= rel_tol * max(abs(val), 1e-300), f"quadrature error {err:.2e}"
+    return float(val)
 
 
 # -- quadratic-case oracles -----------------------------------------------------

@@ -7,15 +7,93 @@ from hypothesis import strategies as st
 from scipy import special
 
 from parahom import (
+    CoefficientMap,
     ConfigError,
     PeriodicCube,
     EllipticityPair,
-    heat_kernel,
+    PotentialSpec,
+    coefficient_field,
+    constant_coefficients,
     heat_kernel_1d,
     heat_kernel_solver,
     heat_kernel_table,
     hom_gaussian_kernel,
+    langevin_simulate,
+    solve_forward,
 )
+
+
+# -- oracles ------------------------------------------------------------------
+
+
+def grad_at(cube, phi, site):
+    """Gradient vector at one site, from the coordinates of its neighbours."""
+    coords = cube.site_coords(site)  # validates the index
+    out = np.empty(cube.d, dtype=phi.dtype)
+    for j in range(cube.d):
+        step = coords.copy()
+        step[j] += 1
+        out[j] = phi[cube.site_index(step)] - phi[site]
+    return out
+
+
+def div_at(cube, F, site):
+    """Divergence at one site, summed from zero in the order j = 0..d-1."""
+    coords = cube.site_coords(site)
+    total = np.zeros((), dtype=F.dtype)
+    for j in range(cube.d):
+        back = coords.copy()
+        back[j] -= 1
+        total += F[j, cube.site_index(back)] - F[j, site]
+    return total
+
+
+def laplacian(cube, phi):
+    """div(grad phi) = sum_j [2 phi - phi(.+e_j) - phi(.-e_j)] (>= 0 operator)."""
+    out = 2.0 * cube.d * phi
+    for j in range(cube.d):
+        out -= cube.shift(phi, j, +1)
+        out -= cube.shift(phi, j, -1)
+    return out
+
+
+def heat_kernel(x, t):
+    """Exact heat kernel G(x, t) on Z^d solving dG/dt + div grad G = 0: the
+    product over coordinates of e^{-2t} I_{x_j}(2t), for an integer point
+    or an (..., d) array of points."""
+    x = np.atleast_2d(np.asarray(x, dtype=int))
+    out = np.prod(heat_kernel_1d(x, t), axis=-1)
+    return out if out.size > 1 else float(out[0])
+
+
+# the stencil as np.roll expressions: the reference the slice-copy stencil
+# and the paths built on it must reproduce bit for bit
+
+
+def roll_shift(cube, field, j, step):
+    grid = field.reshape(field.shape[:-1] + cube.shape)
+    return np.roll(grid, -step, axis=-cube.d + j).reshape(field.shape)
+
+
+def roll_grad(cube, phi):
+    out = np.empty(phi.shape[:-1] + (cube.d, cube.n_sites), dtype=phi.dtype)
+    for j in range(cube.d):
+        out[..., j, :] = roll_shift(cube, phi, j, +1) - phi
+    return out
+
+
+def roll_div(cube, F):
+    out = np.zeros(F.shape[:-2] + (cube.n_sites,), dtype=F.dtype)
+    for j in range(cube.d):
+        F_j = F[..., j, :]
+        out += roll_shift(cube, F_j, j, -1) - F_j
+    return out
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -- geometry -----------------------------------------------------------------
@@ -71,8 +149,8 @@ def test_indicator_gradient_d1_L4():
     cube = PeriodicCube(1, 4)
     phi = np.zeros(4)
     phi[0] = 1.0
-    assert cube.grad_at(phi, 0)[0] == -1.0
-    assert cube.grad_at(phi, 3)[0] == +1.0
+    assert grad_at(cube, phi, 0)[0] == -1.0
+    assert grad_at(cube, phi, 3)[0] == +1.0
     g = cube.grad(phi)
     assert g[0].tolist() == [-1.0, 0.0, 0.0, 1.0]
 
@@ -101,9 +179,9 @@ def test_adjointness_brute_force_double_sum():
     phi = rng.standard_normal(cube.n_sites)
     F = rng.standard_normal((2, cube.n_sites))
     lhs = sum(
-        cube.grad_at(phi, x) @ F[:, x] for x in range(cube.n_sites)
+        grad_at(cube, phi, x) @ F[:, x] for x in range(cube.n_sites)
     )
-    rhs = sum(phi[x] * cube.div_at(F, x) for x in range(cube.n_sites))
+    rhs = sum(phi[x] * div_at(cube, F, x) for x in range(cube.n_sites))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -128,8 +206,8 @@ def test_dirichlet_form_nonnegative():
     rng = np.random.default_rng(3)
     for _ in range(5):
         phi = rng.standard_normal(cube.n_sites)
-        assert float(phi @ cube.laplacian(phi)) >= 0
-        assert np.allclose(cube.laplacian(phi), cube.div(cube.grad(phi)))
+        assert float(phi @ laplacian(cube, phi)) >= 0
+        assert np.allclose(laplacian(cube, phi), cube.div(cube.grad(phi)))
 
 
 def test_laplacian_symbol_matches_operator():
@@ -139,7 +217,123 @@ def test_laplacian_symbol_matches_operator():
     via_fft = np.fft.ifftn(
         cube.laplacian_symbol() * np.fft.fftn(phi.reshape(cube.shape))
     ).real.ravel()
-    assert np.allclose(via_fft, cube.laplacian(phi), atol=1e-10)
+    assert np.allclose(via_fft, laplacian(cube, phi), atol=1e-10)
+
+
+# -- the slice-copy stencil against np.roll and the pointwise oracles -----------
+
+
+def _stencil_data(rng, shape, complex_):
+    """Small integers with signed zeros mixed in, so that differences hit
+    exact zeros and the sign of zero is exercised."""
+    def part():
+        x = rng.integers(-2, 3, size=shape).astype(float)
+        x[rng.random(shape) < 0.2] = -0.0
+        return x
+    return part() + 1j * part() if complex_ else part()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    L=st.sampled_from([2, 4, 6]),
+    batch=st.sampled_from([(), (2,), (3, 2)]),
+    step=st.sampled_from([1, -1]),
+    complex_=st.booleans(),
+    use_out=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_stencil_matches_roll_and_pointwise_oracles(d, L, batch, step, complex_, use_out,
+                                                     seed):
+    cube = PeriodicCube(d, L)
+    rng = np.random.default_rng(seed)
+    phi = _stencil_data(rng, batch + (cube.n_sites,), complex_)
+    F = _stencil_data(rng, batch + (d, cube.n_sites), complex_)
+
+    def call(op, arg, shape, *extra):
+        if not use_out:
+            return op(arg, *extra)
+        out = np.full(shape, np.nan, dtype=arg.dtype)
+        assert op(arg, *extra, out=out) is out
+        return out
+
+    for j in range(d):
+        shifted = call(cube.shift, phi, phi.shape, j, step)
+        assert same_bits(shifted, roll_shift(cube, phi, j, step))
+    g = call(cube.grad, phi, batch + (d, cube.n_sites))
+    assert same_bits(g, roll_grad(cube, phi))
+    dv = call(cube.div, F, batch + (cube.n_sites,))
+    assert same_bits(dv, roll_div(cube, F))
+    for idx in np.ndindex(batch):
+        for x in range(cube.n_sites):
+            assert same_bits(g[idx][:, x], grad_at(cube, phi[idx], x))
+            assert same_bits(dv[idx][x], div_at(cube, F[idx], x))
+
+
+def test_stencil_out_aliasing_its_input_raises():
+    cube = PeriodicCube(2, 4)
+    buf = np.arange(3.0 * cube.n_sites).reshape(3, cube.n_sites) ** 2
+    with pytest.raises(ConfigError):
+        cube.shift(buf[0], 0, out=buf[0])
+    with pytest.raises(ConfigError):
+        cube.grad(buf[0], out=buf[:2])
+    with pytest.raises(ConfigError):
+        cube.div(buf[:2], out=buf[1])
+    # adjacent rows of one buffer do not overlap
+    assert same_bits(cube.grad(buf[0], out=buf[1:]), roll_grad(cube, buf[0]))
+
+
+# -- bit-identity pins: Langevin paths, coefficient maps and forward sweeps ------
+
+
+def roll_langevin(V, m, cube, dt, n_steps, burn_in, seed):
+    """Euler--Maruyama levels burn_in..burn_in+n_steps from phi = 0, one
+    increment draw per step, with the drift as np.roll expressions."""
+    rng = np.random.default_rng(seed)
+    phi = np.zeros(cube.n_sites)
+    levels = [phi]
+    for _ in range(burn_in + n_steps):
+        dB = np.sqrt(dt) * rng.standard_normal(cube.n_sites)
+        z = roll_grad(cube, phi)
+        flux = V.c * z if V.form == "quadratic" else V.c * z - V.a_dip * np.sin(z)
+        drift = -0.5 * (roll_div(cube, flux) + m * m * phi)
+        phi = phi + dt * drift + dB
+        levels.append(phi)
+    return np.array(levels[burn_in:])
+
+
+def roll_coefficients(V, cube, values):
+    z = roll_grad(cube, values)
+    if V.form == "quadratic":
+        return np.full_like(z, V.c)
+    return V.c - V.a_dip * np.cos(z)
+
+
+def roll_forward(cube, a, h, n_steps, dt):
+    levels = [h]
+    for i in range(n_steps):
+        u = levels[-1]
+        levels.append(u - dt * roll_div(cube, a[min(i, len(a) - 1)] * roll_grad(cube, u)))
+    return np.array(levels)
+
+
+@pytest.mark.parametrize("d, L", [(1, 8), (2, 6), (3, 4)])
+@pytest.mark.parametrize("V", [PotentialSpec("quadratic", c=1.0),
+                               PotentialSpec("dipole", c=1.0, a_dip=0.3)],
+                         ids=["quadratic", "dipole"])
+def test_langevin_coefficients_and_forward_sweep_are_pinned_to_roll(d, L, V):
+    cube = PeriodicCube(d, L)
+    m, dt, n_steps, burn_in, seed = 1.0, 0.05, 12, 7, 11 * d
+    traj = langevin_simulate(V, m, cube, dt, n_steps, burn_in=burn_in, seed=seed)
+    assert same_bits(traj.values, roll_langevin(V, m, cube, dt, n_steps, burn_in, seed))
+    a = coefficient_field(traj, CoefficientMap("matrix-of-gradient", potential=V))
+    assert same_bits(a.values, roll_coefficients(V, cube, traj.values))
+    h = np.random.default_rng(seed).standard_normal((2, cube.n_sites))
+    assert same_bits(solve_forward(a, h, n_steps),
+                     roll_forward(cube, a.values, h, n_steps, dt))
+    const = constant_coefficients(cube, dt, 1.3)
+    assert same_bits(solve_forward(const, h[0], 5),
+                     roll_forward(cube, const.values, h[0], 5, dt))
 
 
 # -- heat kernel ---------------------------------------------------------------

@@ -18,7 +18,7 @@ from parahom import (
     greens_backward,
     greens_backward_matrix,
     greens_perturbation_terms,
-    heat_kernel,
+    heat_kernel_1d,
     heat_kernel_table,
     max_stable_dt,
     periodic_greens,
@@ -126,7 +126,7 @@ def test_forward_constant_matches_heat_kernel():
     n_steps = 500  # t = 1
     traj = solve_forward(a, h, n_steps)
     offs = cube.min_image(cube.all_coords())[:, 0]
-    oracle = heat_kernel(offs[:, None], Lam * 1.0)
+    oracle = heat_kernel_1d(offs, Lam * 1.0)
     assert np.abs(traj[-1] - oracle).max() < 5e-3  # O(dt)
     # refine dt: error shrinks proportionally
     a2 = constant_coefficients(cube, dt / 2, Lam, n_times=1)
@@ -179,7 +179,7 @@ def test_greens_terminal_delta_and_constant_reduction():
     # constant coefficients: G(y, s; x, t) = heat kernel at rate c/2 over t-s
     offs = cube.min_image(cube.all_coords())[:, 0]
     lag = 1.0  # 100 steps
-    oracle = heat_kernel(offs[:, None], c * lag / 2.0)
+    oracle = heat_kernel_1d(offs, c * lag / 2.0)
     assert np.abs(table.values[100] - oracle).max() < 5e-3
 
 
@@ -280,7 +280,7 @@ def test_periodic_greens_matches_free_kernel_on_large_cube():
     cube = PeriodicCube(2, 24)
     kernel = heat_kernel_table(2, 25, 1.0)
     folded = periodic_greens(kernel, cube)
-    center = heat_kernel([0, 0], 1.0)
+    center = heat_kernel_1d(np.array([0]), 1.0)[0] ** 2  # G factorizes
     assert folded[cube.site_index([0, 0])] == pytest.approx(center, abs=1e-10)
 
 
