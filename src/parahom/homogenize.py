@@ -15,10 +15,17 @@ operator T_{xi,eta}, extrapolates a_hom = lim_{eta->0} q(0, eta), and
 fits empirical homogenization rates.
 
 Both constructions rest on one engine, the exact space-time Fourier
-symbol of the constant-coefficient operator (eta + D_t) + Lam dxi* dxi.
-T_{xi,eta} divides by it; the corrector is solved matrix-free by a
-Richardson iteration preconditioned with it, whose error map is T b, so
-it converges at the contraction rate 1 - lam/Lam of the Neumann series.
+symbol of the constant-coefficient operator (eta + D_t) + c dxi* dxi.
+T_{xi,eta} divides by it with c = Lam; the corrector is solved
+matrix-free by a Richardson iteration preconditioned with it at the
+midpoint c = (lam + Lam)/2, whose error map is T b with the contrast
+b = 1 - a/c, so it converges at the rate (Lam - lam)/(Lam + lam).
+
+At xi = 0 every twisted difference is real, so the stencils, the
+corrector and T run in real arithmetic with a half-spectrum real FFT;
+at xi != 0 they run in complex arithmetic.  ``_phases`` is the one
+switch: its factors are the real 1.0 at xi = 0, and each output takes
+the result type of its input and the phases.
 
 The right side carries the mean-zero projection P so that constant
 coefficients yield Phi = 0 for every xi; at xi = 0 the projection is a
@@ -35,7 +42,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import fft, integrate
 
 from .errors import ConfigError, IntegrityError, SolverError
 from .environments import PotentialSpec, sample_environment
@@ -72,22 +79,38 @@ def time_symbols(n_times: int, dt: float) -> np.ndarray:
     return (1.0 - np.exp(-2j * np.pi * np.fft.fftfreq(n_times))) / dt
 
 
+def _phases(xi) -> np.ndarray:
+    """The phase factors e^{-i xi_j} of the twisted differences: the real
+    1.0 at xi = 0, which keeps real fields real."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return np.exp(-1j * xi) if xi.any() else np.ones_like(xi)
+
+
 def twisted_grad(cube: PeriodicCube, xi, psi: np.ndarray) -> np.ndarray:
     """(dxi psi)_j = e^{-i xi_j} psi(x + e_j) - psi(x), shape (..., d, n)."""
-    ev = e_vector(xi) + 1.0  # the bare phase factors e^{-i xi_j}
-    out = np.empty(psi.shape[:-1] + (cube.d, cube.n_sites), dtype=complex)
+    ph = _phases(xi)
+    out = np.empty(psi.shape[:-1] + (cube.d, cube.n_sites),
+                   dtype=np.result_type(psi, ph))
     for j in range(cube.d):
-        out[..., j, :] = ev[j] * cube.shift(psi, j, +1) - psi
+        out_j = cube.shift(psi, j, +1, out=out[..., j, :])
+        if ph[j] != 1.0:
+            out_j *= ph[j]
+        out_j -= psi
     return out
 
 
 def twisted_div(cube: PeriodicCube, xi, F: np.ndarray) -> np.ndarray:
     """dxi* F = sum_j e^{i xi_j} F_j(x - e_j) - F_j(x), the adjoint of
     ``twisted_grad``; ``F`` has shape (..., d, n), the result (..., n)."""
-    ev = np.conj(e_vector(xi) + 1.0)
-    out = np.zeros(F.shape[:-2] + (cube.n_sites,), dtype=complex)
+    ph = np.conj(_phases(xi))
+    out = np.zeros(F.shape[:-2] + (cube.n_sites,), dtype=np.result_type(F, ph))
+    term = np.empty_like(out)
     for j in range(cube.d):
-        out += ev[j] * cube.shift(F[..., j, :], j, -1) - F[..., j, :]
+        cube.shift(F[..., j, :], j, -1, out=term)
+        if ph[j] != 1.0:
+            term *= ph[j]
+        term -= F[..., j, :]
+        out += term
     return out
 
 
@@ -100,9 +123,27 @@ def _symbol(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, Lam: float):
     return dsym, eta + tau + Lam * (np.abs(dsym) ** 2).sum(axis=0)
 
 
-def _spacetime_axes(cube: PeriodicCube) -> tuple:
-    """FFT axes of a (nt, components) + cube.shape array: time and space."""
-    return (0,) + tuple(range(2, 2 + cube.d))
+def _spectral(cube: PeriodicCube, real: bool, *symbols):
+    """The space-time transform pair of (nt, components, n) fields and the
+    given symbols on its spectrum.  A real pair keeps the half spectrum of
+    the last space axis, which the Hermitian symmetry of real fields and
+    of the xi = 0 symbols makes complete."""
+    axes = (0,) + tuple(range(2, 2 + cube.d))  # time and space, not components
+    if real:
+        half = cube.L // 2 + 1
+        symbols = [s[..., :half] for s in symbols]
+
+    def forward(w):
+        w = w.reshape(w.shape[:2] + cube.shape)
+        return fft.rfftn(w, axes=axes) if real else fft.fftn(w, axes=axes)
+
+    def inverse(w_hat):
+        nt = w_hat.shape[0]
+        w = (fft.irfftn(w_hat, s=(nt,) + cube.shape, axes=axes) if real
+             else fft.ifftn(w_hat, axes=axes))
+        return w.reshape(w.shape[:2] + (cube.n_sites,))
+
+    return forward, inverse, *symbols
 
 
 def _sample_mean(w: np.ndarray) -> np.ndarray:
@@ -118,16 +159,16 @@ class CorrectorField:
     """Row-vector corrector Phi(xi, eta; x, t_i) on one periodic sample.
 
     ``values[i, k]`` is the k-th component at time level i, flat over
-    sites; complex for xi != 0.  ``iterations`` and ``residual`` record
-    the solve: the sweeps taken and the final relative residual (the
-    largest over the components).
+    sites; real (float64) at xi = 0, complex otherwise.  ``iterations``
+    and ``residual`` record the solve: the sweeps taken and the final
+    relative residual (the largest over the components).
     """
 
     cube: PeriodicCube
     dt: float
     xi: np.ndarray
     eta: float
-    values: np.ndarray  # (nt, d, n) complex
+    values: np.ndarray  # (nt, d, n), real at xi = 0 and complex otherwise
     iterations: int
     residual: float
 
@@ -163,13 +204,16 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
 
     Preconditioned Richardson iteration u <- u + M^{-1} (f - A u), with
     A = (eta + D_t) + dxi* a dxi applied by stencils and the
-    constant-coefficient operator M = (eta + D_t) + Lam_s dxi* dxi
-    inverted by one space-time FFT.  [lam_s, Lam_s] is the range of the
-    sample's values.  The error map acts on gradients as T_{xi,eta} b with
-    the contrast b = 1 - a/Lam_s, so every sweep shrinks the error by at
-    least the rate 1 - lam_s/Lam_s.  The iteration stops at relative
+    constant-coefficient operator M = (eta + D_t) + c dxi* dxi inverted by
+    one space-time FFT, at the midpoint c = (lam_s + Lam_s)/2 of the range
+    [lam_s, Lam_s] of the sample's values.  The error map acts on
+    gradients as T_{xi,eta} b with the contrast b = 1 - a/c, and
+    |b| <= (Lam_s - lam_s)/(Lam_s + lam_s), so every sweep shrinks the
+    error by at least that rate.  At xi = 0 the solve runs in real
+    arithmetic and the corrector is real.  The iteration stops at relative
     residual 1e-12, or after the sweeps that rate needs to gain 14 digits
-    plus 10; a final residual above 1e-8 max(1, |f|) raises SolverError.
+    plus 10; a final residual above 1e-8 max(1, |f|), or one that is not
+    finite, raises SolverError.
 
     The right side f = -P D_k^H a_k is projected to mean zero, which is
     what makes Phi = 0 the solution for constant coefficients at every xi
@@ -184,15 +228,15 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     if xi.shape != (cube.d,):
         raise ConfigError(f"xi must have {cube.d} components")
     lam_s, Lam_s = float(a.values.min()), float(a.values.max())
-    rate = 1.0 - lam_s / Lam_s
+    rate = (Lam_s - lam_s) / (Lam_s + lam_s)
     max_iter = 10 + int(np.ceil(np.log(1e-14) / np.log(max(rate, 1e-14))))
-    _, denom = _symbol(cube, xi, nt, a.dt, eta, Lam_s)
-    axes = _spacetime_axes(cube)
     coeff = a.values[:, None]  # (nt, 1, d_j, n), against gradients (nt, d_k, d_j, n)
 
     # component k of the right side is -D_k^H a_k: the divergence of a_k e_k
     f = -twisted_div(cube, xi, coeff * np.eye(d)[None, :, :, None])
     f -= f.mean(axis=(0, 2), keepdims=True)
+    _, denom = _symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
+    forward, inverse, denom = _spectral(cube, np.isrealobj(f), denom[:, None])
 
     def residual(u):
         au = (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
@@ -205,13 +249,12 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     r, r_norm = f, f_norm
     iterations = 0
     while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
-        r_hat = np.fft.fftn(r.reshape((nt, d) + cube.shape), axes=axes)
-        u += np.fft.ifftn(r_hat / denom[:, None], axes=axes).reshape(u.shape)
+        u += inverse(forward(r) / denom)
         r = residual(u)
         r_norm = _component_norms(r)
         iterations += 1
     rel = float((r_norm / scale).max())
-    if np.any(r_norm > 1e-8 * np.maximum(1.0, f_norm)):
+    if not np.all(r_norm <= 1e-8 * np.maximum(1.0, f_norm)):
         raise SolverError(
             f"corrector solve stopped after {iterations} iterations at "
             f"relative residual {rel:.3e}"
@@ -289,19 +332,18 @@ def t_operator_apply(
     (1/Lam)(eta + D_t) psi + dxi* dxi psi = dxi* g on the periodic sample.
 
     ``g`` has shape (nt, d, n).  psi is found by dividing by the exact
-    space-time symbol, the same one that preconditions ``corrector_solve``:
+    space-time symbol, the one that preconditions ``corrector_solve``:
     psi_hat = Lam d^* g_hat / (eta + tau + Lam |d|^2).  Per Fourier mode
     the norm of T is |d|^2 / ||d|^2 + (eta + tau)/Lam| < 1, so T is a
-    contraction for real xi and eta > 0.
+    contraction for real xi and eta > 0.  Real ``g`` at xi = 0 gives a
+    real result; otherwise the result is complex.
     """
-    g = np.asarray(g, dtype=complex)
-    nt = g.shape[0]
-    dsym, denom = _symbol(cube, xi, nt, dt, eta, Lam)
-    axes = _spacetime_axes(cube)
-    g_hat = np.fft.fftn(g.reshape((nt, cube.d) + cube.shape), axes=axes)
-    psi_hat = Lam * (np.conj(dsym) * g_hat).sum(axis=1) / denom
-    out = np.fft.ifftn(dsym * psi_hat[:, None], axes=axes)
-    return out.reshape(nt, cube.d, cube.n_sites)
+    g = np.asarray(g)
+    g = g.astype(np.result_type(g, _phases(xi), float), copy=False)
+    dsym, denom = _symbol(cube, xi, g.shape[0], dt, eta, Lam)
+    forward, inverse, dsym, denom = _spectral(cube, np.isrealobj(g), dsym, denom)
+    psi_hat = Lam * (np.conj(dsym) * forward(g)).sum(axis=1) / denom
+    return inverse(dsym * psi_hat[:, None])
 
 
 def sample_norm(w: np.ndarray) -> float:
@@ -340,7 +382,8 @@ def neumann_series_q(
         np.fill_diagonal(q, _sample_mean(a.values))
         terms = []
         # u_m = P T (b u_{m-1}) starting from the constant unit vectors
-        u = np.zeros((d, nt, d, cube.n_sites), dtype=complex)  # one per column k
+        u = np.zeros((d, nt, d, cube.n_sites),  # one per column k
+                     dtype=np.result_type(b, _phases(xi)))
         for k in range(d):
             u[k, :, k, :] = 1.0
         for m in range(1, m_max + 1):
@@ -368,21 +411,27 @@ def a_hom_extract(etas: np.ndarray, q_values: list) -> dict:
     """Richardson extrapolation of q(0, eta) to eta = 0.
 
     ``etas`` strictly decreasing (at least 3, geometric spacing
-    recommended); the spread between the last two extrapolants is the
-    quoted uncertainty.  A sequence whose entries move non-monotonically
-    by more than the spread is flagged but still reported.
+    recommended).  ``a_hom`` is the polynomial in eta through all the
+    ladder points read at eta = 0 (second order for three points), built
+    by Neville's recursion from the linear extrapolants of neighbouring
+    pairs.  Those first-order ``extrapolants`` are returned too, and the
+    spread between the last two of them is the quoted uncertainty.  A
+    sequence whose entries move non-monotonically by more than the spread
+    is flagged but still reported.
     """
     etas = np.asarray(etas, dtype=float)
     if etas.size < 3 or not np.all(np.diff(etas) < 0):
         raise ConfigError("need at least 3 strictly decreasing eta values")
     qs = [np.real(np.asarray(q)) for q in q_values]
-    extrap = []
-    for i in range(1, len(qs)):
-        # linear-in-eta model: q(eta) ~ a_hom + c eta
-        w = etas[i] / (etas[i - 1] - etas[i])
-        extrap.append(qs[i] + (qs[i] - qs[i - 1]) * w)
-    value = extrap[-1]
-    spread = np.abs(extrap[-1] - extrap[-2]).max() if len(extrap) > 1 else np.inf
+    # level k holds the degree-k interpolant of points e-k..e read at eta = 0
+    level = qs
+    for k in range(1, len(qs)):
+        level = [hi + (hi - lo) * (etas[e] / (etas[e - k] - etas[e]))
+                 for e, lo, hi in zip(range(k, len(qs)), level[:-1], level[1:])]
+        if k == 1:
+            extrap = level
+    value = level[0]
+    spread = np.abs(extrap[-1] - extrap[-2]).max()
     diffs = [np.max(np.abs(qs[i + 1] - qs[i])) for i in range(len(qs) - 1)]
     flagged = bool(any(diffs[i + 1] > diffs[i] + spread for i in range(len(diffs) - 1)))
     return {"a_hom": value, "uncertainty": float(spread), "flagged": flagged,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parahom import (
@@ -152,10 +152,15 @@ def test_energy_check_sums_over_directions():
     ratio=st.floats(1.0, 5.0),
     seed=st.integers(min_value=0, max_value=2**31),
 )
+@example(d=1, L=6, nt=3, xi=[0.0, 0.0], log_eta=-3.0, lam=0.2, ratio=5.0, seed=3)
+@example(d=2, L=4, nt=2, xi=[0.0, 0.0], log_eta=-1.0, lam=0.5, ratio=3.0, seed=7)
+@example(d=2, L=6, nt=3, xi=[0.0, 1.1], log_eta=-2.0, lam=0.3, ratio=4.0, seed=11)
 def test_corrector_matches_dense_solve(d, L, nt, xi, log_eta, lam, ratio, seed):
     a = random_field(d, L, nt, lam, lam * ratio, dt=0.1, seed=seed)
     xi, eta = np.array(xi[:d]), 10.0**log_eta
     corr = corrector_solve(a, xi, eta)
+    # real arithmetic exactly at xi = 0
+    assert corr.values.dtype == (np.complex128 if xi.any() else np.float64)
     assert corr.residual <= 1e-12
     q_dense = dense_corrector_q(a, xi, eta)
     assert np.abs(q_matrix_single(corr, a) - q_dense).max() <= 1e-10
@@ -173,6 +178,20 @@ def test_corrector_solver_error_reports_statistics(monkeypatch):
     a = random_field(1, 8, 3, 0.5, 2.0, seed=1)
     with pytest.raises(SolverError, match=r"after \d+ iterations at relative residual"):
         corrector_solve(a, [0.3], eta=0.1)
+
+
+def test_corrector_non_finite_residual_raises(monkeypatch):
+    # a zero preconditioner symbol turns the iterate into NaN on the first sweep
+    symbol = homogenize._symbol
+
+    def zero_symbol(*args):
+        dsym, denom = symbol(*args)
+        return dsym, 0.0 * denom
+
+    monkeypatch.setattr(homogenize, "_symbol", zero_symbol)
+    a = random_field(1, 8, 3, 0.5, 2.0, seed=1)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="relative residual nan"):
+        corrector_solve(a, [0.0], eta=0.1)
 
 
 def test_corrector_guards():
@@ -206,6 +225,22 @@ def test_a_hom_extract_constant_exact():
     assert out["uncertainty"] < 1e-14
 
 
+def test_a_hom_extract_quadratic_exact():
+    # data quadratic in eta: the extrapolation through three points is exact
+    A = np.array([[1.3, 0.2], [0.2, 0.9]])
+    B = np.array([[-2.0, 0.5], [0.5, 3.0]])
+    C = np.array([[7.0, -1.0], [-1.0, 4.0]])
+    for etas in (np.array([0.13, 0.013, 0.0013]), np.array([0.4, 0.2, 0.1, 0.05])):
+        qs = [A + B * eta + C * eta**2 for eta in etas]
+        out = a_hom_extract(etas, qs)
+        assert np.abs(out["a_hom"] - A).max() <= 1e-12
+        # the first-order extrapolants of neighbouring pairs are still reported
+        linear = [qs[i] + (qs[i] - qs[i - 1]) * etas[i] / (etas[i - 1] - etas[i])
+                  for i in range(1, len(etas))]
+        assert np.abs(np.array(out["extrapolants"]) - np.array(linear)).max() <= 1e-14
+        assert out["uncertainty"] == pytest.approx(np.abs(linear[-1] - linear[-2]).max())
+
+
 def test_a_hom_extract_two_phase():
     a = two_phase_field()
     etas = np.array([1e-1, 1e-2, 1e-3])
@@ -232,14 +267,28 @@ def test_t_operator_zero_input():
     assert np.abs(out).max() == 0.0
 
 
-def test_t_operator_contraction():
-    rng = np.random.default_rng(21)
-    cube = PeriodicCube(2, 6)
-    for k in range(100):
-        g = rng.standard_normal((3, 2, cube.n_sites))
-        xi = rng.uniform(-np.pi, np.pi, size=2)
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    L=st.sampled_from([2, 4, 6]),
+    nt=st.integers(1, 4),
+    dt=st.floats(0.01, 1.0),
+    Lam=st.floats(0.1, 10.0),
+    xi_zero=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_draws=st.just(5),
+)
+@example(d=2, L=6, nt=3, dt=0.1, Lam=2.0, xi_zero=False, seed=21, n_draws=100)
+def test_t_operator_contraction(d, L, nt, dt, Lam, xi_zero, seed, n_draws):
+    # g, xi in [-pi, pi]^d and eta in [1e-3, 1] from the seed, in that order
+    rng = np.random.default_rng(seed)
+    cube = PeriodicCube(d, L)
+    for _ in range(n_draws):
+        g = rng.standard_normal((nt, d, cube.n_sites))
+        xi = rng.uniform(-np.pi, np.pi, size=d) * (not xi_zero)
         eta = 10.0 ** rng.uniform(-3, 0)
-        out = t_operator_apply(cube, g, xi, eta, 0.1, 2.0)
+        out = t_operator_apply(cube, g, xi, eta, dt, Lam)
+        assert out.dtype == (np.float64 if xi_zero else np.complex128)
         assert sample_norm(out) <= sample_norm(g) * (1 + 1e-6)
 
 
@@ -247,8 +296,10 @@ def test_t_operator_matches_dense_solve():
     rng = np.random.default_rng(22)
     cube, nt, dt, Lam = PeriodicCube(2, 4), 4, 0.1, 1.5
     n = cube.n_sites
-    g = rng.standard_normal((nt, 2, n)) + 1j * rng.standard_normal((nt, 2, n))
-    for xi, eta in [([0.0, 0.0], 0.2), ([0.7, -2.1], 0.05)]:
+    g_complex = rng.standard_normal((nt, 2, n)) + 1j * rng.standard_normal((nt, 2, n))
+    g_real = rng.standard_normal((nt, 2, n))
+    for xi, eta, g in [([0.0, 0.0], 0.2, g_complex), ([0.7, -2.1], 0.05, g_complex),
+                       ([0.0, 0.0], 0.03, g_real)]:
         D = dense_differences(cube, xi)
         op = (eta * np.eye(nt * n) + dense_time_difference(nt, n, dt)) / Lam + np.kron(
             np.eye(nt), sum(Dj.conj().T @ Dj for Dj in D))
@@ -257,6 +308,8 @@ def test_t_operator_matches_dense_solve():
         psi = np.linalg.solve(op, rhs).reshape(nt, n)
         expected = np.stack([psi @ Dj.T for Dj in D], axis=1)
         out = t_operator_apply(cube, g, xi, eta, dt, Lam)
+        # real only for real g at xi = 0; complex g stays complex there
+        assert out.dtype == np.result_type(g, complex if any(xi) else float)
         assert np.abs(out - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
 
 
