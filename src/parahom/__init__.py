@@ -16,16 +16,13 @@ from .parabolic import (
     PerturbationSeries,
     aronson_constant,
     aronson_fit,
-    aronson_gradient_exponent,
     constant_coefficients,
     damped_perturbation_terms,
     damped_resolvent,
-    duhamel_solve,
     greens_backward,
     greens_backward_matrix,
     greens_perturbation_terms,
     max_stable_dt,
-    periodic_greens,
     solve_forward,
     spacetime_norm,
 )
@@ -34,11 +31,7 @@ from .environments import (
     FieldTrajectory,
     PotentialSpec,
     coefficient_field,
-    dump_trajectory,
-    gaussian_field_sample,
     langevin_simulate,
-    load_trajectory,
-    poincare_fourier_check,
 )
 from .homogenize import (
     CorrectorField,
@@ -58,7 +51,6 @@ from .homogenize import (
 from .field_theory import (
     TerminalFunctional,
     correlation_identity_check,
-    hom_elliptic_greens,
     malliavin_fd_check,
     massive_lattice_greens,
     poincare_variance_check,

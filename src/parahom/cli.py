@@ -235,7 +235,7 @@ def _run_correlate(p):
     x_list = [[x] + [0] * (p["d"] - 1) for x in range(-p["x_max"], p["x_max"] + 1)]
     out = correlation_identity_check(
         _potential(p), p["m"], cube, x_list, p["n_samples"], p["dt"],
-        seed=p["seed"], anchors=p["anchors"], method=p["method"],
+        seed=p["seed"], anchors=p["anchors"],
     )
     rows = []
     for k, x in enumerate(x_list):

@@ -111,7 +111,6 @@ SCHEMAS = {
         "n_samples": Key(int, 2000, _positive),
         "x_max": Key(int, 2, lambda x: x >= 0),
         "anchors": Key(_int_list, [0]),
-        "method": Key(str, "pathwise", lambda s: s in ("pathwise", "forward")),
     },
     "thm13": {
         **_ENV_KEYS,

@@ -1,34 +1,26 @@
 """Samplers for random space-time environments on the periodic cube.
 
-Two samplers produce `FieldTrajectory` objects: an Euler--Maruyama
-integrator for the gradient-interface Langevin dynamics
+An Euler--Maruyama integrator for the gradient-interface Langevin
+dynamics
 
-    d phi(x) = -(1/2) [ div(V'(grad phi))(x) + m^2 phi(x) ] dt + dB(x),
+    d phi(x) = -(1/2) [ div(V'(grad phi))(x) + m^2 phi(x) ] dt + dB(x)
 
-and an exact stationary Gaussian sampler for the quadratic potential,
-realized per spatial Fourier mode as an independent Ornstein--Uhlenbeck
-process with variance 1/A_k and time correlation exp(-A_k |tau| / 2),
-where A_k = (Laplacian symbol at k) + m^2.
-
-Coefficient maps turn a trajectory into a `CoefficientField` for the
-parabolic solvers, either by evaluating a scalar function of the field
-value or the Hessian V''(grad phi).
+produces `FieldTrajectory` objects.  Coefficient maps turn a trajectory
+into a `CoefficientField` for the parabolic solvers, either by evaluating
+a scalar function of the field value or the Hessian V''(grad phi).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, UnsupportedVariantError
+from .errors import ConfigError, UnsupportedVariantError
 from .lattice import EllipticityPair, PeriodicCube
 from .parabolic import CoefficientField
-
-_MAGIC = "parahom-trajectory-v1"
 
 
 # -- potentials --------------------------------------------------------------
@@ -121,54 +113,12 @@ def hessian_coefficients(V: PotentialSpec, cube: PeriodicCube, phi: np.ndarray,
 class FieldTrajectory:
     """Uniformly sampled field path phi(x, t_i), i = 0..n_steps.
 
-    ``values`` has shape (n_steps + 1, n_sites); ``provenance`` records
-    everything needed to replay the sample bit-exactly.
+    ``values`` has shape (n_steps + 1, n_sites).
     """
 
     cube: PeriodicCube
     dt: float
     values: np.ndarray
-    m: float
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.shape[0])
-
-
-def dump_trajectory(traj: FieldTrajectory, path: str) -> None:
-    """Write a trajectory: one JSON header line, then the value block as
-    little-endian float64 in C order (time index slowest).
-    """
-    header = {
-        "magic": _MAGIC,
-        "d": traj.cube.d,
-        "L": traj.cube.L,
-        "dt": traj.dt,
-        "n_steps": traj.n_steps,
-        "m": traj.m,
-        "provenance": traj.provenance,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
-
-
-def load_trajectory(path: str) -> FieldTrajectory:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("magic") != _MAGIC:
-            raise IntegrityError(f"{path} is not a trajectory dump")
-        cube = PeriodicCube(header["d"], header["L"])
-        n = header["n_steps"] + 1
-        raw = fh.read(8 * n * cube.n_sites)
-        values = np.frombuffer(raw, dtype="<f8").reshape(n, cube.n_sites).copy()
-    return FieldTrajectory(
-        cube, header["dt"], values, header["m"], header["provenance"]
-    )
 
 
 # -- Langevin dynamics ---------------------------------------------------------
@@ -266,54 +216,7 @@ def langevin_simulate(
     values[0] = phi
     for i, phi in enumerate(path, 1):
         values[i] = phi
-    prov = {
-        "sampler": "langevin-euler-maruyama",
-        "seed": int(seed) if np.isscalar(seed) or isinstance(seed, int) else repr(seed),
-        "burn_in": int(burn_in),
-        "potential": {"form": V.form, "c": V.c, "a_dip": V.a_dip},
-    }
-    return FieldTrajectory(cube, dt, values, m, prov)
-
-
-# -- exact Gaussian sampler -----------------------------------------------------
-
-
-def gaussian_field_sample(
-    m: float,
-    cube: PeriodicCube,
-    dt: float,
-    n_steps: int,
-    seed: int = 0,
-) -> FieldTrajectory:
-    """Exact stationary sample of the quadratic-potential field dynamics.
-
-    Every spatial Fourier mode k evolves as an independent stationary
-    Ornstein--Uhlenbeck process with variance 1/A_k and decay rate A_k/2,
-    A_k = sum_j (2 - 2 cos(2 pi k_j / L)) + m^2.  Realized by FFT
-    filtering of site white noise, so the sample is real and exact in law
-    at the grid times (no integrator error).
-    """
-    if m <= 0:
-        raise UnsupportedVariantError("stationary sampler requires m > 0")
-    if dt <= 0 or n_steps < 0:
-        raise ConfigError(f"need dt > 0 and n_steps >= 0, got {dt}, {n_steps}")
-    rng = np.random.default_rng(seed)
-    A = cube.laplacian_symbol() + m * m
-    rho = np.exp(-A * dt / 2.0)
-    init_amp = np.sqrt(1.0 / A)
-    step_amp = np.sqrt((1.0 - rho**2) / A)
-
-    def filtered(white, amp):
-        return np.fft.ifftn(np.fft.fftn(white.reshape(cube.shape)) * amp).real.ravel()
-
-    values = np.empty((n_steps + 1, cube.n_sites))
-    values[0] = filtered(rng.standard_normal(cube.n_sites), init_amp)
-    for i in range(n_steps):
-        prev = np.fft.fftn(values[i].reshape(cube.shape))
-        innov = np.fft.fftn(rng.standard_normal(cube.shape))
-        values[i + 1] = np.fft.ifftn(rho * prev + step_amp * innov).real.ravel()
-    prov = {"sampler": "gaussian-ou-exact", "seed": int(seed), "m": float(m)}
-    return FieldTrajectory(cube, dt, values, m, prov)
+    return FieldTrajectory(cube, dt, values)
 
 
 # -- coefficient maps -----------------------------------------------------------
@@ -351,10 +254,10 @@ class CoefficientMap:
 def coefficient_field(traj: FieldTrajectory, cmap: CoefficientMap) -> CoefficientField:
     """Evaluate the coefficient map on every snapshot of a trajectory.
 
-    The output is diagonal by construction; the spectral window is
-    verified on every site and time, and a violation raises
-    IntegrityError (a map leaving its declared window is misconfigured,
-    clamping is never applied).
+    The output is diagonal by construction; the field checks the window
+    on every site and time, and a violation raises IntegrityError (a map
+    leaving its declared window is misconfigured, clamping is never
+    applied).
     """
     cube = traj.cube
     if cmap.variant == "scalar-of-field":
@@ -364,9 +267,7 @@ def coefficient_field(traj: FieldTrajectory, cmap: CoefficientMap) -> Coefficien
         ).copy()
     else:
         vals = hessian_coefficients(cmap.potential, cube, traj.values)
-    out = CoefficientField(cube, traj.dt, vals, cmap.window, diagonal=True)
-    out.validate()
-    return out
+    return CoefficientField(cube, traj.dt, vals, cmap.window)
 
 
 def sample_environment(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
@@ -379,51 +280,3 @@ def sample_environment(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float
     """
     traj = langevin_simulate(V, m, cube, dt, n_steps, seed=seed)
     return coefficient_field(traj, CoefficientMap("matrix-of-gradient", potential=V))
-
-
-# -- Poincare criterion via the space-time Fourier transform ---------------------
-
-
-def poincare_fourier_check(
-    gamma: np.ndarray,
-    dt: float,
-    threshold: float = np.inf,
-    summability_tol: float = 1e-3,
-) -> dict:
-    """Sup modulus of the space-time Fourier transform of a covariance table.
-
-    ``gamma`` is tabulated on centered lags: axis 0 is the time lag
-    (odd length 2K+1, spacing dt, lag 0 in the middle), the remaining d
-    axes are centered odd-sided spatial boxes.  The transform is
-    sum_x integral dtau Gamma(x, tau) e^{i(zeta.x + theta tau)}, the time
-    integral realized as a dt-weighted sum, evaluated on the full FFT
-    grid of the table.
-
-    Returns {bounded, sup_value, warning}: ``warning`` is set when the
-    boundary shell of the table still carries a ``summability_tol``
-    fraction of the absolute mass, in which case the sup is not to be
-    trusted (slow decay / non-summable covariance).
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if any(s % 2 != 1 for s in gamma.shape):
-        raise ConfigError("covariance table must have odd-sized centered axes")
-    total = np.abs(gamma).sum()
-    if total == 0:
-        return {"bounded": True, "sup_value": 0.0, "warning": False}
-    boundary = 0.0
-    for ax in range(gamma.ndim):
-        if gamma.shape[ax] == 1:
-            continue
-        sl = [slice(None)] * gamma.ndim
-        sl[ax] = 0
-        boundary += np.abs(gamma[tuple(sl)]).sum()
-        sl[ax] = gamma.shape[ax] - 1
-        boundary += np.abs(gamma[tuple(sl)]).sum()
-    warning = bool(boundary / total > summability_tol)
-    spectrum = np.fft.fftn(np.fft.ifftshift(gamma)) * dt
-    sup = float(np.abs(spectrum).max())
-    return {
-        "bounded": bool(np.isfinite(sup) and sup <= threshold and not warning),
-        "sup_value": sup,
-        "warning": warning,
-    }

@@ -4,8 +4,9 @@ Four families of computations:
 
 * the correlation identity <phi(x) phi(0)> = int_0^infty e^{-m^2 t}
   G_a(x, t) dt with a = V''(grad phi) evaluated along the trajectory,
-* the continuum elliptic Green's function of the homogenized operator
-  and decay-rate measurement of the lattice-vs-continuum difference,
+  against the massive lattice Green's function as the exact covariance
+  of the quadratic case,
+* decay-rate measurement of a lattice-vs-continuum kernel difference,
 * the Malliavin-derivative identity: the response of phi(x, t) to a
   single Brownian increment equals the damped backward Green's function,
 * the variance inequality Var G <= < || D G ||^2 > for terminal-time
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .environments import (
     PotentialSpec,
@@ -28,11 +28,12 @@ from .environments import (
     langevin_max_dt,
     langevin_path,
 )
-from .errors import ConfigError, UnsupportedVariantError
+from .errors import ConfigError
 from .lattice import PeriodicCube
 from .parabolic import CoefficientField, _sweep, greens_backward
 
-# -- oracles for the quadratic case -------------------------------------------
+
+# -- the quadratic-case covariance ---------------------------------------------
 
 
 def massive_lattice_greens(cube: PeriodicCube, m: float, x) -> float:
@@ -65,24 +66,18 @@ def correlation_identity_check(
     batch: int = 50,
     tail_tol: float = 1e-6,
     anchors=None,
-    method: str = "pathwise",
 ) -> dict:
     """Paired Monte Carlo test of the identity
     <phi(x) phi(0)> = int_0^infty e^{-m^2 t} G_a(x, t) dt.
 
     Per sample, the left side is phi(anchor + x) phi(anchor) at the end
     of a stationary stretch, averaged over the anchor sites.  The right
-    side is built from the same trajectory in one of two ways:
-
-    * ``pathwise`` (default): the time integral is expanded into sums
-      over the trajectory's own step Jacobians (each step contributes
-      the product of two damped backward propagations of the anchor
-      deltas, driven by a = V''(grad phi)); this realization makes the
-      discrete identity exact for quadratic potentials at any step size,
-      so the residual bias is O(dt) in the anharmonicity only.
-    * ``forward``: the literal quadrature of e^{-m^2 t} times the
-      forward fundamental solution; carries a plain O(dt) quadrature
-      bias and is kept as an independent cross-check.
+    side is built pathwise from the same trajectory: the time integral is
+    expanded into sums over the trajectory's own step Jacobians (each step
+    contributes the product of two damped backward propagations of the
+    anchor deltas, driven by a = V''(grad phi)).  This realization makes
+    the discrete identity exact for quadratic potentials at any step
+    size, so the residual bias is O(dt) in the anharmonicity only.
 
     Differences are paired per sample; sigma is the standard error of
     the paired mean.
@@ -91,8 +86,6 @@ def correlation_identity_check(
         raise ConfigError("mass must be > 0")
     if dt > langevin_max_dt(V, m, cube.d) * (1 + 1e-12):
         raise ConfigError("dt outside the stability window")
-    if method not in ("pathwise", "forward"):
-        raise ConfigError(f"unknown method {method!r}")
     if burn_in is None:
         burn_in = int(np.ceil(10.0 / (m * m * dt)))
     x_list = [np.asarray(x, dtype=int) for x in x_list]
@@ -142,30 +135,16 @@ def correlation_identity_check(
             phi = phi_next
         # left side at the terminal level
         lhs = anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]])
-        if method == "forward":
-            # literal Laplace quadrature of the forward solution, anchored
-            # at the terminal level and driven by the reversed coefficient
-            # history (the stationary environment is reversible in law)
-            w = dt * np.exp(-m * m * dt * np.arange(n_win))
-            u = np.zeros((b, n_anchors, cube.n_sites))
-            u[:, np.arange(n_anchors), anchors] = 1.0
-            rows = np.repeat(np.arange(n_anchors), n_x)
-            targets = sites[s_pos]
-            rhs = w[0] * anchor_mean(u[:, rows, targets])
-            sweep = _sweep(cube, a_store.__getitem__, u, range(n_win - 1, 0, -1), dt)
-            for k, (_, u) in enumerate(sweep, 1):
-                rhs += w[k] * anchor_mean(u[:, rows, targets])
-        else:
-            # pathwise: u <- J_i u with J = I - (dt/2)(div a grad + m^2),
-            # written as rho (I - h div a grad) with rho = 1 - m^2 dt/2
-            u = np.zeros((b, n_src, cube.n_sites))
-            u[:, np.arange(n_src), sites] = 1.0
-            rho = 1.0 - m * m * dt / 2.0
-            rhs = dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
-            sweep = _sweep(cube, a_store.__getitem__, u, range(n_win - 1, 0, -1),
-                           dt / (2.0 * rho), rho)
-            for _, u in sweep:
-                rhs += dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
+        # pathwise: u <- J_i u with J = I - (dt/2)(div a grad + m^2),
+        # written as rho (I - h div a grad) with rho = 1 - m^2 dt/2
+        u = np.zeros((b, n_src, cube.n_sites))
+        u[:, np.arange(n_src), sites] = 1.0
+        rho = 1.0 - m * m * dt / 2.0
+        rhs = dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
+        sweep = _sweep(cube, a_store.__getitem__, u, range(n_win - 1, 0, -1),
+                       dt / (2.0 * rho), rho)
+        for _, u in sweep:
+            rhs += dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
         lhs_all.append(lhs)
         rhs_all.append(rhs)
         done += b
@@ -190,37 +169,7 @@ def _index_of(pool: list, item) -> int:
     return pool.index(item)
 
 
-# -- continuum homogenized Green's function --------------------------------------
-
-
-def hom_elliptic_greens(a_hom: np.ndarray, x, gradient: bool = False):
-    """Green's function of -div(a_hom grad) on R^d.
-
-    Values for d >= 3 via the ellipsoidal formula; for d = 2 only the
-    gradient exists (the value diverges) and requesting it raises
-    UnsupportedVariantError.  ``x`` may carry leading axes.
-    """
-    a_hom = np.atleast_2d(np.asarray(a_hom, dtype=float))
-    d = a_hom.shape[0]
-    det = np.linalg.det(a_hom)
-    if det <= 0 or np.linalg.eigvalsh(a_hom).min() <= 0:
-        raise ConfigError("a_hom must be positive definite")
-    x = np.asarray(x, dtype=float)
-    a_inv = np.linalg.inv(a_hom)
-    quad = np.einsum("...i,ij,...j->...", x, a_inv, x)
-    omega = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
-    if gradient:
-        grad = -np.einsum("ij,...j->...i", a_inv, x) * (
-            quad ** (-d / 2.0) / (omega * np.sqrt(det))
-        )[..., None]
-        return grad
-    if d == 2:
-        raise UnsupportedVariantError(
-            "the d=2 value diverges; request gradient=True"
-        )
-    if d < 3:
-        raise ConfigError("values are defined for d >= 3")
-    return quad ** (-(d - 2) / 2.0) / ((d - 2) * omega * np.sqrt(det))
+# -- decay-rate extraction ---------------------------------------------------------
 
 
 def thm13_decay_check(
@@ -295,7 +244,7 @@ def malliavin_fd_check(
         pass
     fd = (phi[x_site] - values[t_index, x_site]) / delta
     a_vals = hessian_coefficients(V, cube, values)  # (nt+1, d, n)
-    a = CoefficientField(cube, dt, a_vals, V.window, diagonal=True)
+    a = CoefficientField(cube, dt, a_vals, V.window)
     table = greens_backward(a, x_site, t_index, s_min_index=s_index)
     # the bump lands at the end of step s_index, i.e. at level s_index + 1
     g_val = table.values[1, y_site]

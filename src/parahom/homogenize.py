@@ -221,8 +221,6 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     """
     if eta <= 0:
         raise ConfigError(f"eta must be > 0, got {eta}")
-    if not a.diagonal:
-        raise ConfigError("corrector solve expects diagonal coefficients")
     cube, nt, d = a.cube, a.n_times, a.cube.d
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (cube.d,):
@@ -351,11 +349,6 @@ def sample_norm(w: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(w) ** 2)))
 
 
-def _apply_contrast(b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(b w)_j = b_j w_j for the diagonal contrast field."""
-    return b * w
-
-
 def _project_mean_zero(w: np.ndarray) -> np.ndarray:
     return w - w.mean(axis=(0, 2), keepdims=True)
 
@@ -389,14 +382,13 @@ def neumann_series_q(
         for m in range(1, m_max + 1):
             new_u = np.empty_like(u)
             for k in range(d):
-                bu = _apply_contrast(b, u[k])
                 new_u[k] = _project_mean_zero(
-                    t_operator_apply(cube, bu, xi, eta, a.dt, Lam)
+                    t_operator_apply(cube, b * u[k], xi, eta, a.dt, Lam)
                 )
             u = new_u
             term = np.empty((d, d), dtype=complex)
             for k in range(d):
-                term[:, k] = _sample_mean(_apply_contrast(b, u[k]))
+                term[:, k] = _sample_mean(b * u[k])
             terms.append(-Lam * term)
             q = q + terms[-1]
         per_sample.append(q)

@@ -1,11 +1,12 @@
 """Solvers for lattice parabolic equations with space-time coefficients.
 
 The forward initial value problem, the backward Green's function with its
-two sum rules, the periodized Green's function, Duhamel representation,
-the damped resolvent, and the contrast perturbation expansion all live
-here.  Time stepping is explicit Euler with the environment's own step,
-coefficients piecewise constant on each step, so every solve is a finite
-product of sparse-stencil applications and bit-reproducible.
+two sum rules and Aronson-type envelope fits, the damped resolvent, and
+the contrast perturbation expansion all live here.  Coefficients are
+diagonal, one entry per edge direction, site and step.  Time stepping is
+explicit Euler with the environment's own step, coefficients piecewise
+constant on each step, so every solve is a finite product of
+sparse-stencil applications and bit-reproducible.
 
 All of them run through one streaming kernel, ``_sweep``, which yields
 (i, u) after each step u <- rho (u - h div(a_i grad u) + f_i) over a given
@@ -37,99 +38,70 @@ from .lattice import EllipticityPair, PeriodicCube
 
 @dataclass
 class CoefficientField:
-    """Symmetric d x d coefficient matrix per site and time step.
+    """Diagonal coefficient matrix per site and time step.
 
-    ``values`` has shape (n_times, d, n_sites) when ``diagonal`` is true,
-    else (n_times, d, d, n_sites).  Entry i applies on [t_i, t_{i+1}).
+    ``values`` has shape (n_times, d, n_sites): the entry a_j(x) of level
+    i weights the edge (x, x+e_j) on [t_i, t_{i+1}).  A field is checked
+    on construction: any other shape raises ConfigError, and values
+    outside the declared window raise IntegrityError.
     """
 
     cube: PeriodicCube
     dt: float
     values: np.ndarray
     window: EllipticityPair
-    diagonal: bool = True
+
+    def __post_init__(self):
+        if self.values.shape[1:] != (self.cube.d, self.cube.n_sites):
+            raise ConfigError(
+                f"coefficient values must have shape (n_times, {self.cube.d}, "
+                f"{self.cube.n_sites}), got {self.values.shape}"
+            )
+        self.validate()
 
     @property
     def n_times(self) -> int:
         return self.values.shape[0]
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Raise IntegrityError if any matrix leaves the spectral window."""
+        """Raise IntegrityError if any entry leaves the window."""
         lam, Lam = self.window.lam, self.window.Lam
-        if self.diagonal:
-            lo = float(self.values.min())
-            hi = float(self.values.max())
-        else:
-            mats = np.moveaxis(self.values, -1, -3)  # (nt, n, d, d)
-            if not np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-12):
-                raise IntegrityError("coefficient matrices are not symmetric")
-            eig = np.linalg.eigvalsh(mats)
-            lo = float(eig.min())
-            hi = float(eig.max())
+        lo = float(self.values.min())
+        hi = float(self.values.max())
         if lo < lam - tol or hi > Lam + tol:
             raise IntegrityError(
                 f"coefficient spectrum [{lo}, {hi}] leaves window [{lam}, {Lam}]"
             )
 
     def contrast(self) -> np.ndarray:
-        """The contrast field b = I - a/Lam, same layout as ``values``."""
-        if self.diagonal:
-            return 1.0 - self.values / self.window.Lam
-        eye = np.eye(self.cube.d)[None, :, :, None]
-        return eye - self.values / self.window.Lam
+        """The contrast field b = 1 - a/Lam, same layout as ``values``."""
+        return 1.0 - self.values / self.window.Lam
 
 
 def constant_coefficients(
-    cube: PeriodicCube, dt: float, matrix, n_times: int = 1
+    cube: PeriodicCube, dt: float, c: float, n_times: int = 1
 ) -> CoefficientField:
-    """Constant-in-space-and-time coefficient field.
-
-    ``matrix`` may be a scalar c (meaning c I), a length-d diagonal, or a
-    full symmetric d x d matrix.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim == 0:
-        vals = np.full((n_times, cube.d, cube.n_sites), float(m))
-        window = EllipticityPair(float(m), float(m))
-        return CoefficientField(cube, dt, vals, window, diagonal=True)
-    if m.ndim == 1:
-        vals = np.broadcast_to(
-            m[None, :, None], (n_times, cube.d, cube.n_sites)
-        ).copy()
-        return CoefficientField(
-            cube, dt, vals, EllipticityPair(m.min(), m.max()), diagonal=True
-        )
-    eig = np.linalg.eigvalsh(m)
-    vals = np.broadcast_to(
-        m[None, :, :, None], (n_times, cube.d, cube.d, cube.n_sites)
-    ).copy()
-    return CoefficientField(
-        cube, dt, vals, EllipticityPair(eig.min(), eig.max()), diagonal=False
-    )
+    """The constant coefficient field c I in space and time."""
+    vals = np.full((n_times, cube.d, cube.n_sites), float(c))
+    return CoefficientField(cube, dt, vals, EllipticityPair(float(c), float(c)))
 
 
-def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, diagonal: bool,
-               work=None):
+def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, work=None):
     """Apply u -> div(a grad u).  Broadcasts over leading axes of u and a.
 
-    For diagonal coefficients ``a`` has shape (..., d, n_sites); the entry
-    a_j(x) weights the edge (x, x+e_j).  ``work`` is an optional pair
-    (flux, out) of buffers from ``_stencil_work``; the result is then
-    written into its ``out``.
+    ``a`` has shape (..., d, n_sites); the entry a_j(x) weights the edge
+    (x, x+e_j).  ``work`` is an optional pair (flux, out) of buffers from
+    ``_stencil_work``; the result is then written into its ``out``.
     """
     flux, out = (None, None) if work is None else work
-    if diagonal:
-        g = cube.grad(u, out=flux)
-        return cube.div(np.multiply(a, g, out=g), out=out)
-    g = cube.grad(u)  # (..., d, n)
-    flux = np.einsum("...jkn,...kn->...jn", a, g)
-    return cube.div(flux, out=out)
+    g = cube.grad(u, out=flux)
+    return cube.div(np.multiply(a, g, out=g), out=out)
 
 
-def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, diagonal: bool):
-    """Buffers (flux, out) for ``div_a_grad(cube, a, u, diagonal)``, sized
-    to the broadcast of the batch axes of u and a."""
-    lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-2] if diagonal else a.shape[:-3])
+def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray):
+    """Buffers (flux, out) for ``div_a_grad(cube, a, u)``, sized to the
+    broadcast of the batch axes of u and a."""
+    lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-2])
     dtype = np.result_type(a, u)
     return (np.empty(lead + (cube.d, cube.n_sites), dtype),
             np.empty(lead + (cube.n_sites,), dtype))
@@ -184,7 +156,7 @@ def _slices(values: np.ndarray, n_steps: int):
     return values.__getitem__
 
 
-def _sweep(cube, coeff, u, steps, h, rho=1.0, forcing=None, diagonal=True):
+def _sweep(cube, coeff, u, steps, h, rho=1.0, forcing=None):
     """The time-stepping kernel: for i in ``steps`` (in the given order)
     make the step u <- rho (u - h div(a_i grad u) + f_i) and yield (i, u).
 
@@ -197,8 +169,8 @@ def _sweep(cube, coeff, u, steps, h, rho=1.0, forcing=None, diagonal=True):
     for i in steps:
         a_i = coeff(i)
         if work is None or work[1].shape != u.shape:
-            work = _stencil_work(cube, a_i, u, diagonal)
-        du = div_a_grad(cube, a_i, u, diagonal, work)
+            work = _stencil_work(cube, a_i, u)
+        du = div_a_grad(cube, a_i, u, work)
         du *= h
         u = u - du
         if forcing is not None:
@@ -215,7 +187,7 @@ def _backward_table(a, end, lo, hi, h, rho=1.0, forcing=None):
     out = np.empty((hi - lo + 1,) + end.shape)
     out[-1] = end
     steps = range(hi - 1, lo - 1, -1)
-    for i, u in _sweep(a.cube, coeff, end, steps, h, rho, forcing, a.diagonal):
+    for i, u in _sweep(a.cube, coeff, end, steps, h, rho, forcing):
         out[i - lo] = u
     return out
 
@@ -237,7 +209,7 @@ def solve_forward(a: CoefficientField, h: np.ndarray, n_steps: int) -> np.ndarra
         raise ConfigError("initial data must be finite")
     out = np.empty((n_steps + 1,) + h.shape)
     out[0] = h
-    for i, u in _sweep(a.cube, coeff, h, range(n_steps), a.dt, diagonal=a.diagonal):
+    for i, u in _sweep(a.cube, coeff, h, range(n_steps), a.dt):
         out[i + 1] = u
     return out
 
@@ -261,11 +233,6 @@ class GreensTable:
     s_indices: np.ndarray
     values: np.ndarray
     window: EllipticityPair
-    diagonal: bool = True
-
-    def mass(self) -> np.ndarray:
-        """sum_y G(y, s_k; x, t) for each stored level (should be 1)."""
-        return self.values.sum(axis=-1)
 
     def time_lags(self) -> np.ndarray:
         """t - s_k for each stored level."""
@@ -283,8 +250,7 @@ def greens_backward(
 
     Both sum rules (sum over y and sum over sources x) hold exactly for
     the discrete propagator because each step matrix is symmetric with
-    unit row sums; nonnegativity holds for diagonal coefficients under
-    the stability bound.
+    unit row sums; nonnegativity holds under the stability bound.
     """
     _check_dt(a)
     if not 0 <= s_min_index < t_index:
@@ -292,9 +258,7 @@ def greens_backward(
     levels = np.arange(s_min_index, t_index + 1)
     delta = _point_source(a.cube, source_site)
     vals = _backward_table(a, delta, s_min_index, t_index, a.dt / 2.0)
-    return GreensTable(
-        a.cube, a.dt, source_site, t_index, levels, vals, a.window, a.diagonal
-    )
+    return GreensTable(a.cube, a.dt, source_site, t_index, levels, vals, a.window)
 
 
 def greens_backward_matrix(
@@ -312,51 +276,11 @@ def greens_backward_matrix(
     return levels, _backward_table(a, eye, s_min_index, t_index, a.dt / 2.0)
 
 
-def periodic_greens(
-    kernel: np.ndarray, cube: PeriodicCube, tol: float = 1e-12
-) -> np.ndarray:
-    """Periodize a kernel tabulated on a centered box of Z^d onto the cube.
-
-    ``kernel`` has shape (..., side, ..., side) with odd side; entry at
-    grid position p corresponds to lattice point p - radius.  Raises
-    IntegrityError when the boundary shell carries more than ``tol`` mass,
-    i.e. when the truncation was too small for the periodization to be
-    trusted.
-    """
-    d = cube.d
-    side = kernel.shape[-1]
-    if any(s != side for s in kernel.shape[-d:]) or side % 2 != 1:
-        raise ConfigError("kernel must be a centered odd-sided box")
-    boundary_mass = 0.0
-    for j in range(d):
-        sl_lo = [slice(None)] * kernel.ndim
-        sl_hi = [slice(None)] * kernel.ndim
-        sl_lo[kernel.ndim - d + j] = 0
-        sl_hi[kernel.ndim - d + j] = side - 1
-        boundary_mass += float(np.abs(kernel[tuple(sl_lo)]).sum())
-        boundary_mass += float(np.abs(kernel[tuple(sl_hi)]).sum())
-    if boundary_mass > tol:
-        raise IntegrityError(
-            f"kernel boundary mass {boundary_mass:.3e} exceeds tolerance {tol:.1e}"
-        )
-    radius = side // 2
-    lead = kernel.shape[: kernel.ndim - d]
-    out = np.zeros(lead + cube.shape)
-    grid = kernel.reshape(lead + (side,) * d)
-    # fold every box point onto its cube representative
-    coords = np.indices((side,) * d).reshape(d, -1) - radius
-    flat = grid.reshape(lead + (-1,))
-    sites = np.ravel_multi_index(tuple(coords % cube.L), cube.shape)
-    out_flat = out.reshape(lead + (cube.n_sites,))
-    np.add.at(out_flat, (..., sites), flat)
-    return out_flat
-
-
 # -- Aronson-type envelope fits ---------------------------------------------
 
 
-def _table_envelope_stats(table: GreensTable, use_gradient: bool = False):
-    """Per-level maxima of G (or |grad G|) against the Gaussian envelope.
+def _table_envelope_stats(table: GreensTable):
+    """Per-level maxima of G against the Gaussian envelope.
 
     Returns (time lags tau, max over y of value * exp(dist/sqrt(Lam tau + 1)))
     excluding the terminal delta level.
@@ -370,8 +294,6 @@ def _table_envelope_stats(table: GreensTable, use_gradient: bool = False):
     keep = taus > 0
     taus = taus[keep]
     vals = table.values[keep]
-    if use_gradient:
-        vals = np.sqrt((cube.grad(vals) ** 2).sum(axis=-2))
     scale = np.sqrt(Lam * taus + 1.0)
     env = np.exp(dist[None, :] / scale[:, None])
     return taus, (np.abs(vals) * env).max(axis=-1)
@@ -408,45 +330,7 @@ def aronson_fit(tables: list[GreensTable]) -> dict:
     }
 
 
-def aronson_gradient_exponent(tables: list[GreensTable], tau_min: float = 1.0) -> dict:
-    """Fit beta in |grad G| <= C' [Lam tau + 1]^{-(d+beta)/2} exp(-dist/sqrt(.)).
-
-    Regresses the log of the per-lag envelope peak (pooled over tables by
-    taking the max at each lag) against log(Lam tau + 1); the slope is
-    -(d + beta)/2.
-    """
-    pooled: dict[float, float] = {}
-    Lam = tables[0].window.Lam
-    d = tables[0].cube.d
-    for table in tables:
-        taus, peaks = _table_envelope_stats(table, use_gradient=True)
-        for tau, p in zip(taus, peaks):
-            key = round(float(tau), 12)
-            pooled[key] = max(pooled.get(key, 0.0), float(p))
-    taus = np.array(sorted(t for t in pooled if t >= tau_min))
-    if taus.size < 4:
-        raise ConfigError("need at least 4 usable time lags for the fit")
-    peaks = np.array([pooled[float(t)] for t in taus])
-    x = np.log(Lam * taus + 1.0)
-    slope, intercept = np.polyfit(x, np.log(peaks), 1)
-    beta = -2.0 * slope - d
-    return {"beta": float(beta), "C": float(np.exp(intercept)), "slope": float(slope)}
-
-
-# -- Duhamel and the damped resolvent ----------------------------------------
-
-
-def duhamel_solve(a: CoefficientField, f: np.ndarray) -> np.ndarray:
-    """Solution of du/ds = (1/2) div(a grad u) - f with u -> 0 at the end
-    of the grid, i.e. the Duhamel integral of the forcing.
-
-    ``f`` has shape (n_times, n_sites) on the coefficient grid.  The PDE
-    is integrated backwards, which realizes the discrete quadrature
-    u_i = dt * sum_{k>i} P(i, k-1) f_k.
-    """
-    _check_levels(a, f, "forcing")
-    return _backward_table(a, np.zeros(f.shape[1:]), 0, a.n_times, a.dt / 2.0,
-                           forcing=lambda i: a.dt * f[i + 1])
+# -- the damped resolvent ------------------------------------------------------
 
 
 def damped_resolvent(a: CoefficientField, m: float, g: np.ndarray) -> np.ndarray:
@@ -502,7 +386,7 @@ def _contrast_series(a, b, end, lo, hi, rho, forcing, n_max) -> PerturbationSeri
 
     def contrast_forcing(prev):
         scale = a.dt * a.window.Lam / 2.0
-        return lambda i: scale * div_a_grad(a.cube, b(i), prev[i + 1 - lo], a.diagonal)
+        return lambda i: scale * div_a_grad(a.cube, b(i), prev[i + 1 - lo])
 
     terms = [_backward_table(free, end, lo, hi, a.dt / 2.0, rho, forcing)]
     for _ in range(n_max):

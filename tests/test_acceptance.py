@@ -1,8 +1,8 @@
 """Acceptance gate: one verdict line per criterion.
 
-Criterion 13 (decay-rate measurements) takes about 13 minutes (755 s on
-2 cores, Python 3.11, numpy 2.4, scipy 1.17) and only runs when the
-environment variable PARAHOM_TIER is set to "full".
+Criterion 13 (decay-rate measurements) takes about 11 minutes (636 s on
+one core of a 2-core machine, Python 3.11, numpy 2.4, scipy 1.17) and only
+runs when the environment variable PARAHOM_TIER is set to "full".
 """
 
 import os

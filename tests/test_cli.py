@@ -45,6 +45,8 @@ def test_resolve_fills_defaults_and_validates():
         resolve_config("sample-env", {"L": "7"})  # odd side length
     with pytest.raises(ConfigError, match="bogus"):
         resolve_config("sample-env", {"bogus": "1"})
+    with pytest.raises(ConfigError, match="method"):
+        resolve_config("correlate", {"method": "pathwise"})  # one estimator
     with pytest.raises(ConfigError, match="scales"):
         resolve_config("rate-fit", {"values": "1,2,3,4"})  # required key
 

@@ -1,4 +1,4 @@
-"""Sampler, coefficient-map, and covariance-transform tests."""
+"""Sampler and coefficient-map tests."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,13 @@ from scipy import stats
 from parahom import (
     CoefficientMap,
     ConfigError,
+    FieldTrajectory,
     IntegrityError,
     PeriodicCube,
     PotentialSpec,
     UnsupportedVariantError,
     coefficient_field,
-    dump_trajectory,
-    gaussian_field_sample,
     langevin_simulate,
-    load_trajectory,
-    poincare_fourier_check,
 )
 from parahom.environments import brownian_increments, langevin_drift, langevin_path
 
@@ -134,6 +131,43 @@ def test_langevin_stationary_variance_quadratic():
 # -- exact Gaussian sampler ----------------------------------------------------------
 
 
+def gaussian_field_sample(
+    m: float,
+    cube: PeriodicCube,
+    dt: float,
+    n_steps: int,
+    seed: int = 0,
+) -> FieldTrajectory:
+    """Exact stationary sample of the quadratic-potential field dynamics.
+
+    Every spatial Fourier mode k evolves as an independent stationary
+    Ornstein--Uhlenbeck process with variance 1/A_k and decay rate A_k/2,
+    A_k = sum_j (2 - 2 cos(2 pi k_j / L)) + m^2.  Realized by FFT
+    filtering of site white noise, so the sample is real and exact in law
+    at the grid times (no integrator error).
+    """
+    if m <= 0:
+        raise UnsupportedVariantError("stationary sampler requires m > 0")
+    if dt <= 0 or n_steps < 0:
+        raise ConfigError(f"need dt > 0 and n_steps >= 0, got {dt}, {n_steps}")
+    rng = np.random.default_rng(seed)
+    A = cube.laplacian_symbol() + m * m
+    rho = np.exp(-A * dt / 2.0)
+    init_amp = np.sqrt(1.0 / A)
+    step_amp = np.sqrt((1.0 - rho**2) / A)
+
+    def filtered(white, amp):
+        return np.fft.ifftn(np.fft.fftn(white.reshape(cube.shape)) * amp).real.ravel()
+
+    values = np.empty((n_steps + 1, cube.n_sites))
+    values[0] = filtered(rng.standard_normal(cube.n_sites), init_amp)
+    for i in range(n_steps):
+        prev = np.fft.fftn(values[i].reshape(cube.shape))
+        innov = np.fft.fftn(rng.standard_normal(cube.shape))
+        values[i + 1] = np.fft.ifftn(rho * prev + step_amp * innov).real.ravel()
+    return FieldTrajectory(cube, dt, values)
+
+
 def test_gaussian_sampler_determinism_and_shapes():
     cube = PeriodicCube(2, 6)
     t1 = gaussian_field_sample(1.0, cube, 0.1, 15, seed=5)
@@ -194,25 +228,6 @@ def test_langevin_matches_gaussian_sampler_in_law():
     assert ks < 0.05
 
 
-# -- trajectory dump format -----------------------------------------------------------
-
-
-def test_dump_load_round_trip(tmp_path):
-    cube = PeriodicCube(2, 4)
-    V = PotentialSpec("dipole", c=1.0, a_dip=0.2)
-    traj = langevin_simulate(V, 0.7, cube, 0.05, 12, burn_in=5, seed=11)
-    path = tmp_path / "traj.bin"
-    dump_trajectory(traj, str(path))
-    back = load_trajectory(str(path))
-    assert np.array_equal(back.values, traj.values)
-    assert back.dt == traj.dt and back.m == traj.m
-    assert back.provenance == traj.provenance
-    with pytest.raises(IntegrityError):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b'{"magic": "nope"}\n')
-        load_trajectory(str(bad))
-
-
 # -- coefficient maps -------------------------------------------------------------------
 
 
@@ -268,40 +283,3 @@ def test_violating_map_raises_integrity_error():
     )
     with pytest.raises(IntegrityError):
         coefficient_field(traj, cmap)
-
-
-# -- covariance transform ------------------------------------------------------------------
-
-
-def test_poincare_check_delta_covariance():
-    dt = 0.1
-    gamma = np.zeros((5, 7))
-    gamma[2, 3] = 1.0 / dt  # delta in space, delta mass in one time bin
-    out = poincare_fourier_check(gamma, dt)
-    assert out["bounded"] and not out["warning"]
-    assert out["sup_value"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_poincare_check_massive_gaussian_sup():
-    # Gamma(x, tau) = (1/n) sum_k e^{ikx} (1/A_k) e^{-A_k |tau|/2}
-    L = 64  # large cube proxy for Z^1; covariance decays like e^{-|x|}
-    cube = PeriodicCube(1, L)
-    m = 1.0
-    A = cube.laplacian_symbol().ravel() + m * m
-    dt = 0.05
-    n_lag = 801  # tau up to +-20
-    taus = dt * (np.arange(n_lag) - n_lag // 2)
-    offsets = np.arange(-25, 26)  # centered odd spatial window
-    phases = np.exp(2j * np.pi * np.outer(offsets, np.fft.fftfreq(L)))
-    decay = np.exp(-np.abs(taus)[:, None] * A[None, :] / 2.0) / A[None, :]
-    gamma_c = np.real(decay @ phases.T) / L
-    out = poincare_fourier_check(gamma_c, dt)
-    assert out["sup_value"] == pytest.approx(4.0 / m**4, rel=5e-3)
-
-
-def test_poincare_check_warns_on_slow_decay():
-    # Gamma(x) ~ 1/(1+|x|), time delta: boundary shell keeps finite mass
-    x = np.arange(-50, 51)
-    gamma = (1.0 / (1.0 + np.abs(x)))[None, :]
-    out = poincare_fourier_check(gamma, 1.0)
-    assert out["warning"] and not out["bounded"]

@@ -9,15 +9,13 @@ from parahom import (
     PeriodicCube,
     PotentialSpec,
     TerminalFunctional,
-    UnsupportedVariantError,
     correlation_identity_check,
-    hom_elliptic_greens,
     malliavin_fd_check,
     massive_lattice_greens,
     poincare_variance_check,
     thm13_decay_check,
+    heat_kernel_1d,
 )
-from parahom import heat_kernel_1d, hom_gaussian_kernel
 
 
 def massive_greens_integral(m, x, c=1.0):
@@ -33,18 +31,6 @@ def massive_greens_integral(m, x, c=1.0):
 
     t_max = -np.log(1e-16) / (m * m)
     val, _ = integrate.quad(integrand, 0.0, t_max, limit=400)
-    return float(val)
-
-
-def hom_elliptic_greens_quadrature(a_hom, x, rel_tol=1e-7):
-    """The d >= 3 Green's function of -div(a_hom grad) by Gaussian-time
-    quadrature: Gamma(x) = int_0^infty (4 pi t)^{-d/2} det^{-1/2}
-    exp(-x.a^{-1}x/4t) dt."""
-    val, err = integrate.quad(
-        lambda t: hom_gaussian_kernel(x, t, a_hom), 0.0, np.inf, limit=600,
-        epsabs=1e-13, epsrel=1e-13,
-    )
-    assert err <= rel_tol * max(abs(val), 1e-300), f"quadrature error {err:.2e}"
     return float(val)
 
 
@@ -85,71 +71,13 @@ def test_correlation_identity_quadratic_pathwise():
         assert abs(out["difference"][p]) <= 3.5 * out["sigma"][p] + 1e-4
 
 
-def test_correlation_identity_forward_method_biased_but_close():
-    cube = PeriodicCube(1, 8)
-    V = PotentialSpec("quadratic", c=1.0)
-    out = correlation_identity_check(
-        V, 1.0, cube, [[0]], n_samples=500, dt=0.02, seed=5, method="forward"
-    )
-    # plain quadrature carries an O(dt) bias; just check the magnitude
-    assert abs(out["difference"][0]) < 0.05
-
-
 def test_correlation_identity_guards():
     cube = PeriodicCube(1, 8)
     V = PotentialSpec("quadratic", c=1.0)
     with pytest.raises(ConfigError):
         correlation_identity_check(V, 0.0, cube, [[0]], 10, 0.05)
     with pytest.raises(ConfigError):
-        correlation_identity_check(V, 1.0, cube, [[0]], 10, 0.05, method="magic")
-    with pytest.raises(ConfigError):
         correlation_identity_check(V, 1.0, cube, [[0]], 10, dt=2.0)
-
-
-# -- continuum elliptic kernel -----------------------------------------------------
-
-
-def test_hom_elliptic_greens_isotropic_d3():
-    # identity coefficients: 1 / (4 pi |x|)
-    x = np.array([1.0, 2.0, -2.0])
-    val = hom_elliptic_greens(np.eye(3), x)
-    assert val == pytest.approx(1.0 / (4.0 * np.pi * 3.0), rel=1e-12)
-    # homogeneity: G(2x) = G(x) / 2 in d=3
-    assert hom_elliptic_greens(np.eye(3), 2 * x) == pytest.approx(val / 2.0)
-
-
-def test_hom_elliptic_greens_gradient_d2():
-    # identity coefficients: grad G = -x / (2 pi |x|^2)
-    x = np.array([3.0, -4.0])
-    g = hom_elliptic_greens(np.eye(2), x, gradient=True)
-    assert np.allclose(g, -x / (2.0 * np.pi * 25.0), rtol=1e-12)
-    with pytest.raises(UnsupportedVariantError):
-        hom_elliptic_greens(np.eye(2), x)
-
-
-def test_hom_elliptic_greens_anisotropic_vs_quadrature():
-    a = np.array([[1.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
-    for x in ([1.0, 0.0, 0.0], [1.0, -2.0, 0.5]):
-        closed = hom_elliptic_greens(a, np.array(x))
-        quad = hom_elliptic_greens_quadrature(a, np.array(x))
-        assert abs(closed - quad) < 1e-6 * abs(closed)
-
-
-def test_hom_elliptic_greens_gradient_finite_difference():
-    a = np.array([[1.3, 0.3, 0.0], [0.3, 0.9, 0.0], [0.0, 0.0, 1.1]])
-    x = np.array([1.0, 0.5, -0.7])
-    g = hom_elliptic_greens(a, x, gradient=True)
-    h = 1e-6
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        fd = (hom_elliptic_greens(a, x + e) - hom_elliptic_greens(a, x - e)) / (2 * h)
-        assert g[j] == pytest.approx(fd, rel=1e-5)
-
-
-def test_hom_elliptic_greens_rejects_indefinite():
-    with pytest.raises(ConfigError):
-        hom_elliptic_greens(np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, 0.0])
 
 
 # -- decay-rate extraction -------------------------------------------------------------

@@ -423,25 +423,30 @@ def test_hom_gaussian_kernel_symmetry_and_quadrature():
 
 
 def test_hom_gaussian_kernel_pde_residual():
-    a = np.array([[1.0, 0.2], [0.2, 1.5]])
+    cases = [
+        (np.array([[1.0, 0.2], [0.2, 1.5]]), np.array([0.7, -0.4])),
+        (np.array([[1.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]]),
+         np.array([1.0, 0.0, 0.0])),
+    ]
     t, h, ht = 1.0, 1e-3, 1e-4
-    x = np.array([0.7, -0.4])
+    for a, x in cases:
+        d = x.size
 
-    def val(p, tt):
-        return hom_gaussian_kernel(p, tt, a)
+        def val(p, tt):
+            return hom_gaussian_kernel(p, tt, a)
 
-    dudt = (val(x, t + ht) - val(x, t - ht)) / (2 * ht)
-    lap = 0.0
-    for i in range(2):
-        for j in range(2):
-            ei = np.eye(2)[i] * h
-            ej = np.eye(2)[j] * h
-            dij = (
-                val(x + ei + ej, t) - val(x + ei - ej, t)
-                - val(x - ei + ej, t) + val(x - ei - ej, t)
-            ) / (4 * h * h)
-            lap += a[i, j] * dij
-    assert abs(dudt - lap) < 1e-4
+        dudt = (val(x, t + ht) - val(x, t - ht)) / (2 * ht)
+        lap = 0.0
+        for i in range(d):
+            for j in range(d):
+                ei = np.eye(d)[i] * h
+                ej = np.eye(d)[j] * h
+                dij = (
+                    val(x + ei + ej, t) - val(x + ei - ej, t)
+                    - val(x - ei + ej, t) + val(x - ei - ej, t)
+                ) / (4 * h * h)
+                lap += a[i, j] * dij
+        assert abs(dudt - lap) < 1e-4
 
 
 def test_hom_gaussian_kernel_rejects_bad_inputs():

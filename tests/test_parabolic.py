@@ -14,19 +14,15 @@ from parahom import (
     constant_coefficients,
     damped_perturbation_terms,
     damped_resolvent,
-    duhamel_solve,
     greens_backward,
     greens_backward_matrix,
     greens_perturbation_terms,
     heat_kernel_1d,
-    heat_kernel_table,
     max_stable_dt,
-    periodic_greens,
     solve_forward,
     spacetime_norm,
     aronson_fit,
     aronson_constant,
-    aronson_gradient_exponent,
     avg_greens_mc,
 )
 
@@ -34,7 +30,7 @@ from parahom import (
 def random_diagonal_field(cube, dt, n_times, lam, Lam, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(lam, Lam, size=(n_times, cube.d, cube.n_sites))
-    return CoefficientField(cube, dt, vals, EllipticityPair(lam, Lam), diagonal=True)
+    return CoefficientField(cube, dt, vals, EllipticityPair(lam, Lam))
 
 
 # Hypothesis inputs for the kernel invariants: a lattice (d, L), a window
@@ -103,6 +99,20 @@ def test_validate_catches_window_violation():
     a.values[2, 0, 3] = 5.0
     with pytest.raises(IntegrityError):
         a.validate()
+
+
+def test_field_checks_its_layout_and_window_on_construction():
+    cube = PeriodicCube(2, 4)
+    window = EllipticityPair(1.0, 2.0)
+    full = np.broadcast_to(np.eye(2)[None, :, :, None], (3, 2, 2, cube.n_sites))
+    with pytest.raises(ConfigError, match="shape"):
+        CoefficientField(cube, 0.05, full.copy(), window)
+    with pytest.raises(ConfigError, match="shape"):
+        CoefficientField(cube, 0.05, np.ones((3, 1, cube.n_sites)), window)
+    above = np.full((3, 2, cube.n_sites), 1.5)
+    above[1, 0, 5] = 2.5
+    with pytest.raises(IntegrityError):
+        CoefficientField(cube, 0.05, above, window)
 
 
 def test_contrast_window():
@@ -255,35 +265,6 @@ def test_source_site_outside_the_lattice_raises(site):
         avg_greens_mc(no_sample, a.cube, site, [1, 2], 2)
 
 
-# -- periodization ----------------------------------------------------------------------
-
-
-def test_periodic_greens_folds_and_conserves_mass():
-    cube = PeriodicCube(1, 8)
-    kernel = heat_kernel_table(1, 30, 2.0)  # decayed well below 1e-12 at radius 30
-    folded = periodic_greens(kernel, cube)
-    assert abs(folded.sum() - 1.0) < 1e-10
-    # center value: sum of images
-    axis = np.arange(-30, 31)
-    expect0 = kernel[(axis % 8) == 0].sum()
-    assert folded[0] == pytest.approx(expect0, abs=1e-14)
-
-
-def test_periodic_greens_rejects_fat_tails():
-    cube = PeriodicCube(1, 8)
-    kernel = heat_kernel_table(1, 6, 3.0)  # boundary mass far above 1e-12
-    with pytest.raises(IntegrityError):
-        periodic_greens(kernel, cube)
-
-
-def test_periodic_greens_matches_free_kernel_on_large_cube():
-    cube = PeriodicCube(2, 24)
-    kernel = heat_kernel_table(2, 25, 1.0)
-    folded = periodic_greens(kernel, cube)
-    center = heat_kernel_1d(np.array([0]), 1.0)[0] ** 2  # G factorizes
-    assert folded[cube.site_index([0, 0])] == pytest.approx(center, abs=1e-10)
-
-
 # -- envelope fits -------------------------------------------------------------------------
 
 
@@ -304,25 +285,21 @@ def test_aronson_constant_finite_and_stable():
     assert fit["passes"]  # constant environments: no growth under doubling
 
 
-def test_aronson_gradient_exponent_positive_for_free_kernel():
-    tables = _constant_tables(1, 32, 1.0, 0.1, 300, 2, seed=10)
-    fit = aronson_gradient_exponent(tables, tau_min=2.0)
-    # free-kernel gradients decay one half-order faster at least
-    assert fit["beta"] > 0.2
+# -- damped resolvent: a damped Duhamel integral ---------------------------------------------
 
 
-# -- Duhamel -------------------------------------------------------------------------------
-
-
-def duhamel_via_greens(a, f):
-    """Duhamel sum u_i = dt * sum_{k>i} P(i, k-1) f_k assembled from
-    stored Green's tables, O(nt^2 n^2)."""
-    out = np.zeros_like(f, dtype=float)
-    out[0] += a.dt * f[1]
-    for k in range(2, f.shape[0]):
+def duhamel_via_greens(a, m, g):
+    """The damped Duhamel sum v_i = sum_{k>i} rho^{k-i} dt P(i, k-1) g_k,
+    rho = e^{-m^2 dt/2}, assembled from stored Green's tables,
+    O(nt^2 n^2)."""
+    rho = np.exp(-m * m * a.dt / 2.0)
+    out = np.zeros_like(g, dtype=float)
+    out[0] += rho * a.dt * g[1]
+    for k in range(2, g.shape[0]):
         # tables[i, x, y] = G(y, s_i; x, t_{k-1}); contract over sources
         _, tables = greens_backward_matrix(a, t_index=k - 1, s_min_index=0)
-        out[:k] += a.dt * np.einsum("ixy,x->iy", tables[:k], f[k])
+        weights = rho ** (k - np.arange(k))
+        out[:k] += a.dt * weights[:, None] * np.einsum("ixy,x->iy", tables[:k], g[k])
     return out
 
 
@@ -330,30 +307,29 @@ def test_duhamel_direct_equals_greens_path():
     cube = PeriodicCube(1, 8)
     a = random_diagonal_field(cube, 0.08, 10, 0.5, 2.0, seed=11)
     rng = np.random.default_rng(12)
-    f = rng.standard_normal((11, cube.n_sites))
-    assert np.abs(duhamel_solve(a, f) - duhamel_via_greens(a, f)).max() < 1e-12
+    g = rng.standard_normal((11, cube.n_sites))
+    v = damped_resolvent(a, 0.9, g)
+    assert np.abs(v - duhamel_via_greens(a, 0.9, g)).max() < 1e-12
 
 
 def test_duhamel_delta_forcing_is_table_slice():
     cube = PeriodicCube(1, 8)
     a = random_diagonal_field(cube, 0.08, 10, 0.5, 2.0, seed=13)
-    f = np.zeros((11, cube.n_sites))
-    src = 2
-    f[7, src] = 1.0 / a.dt  # delta in the time bin
-    u = duhamel_solve(a, f)
+    m, src = 0.9, 2
+    g = np.zeros((11, cube.n_sites))
+    g[7, src] = 1.0 / a.dt  # delta in the time bin
+    v = damped_resolvent(a, m, g)
     table = greens_backward(a, src, t_index=6)
-    assert np.allclose(u[:7], table.values, atol=1e-12)
-    assert np.abs(u[7:]).max() == 0.0
+    damping = np.exp(-m * m * a.dt / 2.0) ** (7 - np.arange(7))
+    assert np.allclose(v[:7], damping[:, None] * table.values, atol=1e-12)
+    assert np.abs(v[7:]).max() == 0.0
 
 
 def test_duhamel_shape_guard():
     cube = PeriodicCube(1, 4)
     a = constant_coefficients(cube, 0.1, 1.0, n_times=5)
-    with pytest.raises(ConfigError):
-        duhamel_solve(a, np.zeros((3, cube.n_sites)))
-
-
-# -- damped resolvent -------------------------------------------------------------------------
+    with pytest.raises(ConfigError, match="levels"):
+        damped_resolvent(a, 1.0, np.zeros((3, cube.n_sites)))
 
 
 def test_damped_resolvent_zero_data():
@@ -363,15 +339,20 @@ def test_damped_resolvent_zero_data():
     assert np.abs(v).max() == 0.0
 
 
-def test_damped_resolvent_bound_random_pairs():
-    rng = np.random.default_rng(15)
-    cube = PeriodicCube(1, 10)
-    m = 0.8
-    for k in range(20):
-        a = random_diagonal_field(cube, 0.1, 30, 0.5, 2.0, seed=100 + k)
-        g = rng.standard_normal((31, cube.n_sites))
-        v = damped_resolvent(a, m, g)
-        assert spacetime_norm(v, a.dt) <= 2.0 / m**2 * spacetime_norm(g, a.dt)
+@settings(max_examples=40, deadline=None)
+@given(lattice=lattices, n_times=st.integers(1, 40), lam=lams, ratio=contrasts,
+       dt_fraction=dt_fractions, m=st.floats(0.3, 3.0), offset=st.floats(0.0, 3.0),
+       seed=seeds)
+@example(lattice=(1, 10), n_times=30, lam=0.5, ratio=4.0, dt_fraction=0.4, m=0.8,
+         offset=0.0, seed=100)
+def test_damped_resolvent_bound_random_pairs(lattice, n_times, lam, ratio, dt_fraction,
+                                             m, offset, seed):
+    a = drawn_field(lattice, n_times, lam, ratio, dt_fraction, seed)
+    # the offset weights the constant mode, the slowest to decay
+    g = offset + np.random.default_rng(seed + 1).standard_normal(
+        (n_times + 1, a.cube.n_sites))
+    v = damped_resolvent(a, m, g)
+    assert spacetime_norm(v, a.dt) <= 2.0 / m**2 * spacetime_norm(g, a.dt)
 
 
 def test_damped_resolvent_fourier_mode_oracle():
