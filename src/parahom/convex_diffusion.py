@@ -10,7 +10,7 @@ log-concavity probe of the discretized path action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,11 +46,6 @@ class ConvexPotential:
     def laplacian(self, phi: np.ndarray) -> np.ndarray:
         """trace W''(phi)."""
         return np.trace(self.hess(phi), axis1=-2, axis2=-1)
-
-    def hessian_window_check(self, points: np.ndarray, tol: float = 1e-10) -> bool:
-        """Spot-check lam I <= W'' <= Lam I on the given sample points."""
-        eig = np.linalg.eigvalsh(self.hess(points))
-        return bool(eig.min() >= self.lam - tol and eig.max() <= self.Lam + tol)
 
 
 def quadratic_potential(A, b=None) -> ConvexPotential:
@@ -99,10 +94,6 @@ class PathSample:
 
     dt: float
     values: np.ndarray  # (n_steps + 1, k)
-    provenance: dict = field(default_factory=dict)
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.shape[0])
 
 
 def convex_diffusion_simulate(
@@ -128,8 +119,7 @@ def convex_diffusion_simulate(
     for i in range(n_steps):
         phi = values[i]
         values[i + 1] = phi - 0.5 * dt * W.grad(phi) + incr[i]
-    prov = {"seed": int(seed), "noise_scale": float(noise_scale), "scheme": "em"}
-    path = PathSample(dt, values, prov)
+    path = PathSample(dt, values)
     return (path, incr) if return_increments else path
 
 

@@ -140,11 +140,15 @@ def correlation_identity_check(
         u = np.zeros((b, n_src, cube.n_sites))
         u[:, np.arange(n_src), sites] = 1.0
         rho = 1.0 - m * m * dt / 2.0
-        rhs = dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
+        # the sum over steps of the propagations' inner products, for every
+        # pair of sources at once: the Gram matrices u u^T, (b, n_src, n_src)
+        gram = u @ u.transpose(0, 2, 1)
+        step_gram = np.empty_like(gram)
         sweep = _sweep(cube, a_store.__getitem__, u, range(n_win - 1, 0, -1),
                        dt / (2.0 * rho), rho)
         for _, u in sweep:
-            rhs += dt * anchor_mean((u[:, s_pos] * u[:, a_pos]).sum(axis=-1))
+            gram += np.matmul(u, u.transpose(0, 2, 1), out=step_gram)
+        rhs = dt * anchor_mean(gram[:, s_pos, a_pos])
         lhs_all.append(lhs)
         rhs_all.append(rhs)
         done += b

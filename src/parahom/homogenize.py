@@ -86,30 +86,36 @@ def _phases(xi) -> np.ndarray:
     return np.exp(-1j * xi) if xi.any() else np.ones_like(xi)
 
 
-def twisted_grad(cube: PeriodicCube, xi, psi: np.ndarray) -> np.ndarray:
-    """(dxi psi)_j = e^{-i xi_j} psi(x + e_j) - psi(x), shape (..., d, n)."""
+def twisted_grad(cube: PeriodicCube, xi, psi: np.ndarray, out=None) -> np.ndarray:
+    """(dxi psi)_j = e^{-i xi_j} psi(x + e_j) - psi(x), shape (..., d, n);
+    into ``out`` when given, as for ``PeriodicCube.grad``."""
     ph = _phases(xi)
-    out = np.empty(psi.shape[:-1] + (cube.d, cube.n_sites),
-                   dtype=np.result_type(psi, ph))
+    out = cube._out(out, psi.shape[:-1] + (cube.d, cube.n_sites),
+                    np.result_type(psi, ph), psi)
     for j in range(cube.d):
-        out_j = cube.shift(psi, j, +1, out=out[..., j, :])
+        out_j = out[..., j, :]
+        cube._shift_into(psi, out_j, j, +1)
         if ph[j] != 1.0:
             out_j *= ph[j]
         out_j -= psi
     return out
 
 
-def twisted_div(cube: PeriodicCube, xi, F: np.ndarray) -> np.ndarray:
+def twisted_div(cube: PeriodicCube, xi, F: np.ndarray, out=None) -> np.ndarray:
     """dxi* F = sum_j e^{i xi_j} F_j(x - e_j) - F_j(x), the adjoint of
-    ``twisted_grad``; ``F`` has shape (..., d, n), the result (..., n)."""
+    ``twisted_grad``, summed from zero in the order j = 0..d-1; ``F`` has
+    shape (..., d, n), the result (..., n), into ``out`` when given, as
+    for ``PeriodicCube.div``."""
     ph = np.conj(_phases(xi))
-    out = np.zeros(F.shape[:-2] + (cube.n_sites,), dtype=np.result_type(F, ph))
+    out = cube._out(out, F.shape[:-2] + (cube.n_sites,), np.result_type(F, ph), F)
+    out[...] = 0
     term = np.empty_like(out)
     for j in range(cube.d):
-        cube.shift(F[..., j, :], j, -1, out=term)
+        F_j = F[..., j, :]
+        cube._shift_into(F_j, term, j, -1)
         if ph[j] != 1.0:
             term *= ph[j]
-        term -= F[..., j, :]
+        term -= F_j
         out += term
     return out
 
@@ -215,6 +221,12 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     plus 10; a final residual above 1e-8 max(1, |f|), or one that is not
     finite, raises SolverError.
 
+    A sweep makes no field-sized temporaries beyond the FFT pair and the
+    divergence's term: the residual runs in buffers made once per solve
+    (the gradient, scaled by ``a`` in place, A u and r), and the spectrum
+    is divided in place.  It sums A u in the order written above, so the
+    iterates do not depend on the buffering.
+
     The right side f = -P D_k^H a_k is projected to mean zero, which is
     what makes Phi = 0 the solution for constant coefficients at every xi
     (at xi = 0 the projection changes nothing).
@@ -236,10 +248,21 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     _, denom = _symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
     forward, inverse, denom = _spectral(cube, np.isrealobj(f), denom[:, None])
 
+    # the residual's buffers: the gradient (nt, d_k, d_j, n), A u and r
+    grad = np.empty((nt, d, d, cube.n_sites), f.dtype)
+    au, r_buf = np.empty_like(f), np.empty_like(f)
+
     def residual(u):
-        au = (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
-              + twisted_div(cube, xi, coeff * twisted_grad(cube, xi, u)))
-        return f - au
+        """r = f - A u with A u = eta u + (u - u_prev)/dt + dxi* a dxi u,
+        summed in that order."""
+        np.multiply(u, eta, out=au)
+        np.subtract(u[1:], u[:-1], out=r_buf[1:])  # the periodic backward difference
+        np.subtract(u[0], u[-1], out=r_buf[0])
+        np.divide(r_buf, a.dt, out=r_buf)
+        np.add(au, r_buf, out=au)
+        np.multiply(twisted_grad(cube, xi, u, out=grad), coeff, out=grad)
+        np.add(au, twisted_div(cube, xi, grad, out=r_buf), out=au)
+        return np.subtract(f, au, out=r_buf)
 
     f_norm = _component_norms(f)
     scale = np.where(f_norm > 0, f_norm, 1.0)
@@ -247,7 +270,9 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     r, r_norm = f, f_norm
     iterations = 0
     while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
-        u += inverse(forward(r) / denom)
+        w_hat = forward(r)
+        w_hat /= denom
+        u += inverse(w_hat)
         r = residual(u)
         r_norm = _component_norms(r)
         iterations += 1

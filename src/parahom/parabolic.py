@@ -43,7 +43,9 @@ class CoefficientField:
     ``values`` has shape (n_times, d, n_sites): the entry a_j(x) of level
     i weights the edge (x, x+e_j) on [t_i, t_{i+1}).  A field is checked
     on construction: any other shape raises ConfigError, and values
-    outside the declared window raise IntegrityError.
+    outside the declared window raise IntegrityError.  ``values`` is then
+    made read-only, so a field stays inside the window it was checked
+    against.
     """
 
     cube: PeriodicCube
@@ -58,6 +60,7 @@ class CoefficientField:
                 f"{self.cube.n_sites}), got {self.values.shape}"
             )
         self.validate()
+        self.values.flags.writeable = False
 
     @property
     def n_times(self) -> int:

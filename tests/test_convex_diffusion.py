@@ -15,6 +15,12 @@ from parahom import (
 )
 
 
+def hessian_window_check(W, points: np.ndarray, tol: float = 1e-10) -> bool:
+    """Spot-check lam I <= W'' <= Lam I on the given sample points."""
+    eig = np.linalg.eigvalsh(W.hess(points))
+    return bool(eig.min() >= W.lam - tol and eig.max() <= W.Lam + tol)
+
+
 # -- potentials ---------------------------------------------------------------
 
 
@@ -40,7 +46,7 @@ def test_quadratic_potential_derivatives():
         assert W.grad(p)[j] == pytest.approx(fd, abs=1e-8)
     assert np.allclose(W.hess(p), A)
     assert W.laplacian(p) == pytest.approx(np.trace(A))
-    assert W.hessian_window_check(np.stack([p, -p]))
+    assert hessian_window_check(W, np.stack([p, -p]))
 
 
 def test_cosine_perturbed_potential():

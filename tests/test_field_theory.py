@@ -16,6 +16,8 @@ from parahom import (
     thm13_decay_check,
     heat_kernel_1d,
 )
+from parahom.environments import brownian_increments, hessian_coefficients, langevin_path
+from parahom.parabolic import div_a_grad
 
 
 def massive_greens_integral(m, x, c=1.0):
@@ -69,6 +71,55 @@ def test_correlation_identity_quadratic_pathwise():
     assert not out["flagged"]
     for p in range(3):
         assert abs(out["difference"][p]) <= 3.5 * out["sigma"][p] + 1e-4
+
+
+def gathered_pathwise_sides(V, m, cube, x_list, n_samples, dt, seed, anchors):
+    """Per-path (lhs, rhs) of the pathwise estimator, one path per batch
+    row, with the right side gathered pair by pair at every step:
+    rhs = sum_i dt sum_x u_i^s(x) u_i^a(x), averaged over anchors."""
+    burn_in = int(np.ceil(10.0 / (m * m * dt)))
+    n_win = int(np.ceil(-np.log(1e-6) / (m * m) / dt))
+    pairs = [(cube.site_index(cube.site_coords(a) + np.asarray(x)), a)
+             for a in anchors for x in x_list]
+    s_sites, a_sites = (np.array(p) for p in zip(*pairs))
+    rng = np.random.default_rng(seed)
+    phi = np.zeros((n_samples, cube.n_sites))
+    a_store = np.empty((n_win, n_samples, 1, cube.d, cube.n_sites), dtype=np.float32)
+    noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
+    for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
+        if k >= burn_in:
+            a_store[k - burn_in] = hessian_coefficients(V, cube, phi)[:, None]
+        phi = phi_next
+
+    def anchor_mean(per_pair):
+        return per_pair.reshape(-1, len(anchors), len(x_list)).mean(axis=1)
+
+    lhs = anchor_mean(phi[:, s_sites] * phi[:, a_sites])
+    u_s = np.zeros((n_samples, len(pairs), cube.n_sites))
+    u_a = np.zeros_like(u_s)
+    u_s[:, np.arange(len(pairs)), s_sites] = 1.0
+    u_a[:, np.arange(len(pairs)), a_sites] = 1.0
+    rho = 1.0 - m * m * dt / 2.0
+    rhs = dt * (u_s * u_a).sum(axis=-1)
+    for i in range(n_win - 1, 0, -1):
+        for u in (u_s, u_a):
+            u -= dt / (2.0 * rho) * div_a_grad(cube, a_store[i], u)
+            u *= rho
+        rhs += dt * (u_s * u_a).sum(axis=-1)
+    return lhs, anchor_mean(rhs)
+
+
+def test_correlation_gram_accumulation_matches_the_pairwise_gather():
+    # criterion 9's dipole geometry, on a few paths
+    V, cube = PotentialSpec("dipole", c=1.0, a_dip=0.2), PeriodicCube(1, 12)
+    x_list, anchors = [[x] for x in range(-4, 5)], [0, 4, 8]
+    out = correlation_identity_check(V, 1.0, cube, x_list, n_samples=3, dt=0.025,
+                                     seed=19, anchors=anchors, batch=3)
+    lhs, rhs = gathered_pathwise_sides(V, 1.0, cube, x_list, 3, 0.025, 19, anchors)
+    assert out["lhs"] == pytest.approx(lhs.mean(axis=0), rel=1e-12)
+    assert out["rhs"] == pytest.approx(rhs.mean(axis=0), rel=1e-12)
+    diff = lhs - rhs
+    assert out["sigma"] == pytest.approx(diff.std(axis=0, ddof=1) / np.sqrt(3), rel=1e-12)
 
 
 def test_correlation_identity_guards():

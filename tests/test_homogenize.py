@@ -25,6 +25,7 @@ from parahom import (
 )
 from parahom import homogenize
 from parahom.homogenize import q_matrix_single, sample_norm
+from test_lattice import same_bits
 
 
 def two_phase_field(L=32, dt=0.1):
@@ -97,6 +98,42 @@ def test_e_vector_values():
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    L=st.sampled_from([2, 4, 6]),
+    batch=st.sampled_from([(), (2,), (3, 2)]),
+    complex_=st.booleans(),
+    xi_zero=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_twisted_stencils_into_out_match_the_allocating_forms(d, L, batch, complex_,
+                                                              xi_zero, seed):
+    cube = PeriodicCube(d, L)
+    rng = np.random.default_rng(seed)
+
+    def data(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    psi, F = data(batch + (cube.n_sites,)), data(batch + (d, cube.n_sites))
+    xi = np.zeros(d) if xi_zero else rng.uniform(-np.pi, np.pi, size=d)
+    g = homogenize.twisted_grad(cube, xi, psi)
+    dv = homogenize.twisted_div(cube, xi, F)
+    assert g.dtype == dv.dtype == (np.float64 if xi_zero and not complex_
+                                   else np.complex128)
+    g_out, dv_out = np.full_like(g, np.nan), np.full_like(dv, np.nan)
+    assert homogenize.twisted_grad(cube, xi, psi, out=g_out) is g_out
+    assert homogenize.twisted_div(cube, xi, F, out=dv_out) is dv_out
+    assert same_bits(g_out, g) and same_bits(dv_out, dv)
+    # an out that overlaps the input is refused
+    buf = np.zeros(batch + (d + 1, cube.n_sites), dtype=g.dtype)
+    with pytest.raises(ConfigError, match="overlap"):
+        homogenize.twisted_grad(cube, xi, buf[..., 0, :], out=buf[..., :d, :])
+    with pytest.raises(ConfigError, match="overlap"):
+        homogenize.twisted_div(cube, xi, buf[..., 1:, :], out=buf[..., 1, :])
+
+
 # -- corrector ------------------------------------------------------------------
 
 
@@ -164,6 +201,49 @@ def test_corrector_matches_dense_solve(d, L, nt, xi, log_eta, lam, ratio, seed):
     assert corr.residual <= 1e-12
     q_dense = dense_corrector_q(a, xi, eta)
     assert np.abs(q_matrix_single(corr, a) - q_dense).max() <= 1e-10
+
+
+def allocating_corrector_solve(a, xi, eta):
+    """(values, iterations) of the Richardson solve whose residual makes
+    a new array for every term: np.roll for the time difference, then
+    f - (eta u + (u - u_prev)/dt + dxi* (a dxi u))."""
+    cube, nt, d = a.cube, a.n_times, a.cube.d
+    xi = np.asarray(xi, dtype=float)
+    lam_s, Lam_s = float(a.values.min()), float(a.values.max())
+    rate = (Lam_s - lam_s) / (Lam_s + lam_s)
+    max_iter = 10 + int(np.ceil(np.log(1e-14) / np.log(max(rate, 1e-14))))
+    coeff = a.values[:, None]
+    f = -homogenize.twisted_div(cube, xi, coeff * np.eye(d)[None, :, :, None])
+    f -= f.mean(axis=(0, 2), keepdims=True)
+    _, denom = homogenize._symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
+    forward, inverse, denom = homogenize._spectral(cube, np.isrealobj(f), denom[:, None])
+
+    def residual(u):
+        au = (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
+              + homogenize.twisted_div(cube, xi,
+                                       coeff * homogenize.twisted_grad(cube, xi, u)))
+        return f - au
+
+    norms = homogenize._component_norms
+    f_norm = norms(f)
+    scale = np.where(f_norm > 0, f_norm, 1.0)
+    u, r, r_norm, iterations = np.zeros_like(f), f, f_norm, 0
+    while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
+        u += inverse(forward(r) / denom)
+        r = residual(u)
+        r_norm = norms(r)
+        iterations += 1
+    return u, iterations
+
+
+@pytest.mark.parametrize("xi", [[0.0, 0.0, 0.0], [0.7, 0.0, -0.3]])
+def test_corrector_pinned_to_the_allocating_residual(xi):
+    a = random_field(3, 4, 5, 0.5, 2.0, dt=0.1, seed=31)
+    corr = corrector_solve(a, xi, eta=0.0013)
+    values, iterations = allocating_corrector_solve(a, xi, 0.0013)
+    assert corr.values.dtype == (np.complex128 if any(xi) else np.float64)
+    assert corr.iterations == iterations
+    assert same_bits(corr.values, values)
 
 
 def test_corrector_solver_error_reports_statistics(monkeypatch):

@@ -96,9 +96,14 @@ def test_validate_catches_window_violation():
     cube = PeriodicCube(1, 8)
     a = random_diagonal_field(cube, 0.05, 4, 1.0, 2.0, seed=1)
     a.validate()
-    a.values[2, 0, 3] = 5.0
+    # a checked field cannot leave its window afterwards ...
+    with pytest.raises(ValueError, match="read-only"):
+        a.values[2, 0, 3] = 5.0
+    # ... and a copy carrying the bad entry is refused when it is made
+    bad = a.values.copy()
+    bad[2, 0, 3] = 5.0
     with pytest.raises(IntegrityError):
-        a.validate()
+        CoefficientField(cube, a.dt, bad, a.window)
 
 
 def test_field_checks_its_layout_and_window_on_construction():
