@@ -13,7 +13,6 @@ from .lattice import (
 from .parabolic import (
     CoefficientField,
     GreensTable,
-    PerturbationSeries,
     aronson_constant,
     aronson_fit,
     constant_coefficients,
@@ -58,7 +57,6 @@ from .field_theory import (
 )
 from .convex_diffusion import (
     ConvexPotential,
-    PathSample,
     convex_diffusion_simulate,
     cosine_perturbed_potential,
     exact_gaussian_path,

@@ -31,6 +31,11 @@ def _dim(x):
     return x in (1, 2, 3)
 
 
+def _distinct_positive(n):
+    """Check: at least n distinct values, all positive."""
+    return lambda xs: len(set(xs)) >= n and min(xs) > 0
+
+
 @dataclass
 class Key:
     """One schema entry: parser, default (None = required), validator."""
@@ -49,8 +54,12 @@ def _float_list(s):
     return [float(p) for p in str(s).split(",") if p.strip() != ""]
 
 
+_D = Key(int, 1, _dim, "spatial dimension in {1,2,3}")
+_SEED = Key(int, 0, lambda x: x >= 0, "non-negative master seed")
+_ETAS_WHY = "at least 3 distinct positive values"
+
 _ENV_KEYS = {
-    "d": Key(int, 1, _dim, "spatial dimension in {1,2,3}"),
+    "d": _D,
     "L": Key(int, 16, _even_positive, "even positive side length"),
     "dt": Key(float, 0.05, _positive, "positive time step"),
     "m": Key(float, 1.0, _positive, "positive mass"),
@@ -58,15 +67,22 @@ _ENV_KEYS = {
                      "'quadratic' or 'dipole'"),
     "c": Key(float, 1.0, _positive, "positive quadratic curvature"),
     "a_dip": Key(float, 0.3, lambda x: 0 <= x < 1, "dipole amplitude in [0,1)"),
-    "seed": Key(int, 0, lambda x: x >= 0, "non-negative master seed"),
+    "seed": _SEED,
 }
+# the cell problems: environments of n_steps steps, solved at (xi, eta)
+_CELL_KEYS = {**_ENV_KEYS, "n_steps": Key(int, 8, _positive)}
+_XI_ETA = {
+    "xi": Key(_float_list, [0.0]),
+    "eta": Key(float, 0.01, _positive, "positive regularization"),
+}
+_N_ENV = Key(int, 4, _positive)
 
 SCHEMAS = {
     "heat-kernel": {
-        "d": Key(int, 1, _dim, "spatial dimension in {1,2,3}"),
+        "d": _D,
         "radius": Key(int, 40, _positive, "positive truncation radius"),
         "t": Key(float, 1.0, lambda x: x >= 0, "non-negative time"),
-        "seed": Key(int, 0, lambda x: x >= 0, "non-negative master seed"),
+        "seed": _SEED,
     },
     "sample-env": {**_ENV_KEYS, "n_steps": Key(int, 20, _positive)},
     "greens": {
@@ -74,28 +90,17 @@ SCHEMAS = {
         "t_index": Key(int, 20, _positive),
         "source_site": Key(int, 0, lambda x: x >= 0),
     },
-    "corrector": {
-        **_ENV_KEYS,
-        "n_steps": Key(int, 8, _positive),
-        "xi": Key(_float_list, [0.0]),
-        "eta": Key(float, 0.01, _positive, "positive regularization"),
-    },
-    "qmatrix": {
-        **_ENV_KEYS,
-        "n_steps": Key(int, 8, _positive),
-        "n_env": Key(int, 4, _positive),
-        "xi": Key(_float_list, [0.0]),
-        "eta": Key(float, 0.01, _positive, "positive regularization"),
-    },
+    "corrector": {**_CELL_KEYS, **_XI_ETA},
+    "qmatrix": {**_CELL_KEYS, "n_env": _N_ENV, **_XI_ETA},
     "ahom": {
-        **_ENV_KEYS,
-        "n_steps": Key(int, 8, _positive),
-        "n_env": Key(int, 4, _positive),
-        "etas": Key(_float_list, [1e-1, 1e-2, 1e-3]),
+        **_CELL_KEYS,
+        "n_env": _N_ENV,
+        "etas": Key(_float_list, [1e-1, 1e-2, 1e-3], _distinct_positive(3), _ETAS_WHY),
     },
     "avg-greens": {
         **_ENV_KEYS,
-        "t_indices": Key(_int_list, [10, 20]),
+        "t_indices": Key(_int_list, [10, 20], lambda xs: bool(xs) and min(xs) >= 0,
+                         "non-empty list of non-negative time indices"),
         "n_samples": Key(int, 8, _positive),
         "x_max": Key(int, 4, lambda x: x >= 0, "non-negative coordinate range"),
     },
@@ -103,8 +108,8 @@ SCHEMAS = {
         "scales": Key(_float_list, None),
         "values": Key(_float_list, None),
         "mode": Key(str, "epsilon", lambda s: s in ("epsilon", "greens-decay")),
-        "d": Key(int, 1, _dim),
-        "seed": Key(int, 0, lambda x: x >= 0),
+        "d": _D,
+        "seed": _SEED,
     },
     "correlate": {
         **_ENV_KEYS,
@@ -114,10 +119,11 @@ SCHEMAS = {
     },
     "thm13": {
         **_ENV_KEYS,
-        "t_indices": Key(_int_list, [20, 30, 45, 68, 100]),
+        "t_indices": Key(_int_list, [20, 30, 45, 68, 100], _distinct_positive(4),
+                         "at least 4 distinct positive time indices"),
         "n_samples": Key(int, 100, _positive),
         "n_env_cell": Key(int, 4, _positive),
-        "etas": Key(_float_list, [0.13, 0.013, 0.0013]),
+        "etas": Key(_float_list, [0.13, 0.013, 0.0013], _distinct_positive(3), _ETAS_WHY),
     },
     "malliavin": {
         **_ENV_KEYS,
@@ -137,7 +143,7 @@ SCHEMAS = {
         "functional": Key(str, "site", lambda s: s in ("site", "tanh-sum", "sin-sum")),
     },
     "sde-appendix": {
-        "seed": Key(int, 0, lambda x: x >= 0),
+        "seed": _SEED,
         "n_paths": Key(int, 30000, _positive),
         "n_keep": Key(int, 20000, _positive),
     },

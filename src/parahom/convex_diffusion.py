@@ -11,7 +11,7 @@ log-concavity probe of the discretized path action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,34 +25,34 @@ from .errors import ConfigError
 class ConvexPotential:
     """Uniformly convex potential on R^k with callable derivatives.
 
-    ``value``, ``grad``, ``hess`` map (..., k) arrays to values,
-    gradients, and (..., k, k) Hessians.  ``lam`` and ``Lam`` bound the
-    Hessian spectrum.  For quadratic W = phi.A phi/2 - b.phi the pair
-    (A, b) is stored in ``quadratic``.
+    ``value``, ``grad`` and ``laplacian`` map (..., k) arrays to values,
+    gradients and the trace of the Hessian, trace W''.  ``lam`` and
+    ``Lam`` bound the Hessian spectrum.
     """
 
     k: int
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    laplacian: Callable[[np.ndarray], np.ndarray]
     lam: float
     Lam: float
-    quadratic: Optional[tuple] = None
 
     def __post_init__(self):
         if not 0 < self.lam <= self.Lam:
             raise ConfigError(f"need 0 < lam <= Lam, got ({self.lam}, {self.Lam})")
 
-    def laplacian(self, phi: np.ndarray) -> np.ndarray:
-        """trace W''(phi)."""
-        return np.trace(self.hess(phi), axis1=-2, axis2=-1)
+
+def _quadratic_data(A, b):
+    """A as a float matrix and b as a float vector (zero when None)."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
+    return A, b
 
 
 def quadratic_potential(A, b=None) -> ConvexPotential:
     """W(phi) = phi.A phi / 2 - b.phi for symmetric positive definite A."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A, b = _quadratic_data(A, b)
     k = A.shape[0]
-    b = np.zeros(k) if b is None else np.asarray(b, dtype=float)
     if not np.allclose(A, A.T):
         raise ConfigError("A must be symmetric")
     eig = np.linalg.eigvalsh(A)
@@ -63,10 +63,9 @@ def quadratic_potential(A, b=None) -> ConvexPotential:
         value=lambda p: 0.5 * np.einsum("...i,ij,...j->...", p, A, p)
         - np.einsum("...i,i->...", p, b),
         grad=lambda p: np.einsum("ij,...j->...i", A, p) - b,
-        hess=lambda p: np.broadcast_to(A, np.shape(p) + (k,)).copy(),
+        laplacian=lambda p: np.full(np.shape(p)[:-1], np.trace(A)),
         lam=float(eig.min()),
         Lam=float(eig.max()),
-        quadratic=(A, b),
     )
 
 
@@ -79,7 +78,7 @@ def cosine_perturbed_potential(eps: float) -> ConvexPotential:
         value=lambda p: 0.5 * np.asarray(p)[..., 0] ** 2
         + eps * np.cos(np.asarray(p)[..., 0]),
         grad=lambda p: np.stack([np.asarray(p)[..., 0] - eps * np.sin(np.asarray(p)[..., 0])], axis=-1),
-        hess=lambda p: (1.0 - eps * np.cos(np.asarray(p)[..., 0]))[..., None, None],
+        laplacian=lambda p: 1.0 - eps * np.cos(np.asarray(p)[..., 0]),
         lam=1.0 - abs(eps),
         Lam=1.0 + abs(eps),
     )
@@ -88,39 +87,29 @@ def cosine_perturbed_potential(eps: float) -> ConvexPotential:
 # -- paths ------------------------------------------------------------------------
 
 
-@dataclass
-class PathSample:
-    """Discretized diffusion path phi(t_i) in R^k, started at 0."""
-
-    dt: float
-    values: np.ndarray  # (n_steps + 1, k)
+def _increments(k: int, dt: float, n_steps: int, seed: int) -> np.ndarray:
+    """(n_steps, k) Brownian increments sqrt(dt) N(0, 1), deterministic in
+    the seed."""
+    return np.sqrt(dt) * np.random.default_rng(seed).standard_normal((n_steps, k))
 
 
 def convex_diffusion_simulate(
-    W: ConvexPotential,
-    dt: float,
-    n_steps: int,
-    seed: int = 0,
-    noise_scale: float = 1.0,
-    phi0: Optional[np.ndarray] = None,
-    return_increments: bool = False,
-):
-    """Euler--Maruyama path of d phi = -(1/2) grad W dt + dB from 0.
+    W: ConvexPotential, dt: float, increments: np.ndarray, phi0=None
+) -> np.ndarray:
+    """Euler--Maruyama path of d phi = -(1/2) grad W dt + dB driven by the
+    given increments (shape (n_steps, k), already scaled by sqrt(dt);
+    zeros give the deterministic flow), from ``phi0`` (default 0).
 
-    Requires dt <= 1/Lam; deterministic in (config, seed);
-    ``noise_scale=0`` is the deterministic-flow test hook.
+    Requires dt <= 1/Lam.  Returns the levels, shape (n_steps + 1, k).
     """
     if dt > 1.0 / W.Lam * (1 + 1e-12):
         raise ConfigError(f"dt={dt} exceeds the stability bound 1/Lam={1.0 / W.Lam}")
-    rng = np.random.default_rng(seed)
-    incr = noise_scale * np.sqrt(dt) * rng.standard_normal((n_steps, W.k))
-    values = np.empty((n_steps + 1, W.k))
+    values = np.empty((increments.shape[0] + 1, W.k))
     values[0] = 0.0 if phi0 is None else np.asarray(phi0, dtype=float)
-    for i in range(n_steps):
+    for i in range(increments.shape[0]):
         phi = values[i]
-        values[i + 1] = phi - 0.5 * dt * W.grad(phi) + incr[i]
-    path = PathSample(dt, values)
-    return (path, incr) if return_increments else path
+        values[i + 1] = phi - 0.5 * dt * W.grad(phi) + increments[i]
+    return values
 
 
 def exact_gaussian_path(A, b, dt: float, increments: np.ndarray, phi0=None) -> np.ndarray:
@@ -128,9 +117,8 @@ def exact_gaussian_path(A, b, dt: float, increments: np.ndarray, phi0=None) -> n
     the given increments: phi_{i+1} = e^{-A dt/2}(phi_i + dB_i) + (I -
     e^{-A dt/2}) A^{-1} b.  Pathwise within O(dt) of the Euler path with
     the same increments."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A, b = _quadratic_data(A, b)
     k = A.shape[0]
-    b = np.zeros(k) if b is None else np.asarray(b, dtype=float)
     E = expm(-A * dt / 2.0)
     mean_shift = (np.eye(k) - E) @ np.linalg.solve(A, b)
     values = np.empty((increments.shape[0] + 1, k))
@@ -143,37 +131,27 @@ def exact_gaussian_path(A, b, dt: float, increments: np.ndarray, phi0=None) -> n
 # -- stationary moments --------------------------------------------------------------
 
 
-def stationary_moments_check(
-    A,
-    b,
-    lags,
-    dt: float,
-    n_keep: int,
-    seed: int = 0,
-    burn_in_time: Optional[float] = None,
-    n_batches: int = 20,
-) -> dict:
+def stationary_moments_check(A, b, lags, dt: float, n_keep: int, seed: int = 0) -> dict:
     """Empirical stationary mean and lag covariances of the quadratic
     diffusion against A^{-1} b and A^{-1} e^{-A tau / 2}.
 
-    Time averages along one long path; batch means give the sigma used
-    in the 3-sigma verdicts.  ``lags`` are in time units and are rounded
-    to grid multiples.
+    Time averages along one long path after a burn-in of 10/lam time
+    units; the means of 20 batches give the sigma used in the 3-sigma
+    verdicts.  ``lags`` are in time units and are rounded to grid
+    multiples.
     """
-    W = quadratic_potential(A, b)
-    A_m, b_v = W.quadratic
-    if burn_in_time is None:
-        burn_in_time = 10.0 / W.lam
-    burn = int(np.ceil(burn_in_time / dt))
+    A_m, b_v = _quadratic_data(A, b)
+    W = quadratic_potential(A_m, b_v)
+    burn = int(np.ceil(10.0 / W.lam / dt))
     max_lag = int(np.ceil(max(lags) / dt)) if len(lags) else 0
-    path = convex_diffusion_simulate(W, dt, burn + n_keep + max_lag, seed=seed)
-    vals = path.values[burn:]
+    incr = _increments(W.k, dt, burn + n_keep + max_lag, seed)
+    vals = convex_diffusion_simulate(W, dt, incr)[burn:]
     mean_hat = vals.mean(axis=0)
     mean_oracle = np.linalg.solve(A_m, b_v)
     k = W.k
     cov_inf = np.linalg.inv(A_m)
     results = []
-    batches = np.array_split(np.arange(n_keep), n_batches)
+    batches = np.array_split(np.arange(n_keep), 20)
     centered = vals - mean_hat
     for tau in lags:
         ell = int(round(tau / dt))
@@ -205,6 +183,11 @@ def stationary_moments_check(
 # -- Feynman--Kac estimator ------------------------------------------------------------
 
 
+def _action_potential(W: ConvexPotential, phi: np.ndarray) -> np.ndarray:
+    """U(phi) = -(1/2) Lap W + (1/4) |grad W|^2, pointwise on (..., k)."""
+    return -0.5 * W.laplacian(phi) + 0.25 * (W.grad(phi) ** 2).sum(axis=-1)
+
+
 def feynman_kac_estimate(
     W: ConvexPotential,
     f: Callable[[np.ndarray], np.ndarray],
@@ -227,8 +210,7 @@ def feynman_kac_estimate(
     B = np.zeros((n_paths, W.k))
     log_w = np.zeros(n_paths)
     for _ in range(n_steps):
-        pot = -0.5 * W.laplacian(B) + 0.25 * (W.grad(B) ** 2).sum(axis=-1)
-        log_w -= 0.5 * dt * pot
+        log_w -= 0.5 * dt * _action_potential(W, B)
         B = B + np.sqrt(dt) * rng.standard_normal((n_paths, W.k))
     log_w -= 0.5 * W.value(B)
     log_w -= log_w.max()
@@ -251,22 +233,15 @@ def feynman_kac_estimate(
 # -- path-action log-concavity probe ------------------------------------------------
 
 
-def _action_potential(W: ConvexPotential, phi: np.ndarray) -> np.ndarray:
-    """U(phi) = -(1/2) Lap W + (1/4) |grad W|^2, pointwise on (..., k)."""
-    return -0.5 * W.laplacian(phi) + 0.25 * (W.grad(phi) ** 2).sum(axis=-1)
-
-
-def path_action_hessian_probe(
-    W: ConvexPotential, path: np.ndarray, h: float, tol: float = 1e-6
-) -> dict:
-    """Minimum eigenvalue of the discretized path-action Hessian.
+def path_action_hessian_probe(W: ConvexPotential, path: np.ndarray, h: float) -> float:
+    """Minimum eigenvalue of the discretized path-action Hessian; the
+    action is log-concave along the path when it is >= 0.
 
     The action on a clamped window is
     S = sum_i h [ (1/2)|(phi_{i+1} - phi_i)/h|^2 + U(phi_i) ]; its
     Hessian in the interior path variables is the (positive) discrete
     kinetic form plus h diag U''(phi_i), the latter evaluated by central
-    finite differences.  ``log_concave`` is true when the minimum
-    eigenvalue is >= -tol.
+    finite differences.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim == 1:
@@ -305,12 +280,7 @@ def path_action_hessian_probe(
         sl = slice(i * k, (i + 1) * k)
         H[sl, sl] += h * Hu
     H = 0.5 * (H + H.T)
-    min_eig = float(np.linalg.eigvalsh(H).min())
-    return {
-        "min_eigenvalue": min_eig,
-        "log_concave": bool(min_eig >= -tol),
-        "hessian": H,
-    }
+    return float(np.linalg.eigvalsh(H).min())
 
 
 # -- the finite-dimensional suite ----------------------------------------------------
@@ -338,20 +308,20 @@ def finite_dimensional_suite(seed: int, n_keep: int = 20000,
     W = quadratic_potential(A, b)
     errs = []
     for dt, n in [(0.1, 10), (0.05, 20)]:
-        path = convex_diffusion_simulate(W, dt, n, noise_scale=0.0, phi0=[1.0, -1.0])
+        path = convex_diffusion_simulate(W, dt, np.zeros((n, 2)), phi0=[1.0, -1.0])
         exact = exact_gaussian_path(A, b, dt, np.zeros((n, 2)), phi0=[1.0, -1.0])
-        errs.append(float(np.abs(path.values - exact).max()))
-    path, incr = convex_diffusion_simulate(W, 0.05, 200, seed=seed + 2,
-                                           return_increments=True)
-    noisy_gap = float(np.abs(path.values - exact_gaussian_path(A, b, 0.05, incr)).max())
+        errs.append(float(np.abs(path - exact).max()))
+    incr = _increments(2, 0.05, 200, seed + 2)
+    path = convex_diffusion_simulate(W, 0.05, incr)
+    noisy_gap = float(np.abs(path - exact_gaussian_path(A, b, 0.05, incr)).max())
     euler_ok = errs[1] < 0.7 * errs[0] and noisy_gap < 0.15
 
     Wc = cosine_perturbed_potential(0.3)
     fk = feynman_kac_estimate(
         Wc, lambda p: p[:, 0] ** 2, T=5.0, n_paths=n_paths, dt=0.01, seed=seed + 3
     )
-    path_c = convex_diffusion_simulate(Wc, 0.02, 120000, seed=seed + 4)
-    vals = path_c.values[20000:, 0] ** 2
+    path_c = convex_diffusion_simulate(Wc, 0.02, _increments(1, 0.02, 120000, seed + 4))
+    vals = path_c[20000:, 0] ** 2
     ta = float(vals.mean())
     ta_sigma = float(vals[::50].std() / np.sqrt(vals[::50].size / 20.0))
     fk_gap = abs(fk["estimate"] - ta)
@@ -362,7 +332,7 @@ def finite_dimensional_suite(seed: int, n_keep: int = 20000,
         quadratic_potential(np.eye(1)), np.full(41, 1.5 * np.pi), h=0.25
     )
     probe_c = path_action_hessian_probe(Wc, np.full(41, 1.5 * np.pi), h=0.25)
-    probe_ok = probe_q["min_eigenvalue"] > 0 and probe_c["min_eigenvalue"] < -1e-3
+    probe_ok = probe_q > 0 and probe_c < -1e-3
 
     measurements = {
         "mean_hat": [float(v) for v in mom["mean_hat"]],
@@ -372,8 +342,8 @@ def finite_dimensional_suite(seed: int, n_keep: int = 20000,
         "fk_sigma": fk["sigma"],
         "fk_gap": fk_gap,
         "fk_tolerance": fk_tol,
-        "min_eigenvalue_quadratic": probe_q["min_eigenvalue"],
-        "min_eigenvalue": probe_c["min_eigenvalue"],
+        "min_eigenvalue_quadratic": probe_q,
+        "min_eigenvalue": probe_c,
     }
     verdicts = {
         "stationary_moments": bool(moments_ok),

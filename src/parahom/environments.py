@@ -5,16 +5,18 @@ dynamics
 
     d phi(x) = -(1/2) [ div(V'(grad phi))(x) + m^2 phi(x) ] dt + dB(x)
 
-produces `FieldTrajectory` objects.  Coefficient maps turn a trajectory
-into a `CoefficientField` for the parabolic solvers, either by evaluating
-a scalar function of the field value or the Hessian V''(grad phi).
+produces `FieldTrajectory` objects.  The coefficient map turns a
+trajectory into a `CoefficientField` for the parabolic solvers by
+evaluating the Hessian V''(grad phi).  ``check_langevin_window`` is the
+one guard of the integrator's stability window; every entry point that
+steps the dynamics calls it before the first step.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -144,10 +146,20 @@ def langevin_drift(
     return out
 
 
-def langevin_max_dt(V: PotentialSpec, m: float, d: int) -> float:
-    """Stability window min(1/(2 d Lam), 1/m^2) for the explicit integrator."""
-    Lam = V.window.Lam
-    return min(1.0 / (2.0 * d * Lam), 1.0 / (m * m))
+def check_langevin_window(V: PotentialSpec, m: float, cube: PeriodicCube,
+                          dt: float) -> None:
+    """UnsupportedVariantError (a ConfigError) for a mass m <= 0, and
+    ConfigError for a step outside the stability window
+    min(1/(2 d Lam), 1/m^2) of the explicit integrator."""
+    if m <= 0:
+        raise UnsupportedVariantError(
+            "m: massless dynamics are only reached as m -> 0 limits of statistics"
+        )
+    max_dt = min(1.0 / (2.0 * cube.d * V.window.Lam), 1.0 / (m * m))
+    if dt > max_dt * (1 + 1e-12):
+        raise ConfigError(
+            f"dt={dt} exceeds the stability window min(1/(2 d Lam), 1/m^2)={max_dt}"
+        )
 
 
 def brownian_increments(rng: np.random.Generator, dt: float, shape, n_steps: int):
@@ -193,15 +205,7 @@ def langevin_simulate(
     a spectral-gap heuristic), then records n_steps + 1 levels.
     Deterministic in (config, seed).
     """
-    if m <= 0:
-        raise UnsupportedVariantError(
-            "massless dynamics are only reached as m -> 0 limits of statistics"
-        )
-    if dt > langevin_max_dt(V, m, cube.d) * (1 + 1e-12):
-        raise ConfigError(
-            f"dt={dt} exceeds the stability window "
-            f"min(1/(2dLam), 1/m^2)={langevin_max_dt(V, m, cube.d)}"
-        )
+    check_langevin_window(V, m, cube, dt)
     if burn_in is None:
         burn_in = int(np.ceil(10.0 / (m * m * dt)))
     if burn_in < 0:
@@ -224,50 +228,28 @@ def langevin_simulate(
 
 @dataclass
 class CoefficientMap:
-    """Map from field snapshots to diagonal coefficient matrices.
-
-    ``scalar-of-field`` applies ``scalar_map`` (vectorized R -> R within
-    the declared window) to the field value and multiplies the identity;
-    ``matrix-of-gradient`` evaluates diag V''(grad phi).
-    """
+    """Map from field snapshots to diagonal coefficient matrices: the one
+    variant, ``matrix-of-gradient``, evaluates diag V''(grad phi) of the
+    ``potential``, inside the potential's window."""
 
     variant: str
-    window: EllipticityPair = None
-    scalar_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    potential: Optional[PotentialSpec] = None
+    potential: PotentialSpec
 
     def __post_init__(self):
-        if self.variant == "scalar-of-field":
-            if self.scalar_map is None or self.window is None:
-                raise ConfigError(
-                    "scalar-of-field needs scalar_map and a declared window"
-                )
-        elif self.variant == "matrix-of-gradient":
-            if self.potential is None:
-                raise ConfigError("matrix-of-gradient needs a potential")
-            if self.window is None:
-                self.window = self.potential.window
-        else:
+        if self.variant != "matrix-of-gradient":
             raise ConfigError(f"unknown coefficient map variant {self.variant!r}")
 
 
 def coefficient_field(traj: FieldTrajectory, cmap: CoefficientMap) -> CoefficientField:
     """Evaluate the coefficient map on every snapshot of a trajectory.
 
-    The output is diagonal by construction; the field checks the window
-    on every site and time, and a violation raises IntegrityError (a map
-    leaving its declared window is misconfigured, clamping is never
-    applied).
+    The output is diagonal by construction; the field checks the
+    potential's window on every site and time, and a violation raises
+    IntegrityError (clamping is never applied).
     """
-    cube = traj.cube
-    if cmap.variant == "scalar-of-field":
-        scal = np.asarray(cmap.scalar_map(traj.values), dtype=float)
-        vals = np.broadcast_to(
-            scal[:, None, :], (traj.values.shape[0], cube.d, cube.n_sites)
-        ).copy()
-    else:
-        vals = hessian_coefficients(cmap.potential, cube, traj.values)
-    return CoefficientField(cube, traj.dt, vals, cmap.window)
+    V = cmap.potential
+    vals = hessian_coefficients(V, traj.cube, traj.values)
+    return CoefficientField(traj.cube, traj.dt, vals, V.window)
 
 
 def sample_environment(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,

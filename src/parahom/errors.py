@@ -13,5 +13,5 @@ class SolverError(RuntimeError):
     """An iterative or direct solve failed to reach its tolerance."""
 
 
-class UnsupportedVariantError(ValueError):
+class UnsupportedVariantError(ConfigError):
     """The requested variant of an operation is deliberately not provided."""

@@ -24,11 +24,12 @@ import numpy as np
 from .environments import (
     PotentialSpec,
     brownian_increments,
+    check_langevin_window,
     hessian_coefficients,
-    langevin_max_dt,
     langevin_path,
 )
 from .errors import ConfigError
+from .homogenize import rate_fit
 from .lattice import PeriodicCube
 from .parabolic import CoefficientField, _sweep, greens_backward
 
@@ -62,17 +63,17 @@ def correlation_identity_check(
     n_samples: int,
     dt: float,
     seed: int = 0,
-    burn_in: int | None = None,
     batch: int = 50,
-    tail_tol: float = 1e-6,
     anchors=None,
 ) -> dict:
     """Paired Monte Carlo test of the identity
     <phi(x) phi(0)> = int_0^infty e^{-m^2 t} G_a(x, t) dt.
 
     Per sample, the left side is phi(anchor + x) phi(anchor) at the end
-    of a stationary stretch, averaged over the anchor sites.  The right
-    side is built pathwise from the same trajectory: the time integral is
+    of a stationary stretch (10/(m^2 dt) burn-in steps from 0, then a
+    window long enough for the damped propagators to fall below 1e-6),
+    averaged over the anchor sites.  The right side is built pathwise
+    from the same trajectory: the time integral is
     expanded into sums over the trajectory's own step Jacobians (each step
     contributes the product of two damped backward propagations of the
     anchor deltas, driven by a = V''(grad phi)).  This realization makes
@@ -82,15 +83,11 @@ def correlation_identity_check(
     Differences are paired per sample; sigma is the standard error of
     the paired mean.
     """
-    if m <= 0:
-        raise ConfigError("mass must be > 0")
-    if dt > langevin_max_dt(V, m, cube.d) * (1 + 1e-12):
-        raise ConfigError("dt outside the stability window")
-    if burn_in is None:
-        burn_in = int(np.ceil(10.0 / (m * m * dt)))
+    check_langevin_window(V, m, cube, dt)
+    burn_in = int(np.ceil(10.0 / (m * m * dt)))
     x_list = [np.asarray(x, dtype=int) for x in x_list]
     # the two damped propagators jointly decay like e^{-m^2 tau}
-    t_star = -np.log(tail_tol) / (m * m)
+    t_star = -np.log(1e-6) / (m * m)
     n_win = int(np.ceil(t_star / dt))
     if anchors is None:
         anchors = [cube.site_index(np.zeros(cube.d, dtype=int))]
@@ -190,8 +187,6 @@ def thm13_decay_check(
     second differences.  Points where the noise level exceeds half the
     signal are excluded and reported.
     """
-    from .homogenize import rate_fit
-
     radii = np.asarray(radii, dtype=float)
     diffs = np.asarray(diffs, dtype=float)
     keep = np.ones(radii.size, dtype=bool)
@@ -234,6 +229,7 @@ def malliavin_fd_check(
     for name, site in (("y_site", y_site), ("x_site", x_site)):
         if not 0 <= site < cube.n_sites:
             raise ConfigError(f"{name}: site {site} outside [0, {cube.n_sites})")
+    check_langevin_window(V, m, cube, dt)
     if s_index == t_index:
         return {"fd_value": 0.0, "formula_value": 0.0, "rel_error": 0.0}
     # the path from phi(0) = 0, and its replay with one increment bumped
@@ -303,18 +299,16 @@ def poincare_variance_check(
     n_samples: int,
     seed: int = 0,
     batch: int = 200,
-    n_groups: int = 20,
 ) -> dict:
     """Var G versus the mean squared derivative norm, for G a functional
     of phi(., T) under the dynamics started from 0.
 
     The derivative field D(y, s) is the terminal gradient evolved by the
     damped backward equation (coefficients V''(grad phi) along the same
-    trajectory); the bound holds with constant 1.  Group means give the
-    sigma of the reported ratio.
+    trajectory); the bound holds with constant 1.  The ratios of 20
+    groups of samples give the sigma of the reported ratio.
     """
-    if m <= 0 or dt > langevin_max_dt(V, m, cube.d) * (1 + 1e-12):
-        raise ConfigError("need m > 0 and dt inside the stability window")
+    check_langevin_window(V, m, cube, dt)
     rng = np.random.default_rng(seed)
     rho = float(np.exp(-m * m * dt / 2.0))
     g_vals = np.empty(0)
@@ -343,7 +337,7 @@ def poincare_variance_check(
     bound = float(d_norms.mean())
     ratio = variance / bound if bound > 0 else 0.0
     # sigma of the ratio from group-wise recomputation
-    groups = np.array_split(np.arange(n_samples), n_groups)
+    groups = np.array_split(np.arange(n_samples), 20)
     ratios = []
     for idx in groups:
         if idx.size < 2:

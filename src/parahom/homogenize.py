@@ -183,11 +183,11 @@ class CorrectorField:
         direction j, axis -2 the corrector component k."""
         return np.swapaxes(twisted_grad(self.cube, self.xi, self.values), 1, 2)
 
-    def energy_check(self, window, v=None) -> dict:
-        """Discrete energy bound: for a unit vector v,
+    def energy_check(self, window) -> dict:
+        """Discrete energy bound along the unit diagonal v = (1, ..., 1)/sqrt(d):
         eta * mean|Phi v|^2 + lam * mean sum_j |(dxi Phi v)_j|^2 <= Lam^2 / lam."""
         d = self.cube.d
-        v = np.ones(d) / np.sqrt(d) if v is None else np.asarray(v, float)
+        v = np.ones(d) / np.sqrt(d)
         v = v / np.linalg.norm(v)
         phiv = np.einsum("ikn,k->in", self.values, v)
         gradv = np.einsum("ijkn,k->ijn", self.twisted_gradient(), v)
@@ -296,7 +296,6 @@ class QMatrix:
     eta: float
     value: np.ndarray  # (d, d) complex
     stderr: np.ndarray  # (d, d) real
-    n_samples: int
 
 
 def q_matrix_single(corr: CorrectorField, a: CoefficientField) -> np.ndarray:
@@ -320,7 +319,7 @@ def _q_estimate(per_sample: list, xi, eta: float) -> QMatrix:
         stderr = np.abs(qs - mean).std(axis=0, ddof=1) / np.sqrt(len(qs))
     else:
         stderr = np.zeros_like(mean, dtype=float)
-    return QMatrix(np.atleast_1d(np.asarray(xi, dtype=float)), eta, mean, stderr, len(qs))
+    return QMatrix(np.atleast_1d(np.asarray(xi, dtype=float)), eta, mean, stderr)
 
 
 def q_matrix(pairs: list) -> QMatrix:
@@ -472,12 +471,16 @@ def avg_greens_mc(
     ``sampler(seed) -> CoefficientField`` draws one environment; each
     sample evolves a delta through the forward equation and the values at
     ``t_indices`` are averaged.  Returns mean and per-point standard
-    error, shapes (len(t_indices), n_sites).
+    error, shapes (len(t_indices), n_sites).  Time indices must be
+    non-negative: a negative one would silently wrap to a late level.
     """
     if n_samples < 2:
         raise ConfigError("need n_samples >= 2 for error bars")
     delta = _point_source(cube, source_site)
     t_indices = np.asarray(t_indices, dtype=int)
+    if t_indices.size == 0 or t_indices.min() < 0:
+        raise ConfigError(
+            f"t_indices: need non-negative time indices, got {t_indices.tolist()}")
     children = np.random.SeedSequence(seed).spawn(n_samples)
     acc = np.zeros((t_indices.size, cube.n_sites))
     acc2 = np.zeros_like(acc)
@@ -534,18 +537,17 @@ def greens_hat_formula(q: np.ndarray, xi, eta: float) -> complex:
     return 1.0 / (eta + np.conj(ev) @ q @ ev)
 
 
-def greens_hat_quadrature(
-    a_diag: np.ndarray, xi, eta: float, radius: int = 80
-) -> complex:
+def greens_hat_quadrature(a_diag: np.ndarray, xi, eta: float) -> complex:
     """Same transform evaluated from the time-domain kernel: numerical
-    Laplace quadrature of the spatially summed Bessel-product kernel.
+    Laplace quadrature of the spatially summed Bessel-product kernel,
+    truncated to the sites |x_j| <= 60.
 
     Independent of the closed-form symbol; agreement with
     ``greens_hat_formula`` validates the representation.
     """
     a_diag = np.atleast_1d(np.asarray(a_diag, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    axis = np.arange(-radius, radius + 1)
+    axis = np.arange(-60, 61)
 
     def spatial_sum(t: float) -> float:
         out = 1.0
@@ -577,10 +579,8 @@ class RateReport:
     scales: np.ndarray
     values: np.ndarray
     slope: float
-    intercept: float
     slope_stderr: float
     alpha_hat: float
-    residuals: np.ndarray
     mode: str
     warning: str = ""
     extras: dict = field(default_factory=dict)
@@ -621,10 +621,9 @@ def rate_fit(
     x = np.log(scales)
     y = np.log(values)
     A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    fit = A @ coef
-    resid = y - fit
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    slope = float(coef[0])
+    resid = y - A @ coef
     dof = max(x.size - 2, 1)
     sigma2 = float(resid @ resid) / dof
     sxx = float(((x - x.mean()) ** 2).sum())
@@ -636,7 +635,4 @@ def rate_fit(
     noise_dominated = sigma2 > 0 and abs(slope) < 2.0 * slope_stderr
     if noise_dominated:
         warning = (warning + "; " if warning else "") + "noise-dominated fit"
-    return RateReport(
-        scales, values, slope, intercept, slope_stderr, float(alpha), resid,
-        mode, warning,
-    )
+    return RateReport(scales, values, slope, slope_stderr, float(alpha), mode, warning)

@@ -111,19 +111,10 @@ class PeriodicCube:
         dst[..., : self.L - s, :] = src[..., s:, :]
         dst[..., self.L - s :, :] = src[..., :s, :]
 
-    def shift(self, field: np.ndarray, j: int, step: int = 1, out=None) -> np.ndarray:
-        """Field evaluated at x + step*e_j.  Broadcasts over leading axes.
-
-        Written into ``out`` when given (an array of the field's shape, or
-        one the field broadcasts to, that does not overlap it)."""
-        field = np.asarray(field)
-        out = self._out(out, field.shape, field.dtype, field)
-        self._shift_into(field, out, j, step)
-        return out
-
     def grad(self, phi: np.ndarray, out=None) -> np.ndarray:
         """Forward-difference gradient, shape (..., d, n_sites); into
-        ``out`` when given, as for ``shift``."""
+        ``out`` when given (an array of that shape that does not overlap
+        ``phi``)."""
         phi = np.asarray(phi)
         out = self._out(out, phi.shape[:-1] + (self.d, self.n_sites), phi.dtype, phi)
         for j in range(self.d):
@@ -135,7 +126,7 @@ class PeriodicCube:
     def div(self, F: np.ndarray, out=None) -> np.ndarray:
         """Adjoint of grad: (div F)(x) = sum_j [F_j(x - e_j) - F_j(x)],
         summed from zero in the order j = 0..d-1; into ``out`` when given,
-        as for ``shift``."""
+        as for ``grad``."""
         F = np.asarray(F)
         out = self._out(out, F.shape[:-2] + (self.n_sites,), F.dtype, F)
         out[...] = 0

@@ -25,7 +25,7 @@ Discrete conventions (used consistently by every operation):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +66,13 @@ class CoefficientField:
     def n_times(self) -> int:
         return self.values.shape[0]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise IntegrityError if any entry leaves the window."""
+    def validate(self) -> None:
+        """Raise IntegrityError if any entry leaves the window by more than
+        1e-12."""
         lam, Lam = self.window.lam, self.window.Lam
         lo = float(self.values.min())
         hi = float(self.values.max())
-        if lo < lam - tol or hi > Lam + tol:
+        if lo < lam - 1e-12 or hi > Lam + 1e-12:
             raise IntegrityError(
                 f"coefficient spectrum [{lo}, {hi}] leaves window [{lam}, {Lam}]"
             )
@@ -264,19 +265,19 @@ def greens_backward(
     return GreensTable(a.cube, a.dt, source_site, t_index, levels, vals, a.window)
 
 
-def greens_backward_matrix(
-    a: CoefficientField, t_index: int, s_min_index: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full propagator tables: out[k, x, y] = G(y, s_k; x, t).
+def greens_backward_matrix(a: CoefficientField,
+                           t_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full propagator tables: out[k, x, y] = G(y, s_k; x, t) on the levels
+    s_k = 0..t_index.
 
     Evolves the identity matrix backwards (one row per source), so both
     (E4) sum rules can be checked directly: axis -1 sums over y, axis -2
     over sources x.  Returns (s_indices, values).
     """
     _check_dt(a)
-    levels = np.arange(s_min_index, t_index + 1)
+    levels = np.arange(t_index + 1)
     eye = np.eye(a.cube.n_sites)
-    return levels, _backward_table(a, eye, s_min_index, t_index, a.dt / 2.0)
+    return levels, _backward_table(a, eye, 0, t_index, a.dt / 2.0)
 
 
 # -- Aronson-type envelope fits ---------------------------------------------
@@ -358,27 +359,9 @@ def spacetime_norm(v: np.ndarray, dt: float) -> float:
 # -- contrast perturbation expansion ------------------------------------------
 
 
-@dataclass
-class PerturbationSeries:
-    """Terms of the contrast expansion and their partial sums."""
-
-    terms: list = field(default_factory=list)
-    dt: float = 0.0
-
-    def partial_sums(self) -> list:
-        out = []
-        acc = np.zeros_like(self.terms[0])
-        for t in self.terms:
-            acc = acc + t
-            out.append(acc.copy())
-        return out
-
-    def norms(self) -> np.ndarray:
-        return np.array([spacetime_norm(t, self.dt) for t in self.terms])
-
-
-def _contrast_series(a, b, end, lo, hi, rho, forcing, n_max) -> PerturbationSeries:
-    """Terms 0..n_max of the contrast expansion on the levels lo..hi.
+def _contrast_series(a, b, end, hi, rho, forcing, n_max) -> list:
+    """Terms 0..n_max of the contrast expansion on the levels 0..hi, as a
+    list of tables.
 
     Term 0 is the backward sweep of the free field (constant coefficients
     Lam, damping ``rho``) from ``end`` with ``forcing``; term n is the same
@@ -389,25 +372,21 @@ def _contrast_series(a, b, end, lo, hi, rho, forcing, n_max) -> PerturbationSeri
 
     def contrast_forcing(prev):
         scale = a.dt * a.window.Lam / 2.0
-        return lambda i: scale * div_a_grad(a.cube, b(i), prev[i + 1 - lo])
+        return lambda i: scale * div_a_grad(a.cube, b(i), prev[i + 1])
 
-    terms = [_backward_table(free, end, lo, hi, a.dt / 2.0, rho, forcing)]
+    terms = [_backward_table(free, end, 0, hi, a.dt / 2.0, rho, forcing)]
     for _ in range(n_max):
-        terms.append(_backward_table(free, np.zeros_like(end), lo, hi, a.dt / 2.0,
+        terms.append(_backward_table(free, np.zeros_like(end), 0, hi, a.dt / 2.0,
                                      rho, contrast_forcing(terms[-1])))
-    return PerturbationSeries(terms=terms, dt=a.dt)
+    return terms
 
 
 def greens_perturbation_terms(
-    a: CoefficientField,
-    source_site: int,
-    t_index: int,
-    n_max: int,
-    s_min_index: int = 0,
-) -> PerturbationSeries:
-    """Terms G_n of the expansion of the backward Green's function around
-    the free evolution at rate Lam/2, each multilinear of degree n in the
-    contrast b = I - a/Lam.
+    a: CoefficientField, source_site: int, t_index: int, n_max: int
+) -> list:
+    """Terms G_n, n = 0..n_max, of the expansion of the backward Green's
+    function around the free evolution at rate Lam/2, each multilinear of
+    degree n in the contrast b = I - a/Lam, on the levels 0..t_index.
 
     Term n is produced by backward-integrating the free equation with
     forcing (Lam/2) div(b grad G_{n-1}); the partial sums converge to the
@@ -416,17 +395,18 @@ def greens_perturbation_terms(
     _check_dt(a)
     b = _slices(a.contrast(), t_index)
     delta = _point_source(a.cube, source_site)
-    return _contrast_series(a, b, delta, s_min_index, t_index, 1.0, None, n_max)
+    return _contrast_series(a, b, delta, t_index, 1.0, None, n_max)
 
 
 def damped_perturbation_terms(
     a: CoefficientField, m: float, g: np.ndarray, n_max: int
-) -> PerturbationSeries:
-    """Terms v_n of the damped expansion; partial sums telescope exactly to
-    the ``damped_resolvent`` output, and ||v_n|| <= 2 m^{-2} (1-lam/Lam)^n ||g||.
+) -> list:
+    """Terms v_n, n = 0..n_max, of the damped expansion; partial sums
+    telescope exactly to the ``damped_resolvent`` output, and
+    ||v_n|| <= 2 m^{-2} (1-lam/Lam)^n ||g||.
     """
     _check_levels(a, g, "data", m)
     b = _slices(a.contrast(), a.n_times)
     rho = float(np.exp(-m * m * a.dt / 2.0))
-    return _contrast_series(a, b, np.zeros(g.shape[1:]), 0, a.n_times, rho,
+    return _contrast_series(a, b, np.zeros(g.shape[1:]), a.n_times, rho,
                             lambda i: a.dt * g[i + 1], n_max)

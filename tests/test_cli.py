@@ -169,7 +169,20 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     ("correlate", "L = 8\nanchors = 9999\n"),
     ("greens", "L = 8\nsource_site = 9999\n"),
     ("corrector", "d = 2\nL = 4\nxi = 0.5\n"),
-], ids=["x_site", "y_site", "anchors", "source_site", "xi"])
+    # 1/m^2 = 1/9 < dt: outside the Langevin stability window
+    ("malliavin", "m = 3.0\ns_index = 2\nt_index = 5\ndt = 0.2\n"),
+    ("ahom", "etas = 0.1,0.01\n"),
+    ("ahom", "etas = 0.1,0.1,0.01\n"),
+    ("ahom", "etas = 0.1,0.01,-0.001\n"),
+    ("thm13", "etas = 0.13,0.013\n"),
+    ("thm13", "t_indices = 20,30,45\n"),
+    ("thm13", "t_indices = 20,20,30,45\n"),
+    ("thm13", "t_indices = 0,20,30,45\n"),
+    ("avg-greens", "t_indices = -1,10\n"),
+], ids=["x_site", "y_site", "anchors", "source_site", "xi", "malliavin_window",
+        "etas_too_few", "etas_duplicate", "etas_negative", "thm13_etas_too_few",
+        "thm13_t_indices_too_few", "thm13_t_indices_duplicate",
+        "thm13_t_indices_zero", "avg_greens_negative_t_index"])
 def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
                                                       monkeypatch, capsys):
     def no_compute(*args, **kwargs):

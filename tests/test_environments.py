@@ -8,7 +8,6 @@ from parahom import (
     CoefficientMap,
     ConfigError,
     FieldTrajectory,
-    IntegrityError,
     PeriodicCube,
     PotentialSpec,
     UnsupportedVariantError,
@@ -231,35 +230,6 @@ def test_langevin_matches_gaussian_sampler_in_law():
 # -- coefficient maps -------------------------------------------------------------------
 
 
-def test_constant_scalar_map():
-    cube = PeriodicCube(1, 8)
-    traj = gaussian_field_sample(1.0, cube, 0.2, 5, seed=12)
-    from parahom import EllipticityPair
-
-    cmap = CoefficientMap(
-        "scalar-of-field",
-        window=EllipticityPair(2.0, 2.0),
-        scalar_map=lambda s: np.full_like(s, 2.0),
-    )
-    a = coefficient_field(traj, cmap)
-    assert np.all(a.values == 2.0)
-    assert a.values.shape == (6, 1, 8)
-
-
-def test_tanh_scalar_map_spectrum():
-    cube = PeriodicCube(2, 6)
-    traj = gaussian_field_sample(0.8, cube, 0.2, 10, seed=13)
-    from parahom import EllipticityPair
-
-    cmap = CoefficientMap(
-        "scalar-of-field",
-        window=EllipticityPair(0.5, 1.5),
-        scalar_map=lambda s: 1.0 + 0.5 * np.tanh(s),
-    )
-    a = coefficient_field(traj, cmap)
-    assert a.values.min() >= 0.5 and a.values.max() <= 1.5
-
-
 def test_matrix_of_gradient_dipole_entries():
     cube = PeriodicCube(2, 6)
     V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
@@ -269,17 +239,6 @@ def test_matrix_of_gradient_dipole_entries():
     grads = cube.grad(traj.values)
     assert np.allclose(a.values, 1.0 - 0.3 * np.cos(grads))
     assert a.values.min() >= 0.7 - 1e-12 and a.values.max() <= 1.3 + 1e-12
-
-
-def test_violating_map_raises_integrity_error():
-    cube = PeriodicCube(1, 8)
-    traj = gaussian_field_sample(1.0, cube, 0.2, 5, seed=15)
-    from parahom import EllipticityPair
-
-    cmap = CoefficientMap(
-        "scalar-of-field",
-        window=EllipticityPair(1.0, 1.1),
-        scalar_map=lambda s: 1.0 + np.abs(s),  # escapes the declared window
-    )
-    with pytest.raises(IntegrityError):
-        coefficient_field(traj, cmap)
+    assert a.window == V.window  # the window comes from the potential
+    with pytest.raises(ConfigError):
+        CoefficientMap("scalar-of-field", potential=V)  # the one variant

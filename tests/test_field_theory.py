@@ -15,6 +15,7 @@ from parahom import (
     poincare_variance_check,
     thm13_decay_check,
     heat_kernel_1d,
+    langevin_simulate,
 )
 from parahom.environments import brownian_increments, hessian_coefficients, langevin_path
 from parahom.parabolic import div_a_grad
@@ -196,6 +197,31 @@ def test_malliavin_guards():
         malliavin_fd_check(V, 1.0, cube, 0.01, 0, 5, 0, 10, delta=1e-2)
     with pytest.raises(ConfigError):
         malliavin_fd_check(V, 1.0, cube, 0.01, 0, 12, 0, 10)
+
+
+@pytest.mark.parametrize("m, dt", [(3.0, 0.2), (1.0, 0.5), (0.0, 0.01)],
+                         ids=["1/m^2", "1/(2d Lam)", "massless"])
+def test_every_langevin_entry_point_checks_the_window_before_a_step(m, dt,
+                                                                    monkeypatch):
+    # min(1/(2 d Lam), 1/m^2) = 1/9 at m = 3, and 1/2.6 for the dipole at d = 1
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the window was checked")
+
+    monkeypatch.setattr("parahom.field_theory.langevin_path", no_step)
+    monkeypatch.setattr("parahom.environments.langevin_path", no_step)
+    cube = PeriodicCube(1, 8)
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
+    F = linear_site_functional(0)
+    calls = [
+        lambda: malliavin_fd_check(V, m, cube, dt, 1, 2, 0, 5),
+        lambda: malliavin_fd_check(V, m, cube, dt, 1, 5, 0, 5),  # s = t: no steps
+        lambda: poincare_variance_check(V, m, cube, dt, 10, F, 10),
+        lambda: correlation_identity_check(V, m, cube, [[0]], 10, dt),
+        lambda: langevin_simulate(V, m, cube, dt, 10),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="dt=|m:"):
+            call()
 
 
 # -- variance inequality -------------------------------------------------------------------

@@ -292,7 +292,6 @@ def test_q_matrix_aggregation():
         corr = corrector_solve(a, [0.0], eta=0.1)
         pairs.append((corr, a))
     q = q_matrix(pairs)
-    assert q.n_samples == 3
     assert q.value.shape == (1, 1) and q.stderr.shape == (1, 1)
     assert q.stderr[0, 0] > 0
 
@@ -466,7 +465,7 @@ def test_greens_hat_formula_vs_quadrature():
     for d, a_diag in [(1, [1.0]), (2, [1.3, 0.8])]:
         for xi in ([0.5] * d, [1.2] * d):
             for eta in (0.3, 1.0):
-                lhs = greens_hat_quadrature(a_diag, xi, eta, radius=60)
+                lhs = greens_hat_quadrature(a_diag, xi, eta)
                 rhs = greens_hat_formula(np.diag(a_diag), xi, eta)
                 assert abs(lhs - rhs) < 1e-8
 
@@ -479,7 +478,7 @@ def test_rate_fit_exact_power_law():
     vals = 3.0 * eps**0.5
     rep = rate_fit(eps, vals, mode="epsilon")
     assert rep.alpha_hat == pytest.approx(0.5, abs=1e-6)
-    assert np.abs(rep.residuals).max() < 1e-12
+    assert rep.slope_stderr < 1e-12  # an exact power law leaves no residual
     assert rep.warning == ""
 
 

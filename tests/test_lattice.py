@@ -52,8 +52,8 @@ def laplacian(cube, phi):
     """div(grad phi) = sum_j [2 phi - phi(.+e_j) - phi(.-e_j)] (>= 0 operator)."""
     out = 2.0 * cube.d * phi
     for j in range(cube.d):
-        out -= cube.shift(phi, j, +1)
-        out -= cube.shift(phi, j, -1)
+        out -= roll_shift(cube, phi, j, +1)
+        out -= roll_shift(cube, phi, j, -1)
     return out
 
 
@@ -258,7 +258,8 @@ def test_stencil_matches_roll_and_pointwise_oracles(d, L, batch, step, complex_,
         return out
 
     for j in range(d):
-        shifted = call(cube.shift, phi, phi.shape, j, step)
+        shifted = np.full(phi.shape, np.nan, dtype=phi.dtype)
+        cube._shift_into(phi, shifted, j, step)
         assert same_bits(shifted, roll_shift(cube, phi, j, step))
     g = call(cube.grad, phi, batch + (d, cube.n_sites))
     assert same_bits(g, roll_grad(cube, phi))
@@ -273,8 +274,6 @@ def test_stencil_matches_roll_and_pointwise_oracles(d, L, batch, step, complex_,
 def test_stencil_out_aliasing_its_input_raises():
     cube = PeriodicCube(2, 4)
     buf = np.arange(3.0 * cube.n_sites).reshape(3, cube.n_sites) ** 2
-    with pytest.raises(ConfigError):
-        cube.shift(buf[0], 0, out=buf[0])
     with pytest.raises(ConfigError):
         cube.grad(buf[0], out=buf[:2])
     with pytest.raises(ConfigError):

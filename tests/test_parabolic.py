@@ -1,5 +1,7 @@
 """Forward/backward solver, Green's table, and perturbation-series tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -270,6 +272,16 @@ def test_source_site_outside_the_lattice_raises(site):
         avg_greens_mc(no_sample, a.cube, site, [1, 2], 2)
 
 
+@pytest.mark.parametrize("t_indices", [[-1, 10], [3, -2], []])
+def test_avg_greens_rejects_negative_time_indices_before_sampling(t_indices):
+    # a negative index would silently read the level counted from the end
+    def no_sample(seed):
+        raise AssertionError("sampled before the time indices were checked")
+
+    with pytest.raises(ConfigError, match="t_indices"):
+        avg_greens_mc(no_sample, PeriodicCube(1, 4), 0, t_indices, 2)
+
+
 # -- envelope fits -------------------------------------------------------------------------
 
 
@@ -302,7 +314,7 @@ def duhamel_via_greens(a, m, g):
     out[0] += rho * a.dt * g[1]
     for k in range(2, g.shape[0]):
         # tables[i, x, y] = G(y, s_i; x, t_{k-1}); contract over sources
-        _, tables = greens_backward_matrix(a, t_index=k - 1, s_min_index=0)
+        _, tables = greens_backward_matrix(a, t_index=k - 1)
         weights = rho ** (k - np.arange(k))
         out[:k] += a.dt * weights[:, None] * np.einsum("ixy,x->iy", tables[:k], g[k])
     return out
@@ -393,25 +405,26 @@ def test_perturbation_zero_contrast():
     cube = PeriodicCube(1, 8)
     Lam = 2.0
     a = constant_coefficients(cube, 0.1, Lam, n_times=10)
-    series = greens_perturbation_terms(a, 0, t_index=10, n_max=3)
-    for t in series.terms[1:]:
+    terms = greens_perturbation_terms(a, 0, t_index=10, n_max=3)
+    assert len(terms) == 4
+    for t in terms[1:]:
         assert np.abs(t).max() < 1e-14
     g = np.random.default_rng(16).standard_normal((11, cube.n_sites))
-    dser = damped_perturbation_terms(a, 1.0, g, 3)
-    for t in dser.terms[1:]:
+    dterms = damped_perturbation_terms(a, 1.0, g, 3)
+    for t in dterms[1:]:
         assert np.abs(t).max() < 1e-14
     # v_0 alone reproduces the damped resolvent
     v = damped_resolvent(a, 1.0, g)
-    assert np.abs(dser.terms[0] - v).max() < 1e-12
+    assert np.abs(dterms[0] - v).max() < 1e-12
 
 
 def test_greens_perturbation_partial_sums_geometric():
     cube = PeriodicCube(1, 10)
     a = random_diagonal_field(cube, 0.08, 20, 1.0, 2.0, seed=17)
     table = greens_backward(a, 0, t_index=20)
-    series = greens_perturbation_terms(a, 0, t_index=20, n_max=8)
+    terms = greens_perturbation_terms(a, 0, t_index=20, n_max=8)
     resid = [
-        spacetime_norm(ps - table.values, a.dt) for ps in series.partial_sums()
+        spacetime_norm(ps - table.values, a.dt) for ps in itertools.accumulate(terms)
     ]
     contrast = a.window.contrast  # 0.5
     for i in range(2, len(resid)):
@@ -435,8 +448,8 @@ def test_damped_perturbation_sums_telescope_and_contract(
         (n_times + 1, a.cube.n_sites))
     v = damped_resolvent(a, m, g)
     n_max = 10
-    ser = damped_perturbation_terms(a, m, g, n_max)
-    norms = ser.norms()
+    terms = damped_perturbation_terms(a, m, g, n_max)
+    norms = np.array([spacetime_norm(t, a.dt) for t in terms])
     contrast = a.window.contrast
     gnorm = spacetime_norm(g, a.dt)
     for n, nn in enumerate(norms):
@@ -444,11 +457,11 @@ def test_damped_perturbation_sums_telescope_and_contract(
     # exact telescoping: v - (v_0 + ... + v_n) is the damped resolvent of
     # the contrast forcing (Lam/2) div(b grad v_n), one level later
     cube, Lam, b = a.cube, a.window.Lam, a.contrast()
-    last = ser.terms[-1]
+    last = terms[-1]
     forcing = np.zeros_like(g)
     forcing[1:] = (Lam / 2.0) * cube.div(b * cube.grad(last[1:]))
     remainder = damped_resolvent(a, m, forcing)
-    gap = v - ser.partial_sums()[-1] - remainder
+    gap = v - sum(terms) - remainder
     assert np.abs(gap).max() <= 1e-12 * max(1.0, np.abs(v).max())
     ratios = norms[1:] / np.maximum(norms[:-1], 1e-300)
     assert np.all(ratios <= contrast + 0.05)
