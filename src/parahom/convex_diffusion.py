@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError
 
@@ -117,6 +116,8 @@ def exact_gaussian_path(A, b, dt: float, increments: np.ndarray, phi0=None) -> n
     the given increments: phi_{i+1} = e^{-A dt/2}(phi_i + dB_i) + (I -
     e^{-A dt/2}) A^{-1} b.  Pathwise within O(dt) of the Euler path with
     the same increments."""
+    from scipy.linalg import expm
+
     A, b = _quadratic_data(A, b)
     k = A.shape[0]
     E = expm(-A * dt / 2.0)
@@ -140,6 +141,8 @@ def stationary_moments_check(A, b, lags, dt: float, n_keep: int, seed: int = 0) 
     verdicts.  ``lags`` are in time units and are rounded to grid
     multiples.
     """
+    from scipy.linalg import expm
+
     A_m, b_v = _quadratic_data(A, b)
     W = quadratic_potential(A_m, b_v)
     burn = int(np.ceil(10.0 / W.lam / dt))

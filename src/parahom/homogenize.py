@@ -42,7 +42,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft, integrate
 
 from .errors import ConfigError, IntegrityError, SolverError
 from .environments import PotentialSpec, sample_environment
@@ -134,6 +133,8 @@ def _spectral(cube: PeriodicCube, real: bool, *symbols):
     given symbols on its spectrum.  A real pair keeps the half spectrum of
     the last space axis, which the Hermitian symmetry of real fields and
     of the xi = 0 symbols makes complete."""
+    from scipy import fft
+
     axes = (0,) + tuple(range(2, 2 + cube.d))  # time and space, not components
     if real:
         half = cube.L // 2 + 1
@@ -545,6 +546,8 @@ def greens_hat_quadrature(a_diag: np.ndarray, xi, eta: float) -> complex:
     Independent of the closed-form symbol; agreement with
     ``greens_hat_formula`` validates the representation.
     """
+    from scipy import integrate
+
     a_diag = np.atleast_1d(np.asarray(a_diag, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     axis = np.arange(-60, 61)

@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError
 
@@ -161,6 +158,8 @@ def heat_kernel_1d(x: np.ndarray, t: float) -> np.ndarray:
     ``scipy.special.ive`` evaluates the exponentially scaled Bessel
     function, which is exactly this product and is stable for large t.
     """
+    from scipy import special
+
     if t < 0:
         raise ConfigError(f"time must be >= 0, got {t}")
     x = np.asarray(x)
@@ -188,6 +187,9 @@ def heat_kernel_solver(d: int, radius: int, t: float) -> np.ndarray:
     must be large enough that the escaped mass is negligible (the caller
     can check ``out.sum()``).
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import expm_multiply
+
     if t < 0:
         raise ConfigError(f"time must be >= 0, got {t}")
     side = 2 * radius + 1

@@ -36,7 +36,7 @@ from .lattice import EllipticityPair, PeriodicCube
 # -- coefficient fields ----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientField:
     """Diagonal coefficient matrix per site and time step.
 
@@ -44,8 +44,8 @@ class CoefficientField:
     i weights the edge (x, x+e_j) on [t_i, t_{i+1}).  A field is checked
     on construction: any other shape raises ConfigError, and values
     outside the declared window raise IntegrityError.  ``values`` is then
-    made read-only, so a field stays inside the window it was checked
-    against.
+    made read-only and no member can be rebound, so a field stays inside
+    the window it was checked against.
     """
 
     cube: PeriodicCube

@@ -1,5 +1,6 @@
 """Forward/backward solver, Green's table, and perturbation-series tests."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -106,6 +107,18 @@ def test_validate_catches_window_violation():
     bad[2, 0, 3] = 5.0
     with pytest.raises(IntegrityError):
         CoefficientField(cube, a.dt, bad, a.window)
+
+
+@pytest.mark.parametrize("name", ["values", "window", "dt", "cube"])
+def test_checked_field_members_cannot_be_rebound(name):
+    cube = PeriodicCube(1, 8)
+    a = random_diagonal_field(cube, 0.05, 4, 1.0, 2.0, seed=1)
+    replacement = {"values": np.full_like(a.values, 5.0),
+                   "window": EllipticityPair(1.0, 10.0),
+                   "dt": 1.0, "cube": PeriodicCube(1, 4)}[name]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, name, replacement)
+    a.validate()
 
 
 def test_field_checks_its_layout_and_window_on_construction():
