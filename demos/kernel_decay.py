@@ -8,9 +8,9 @@ kernel itself, and a log-log fit quantifies the extra decay.
 
 import numpy as np
 
-from parahom import PeriodicCube, PotentialSpec, a_hom_extract
+from parahom import PeriodicCube, PotentialSpec
 from parahom.environments import sample_environment
-from parahom.homogenize import avg_kernel_excess, q_ladder
+from parahom.homogenize import a_hom_ladder, avg_kernel_excess
 
 d, L, dt, m = 1, 16, 0.1, 1.0
 V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
@@ -18,8 +18,7 @@ V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
 # effective coefficient from a small cell ensemble
 etas = np.array([0.13, 0.013, 0.0013])
 cells = [sample_environment(V, m, PeriodicCube(d, 8), dt, 16, 70 + k) for k in range(4)]
-qs = [q.value for q in q_ladder(cells, [0.0], etas)]
-c_hom = float(np.real(a_hom_extract(etas, qs)["a_hom"][0, 0]))
+c_hom = a_hom_ladder(cells, etas)["c_hom"]
 print(f"effective coefficient c_hom = {c_hom:.5f}")
 
 # environment-averaged kernel at the origin for a ladder of times, against

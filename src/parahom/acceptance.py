@@ -5,12 +5,8 @@ Each ``criterion_N`` returns a dict with keys ``id``, ``title``, ``passed``,
 ``detail`` and ``seconds``.  The checks are deterministic: every random
 draw is seeded.
 
-The experiment kinds of ``parahom.cli`` run the same pipelines: criteria 1,
-9, 10, 11 and 12 are ``heat-kernel``, ``correlate``, ``malliavin``,
-``poincare`` and ``sde-appendix``, and criterion 13(a) is ``thm13``;
-criteria 2, 3 and 13 share ``sample_environment`` with ``sample-env``,
-``greens``, ``corrector`` and ``avg-greens``, criteria 6 and 13 share
-``q_ladder`` with ``qmatrix`` and ``ahom``.
+The experiment kinds of ``parahom.cli`` run the same pipelines through the
+same functions; the kind table in README.md maps each kind to its criteria.
 """
 
 import itertools
@@ -23,19 +19,18 @@ from .environments import PotentialSpec, sample_environment
 from .field_theory import (
     TERMINAL_FUNCTIONALS,
     correlation_identity_check,
+    first_difference_excess,
     malliavin_fd_check,
     massive_lattice_greens,
     poincare_variance_check,
-    thm13_decay_check,
 )
 from .homogenize import (
-    a_hom_extract,
+    a_hom_ladder,
     avg_kernel_excess,
     corrector_solve,
     greens_hat_formula,
     greens_hat_quadrature,
     neumann_series_q,
-    q_ladder,
     q_matrix_single,
     sample_norm,
     t_operator_apply,
@@ -43,7 +38,6 @@ from .homogenize import (
 from .lattice import EllipticityPair, PeriodicCube, heat_kernel_solver, heat_kernel_table
 from .parabolic import (
     CoefficientField,
-    _sweep,
     aronson_fit,
     constant_coefficients,
     damped_perturbation_terms,
@@ -181,14 +175,15 @@ def criterion_5():
     return _result(5, "perturbation series decay", passed, detail, t0)
 
 
+# criteria 6 and 7's 1D two-phase medium a in {1, 4}: a_hom = 1.6, the harmonic mean
+_TWO_PHASE = CoefficientField(PeriodicCube(1, 32), 0.1,
+                              np.tile([1.0, 4.0], 16)[None, None], EllipticityPair(1.0, 4.0))
+
+
 def criterion_6():
     """Cell-problem oracle: harmonic mean for a 1D two-phase medium."""
     t0 = time.time()
-    cube = PeriodicCube(1, 32)
-    vals = np.where(np.arange(32) % 2 == 0, 1.0, 4.0)[None, None, :]
-    a = CoefficientField(cube, 0.1, vals.copy(), EllipticityPair(1.0, 4.0))
-    etas = np.array([1e-1, 1e-2, 1e-3])
-    out = a_hom_extract(etas, [q.value for q in q_ladder([a], [0.0], etas)])
+    out = a_hom_ladder([_TWO_PHASE], [1e-1, 1e-2, 1e-3])
     err = abs(out["a_hom"][0, 0] - 1.6)
     cube2 = PeriodicCube(2, 6)
     ac = constant_coefficients(cube2, 0.05, 1.7, n_times=4)
@@ -205,9 +200,7 @@ def criterion_6():
 def criterion_7():
     """Series and corrector q agree; averaging operator is a contraction."""
     t0 = time.time()
-    cube = PeriodicCube(1, 32)
-    vals = np.where(np.arange(32) % 2 == 0, 1.0, 4.0)[None, None, :]
-    a = CoefficientField(cube, 0.1, vals.copy(), EllipticityPair(1.0, 4.0))
+    a = _TWO_PHASE
     eta = 0.01
     q_corr = q_matrix_single(corrector_solve(a, [0.0], eta=eta), a)
     q_series, _ = neumann_series_q([a], [0.0], eta, m_max=80)
@@ -343,82 +336,21 @@ def criterion_13():
     t0 = time.time()
     # -- part (a): d=3 environment-averaged kernel vs. Gaussian profile ----
     V3 = PotentialSpec("dipole", c=1.0, a_dip=0.3)
-    etas3 = [0.13, 0.013, 0.0013]
     cells3 = [sample_environment(V3, 1.0, PeriodicCube(3, 8), 0.1, 16, 1300 + k)
               for k in range(4)]
-    qs3 = [q.value for q in q_ladder(cells3, [0.0] * 3, etas3)]
-    c3 = float(np.trace(a_hom_extract(np.array(etas3), qs3)["a_hom"]).real / 3)
+    c3 = a_hom_ladder(cells3, [0.13, 0.013, 0.0013])["c_hom"]
     rep_a = avg_kernel_excess(V3, 1.0, PeriodicCube(3, 16), 0.1,
                               [20, 30, 45, 68, 100], 100, c3, seed=1301)["report"]
     part_a_ok = rep_a.alpha_hat > 0 and rep_a.alpha_lower > 0
 
     # -- part (b): d=2 gradient-level elliptic kernel decay ----------------
-    m2, dt2, L2 = 0.25, 0.1, 32
     V2 = PotentialSpec("dipole", c=1.0, a_dip=0.7)
-    etas2 = [0.15, 0.015, 0.0015]
-    cells2 = [sample_environment(V2, m2, PeriodicCube(2, 12), dt2, 32, 1400 + k)
+    cells2 = [sample_environment(V2, 0.25, PeriodicCube(2, 12), 0.1, 32, 1400 + k)
               for k in range(64)]
-    qs2 = [q.value for q in q_ladder(cells2, [0.0] * 2, etas2)]
-    c2 = float(np.trace(a_hom_extract(np.array(etas2), qs2)["a_hom"]).real / 2)
-    cube2 = PeriodicCube(2, L2)
-    n_steps = int(np.ceil(-np.log(1e-5) / (m2 * m2) / dt2))
-    rho = np.exp(-m2 * m2 * dt2)
-    w = rho ** np.arange(n_steps) * (1 - rho) / (m2 * m2)
-    # reference: the identical damped time sum for constant coefficients,
-    # evaluated exactly mode by mode
-    mu = cube2.laplacian_symbol()
-    bsym = 1.0 - dt2 * c2 * mu
-    geo = (1 - rho) / (m2 * m2) * (1 - (rho * bsym) ** n_steps) / (1 - rho * bsym)
-    r_field = np.fft.ifftn((0.5 * (1 + bsym) * geo).reshape((L2, L2))).real.ravel()
-
-    bases = [[0, 0], [16, 0], [0, 16], [16, 16], [8, 8], [24, 8], [8, 24], [24, 24]]
-    # probe offsets relative to the source pair (0, e): a single angular
-    # family with uniform deviation sign, so the log-log fit is not
-    # inflated by angular scatter
-    probes = [(0, 1), (-1, 1), (0, 2), (-1, 2), (-2, 2), (0, 3), (-1, 3),
-              (-2, 3), (0, 4)]
-    radii = np.array([float(np.hypot(*v)) for v in probes])
-    srcs, src_of = [], {}
-    for bx, by in bases:
-        for ox, oy in ([0, 0], [1, 0], [0, 1]):
-            src_of[(bx + ox, by + oy)] = len(srcs)
-            srcs.append(cube2.site_index([bx + ox, by + oy]))
-    triples = []
-    for v in probes:
-        tri = []
-        for bx, by in bases:
-            s0 = src_of[(bx, by)]
-            for k, (ox, oy) in ((0, (1, 0)), (1, (0, 1))):
-                sk = src_of[(bx + ox, by + oy)]
-                # transpose the offset for the e2 pair; average the
-                # reflection across the source axis
-                vs = {(v[0], v[1]), (v[0], -v[1])} if k == 0 else \
-                     {(v[1], v[0]), (-v[1], v[0])}
-                for vx, vy in vs:
-                    tri.append((sk, s0, cube2.site_index([bx + vx, by + vy])))
-        triples.append(tri)
-    n_env = 600
-    first = np.zeros((n_env, len(probes)))
-    for s in range(n_env):
-        a = sample_environment(V2, m2, cube2, dt2, n_steps, 1500 + s)
-        u = np.zeros((len(srcs), cube2.n_sites))
-        for k, si in enumerate(srcs):
-            u[k, si] = 1.0
-        E = np.zeros_like(u)
-        for i, un in _sweep(cube2, a.values.__getitem__, u, range(n_steps), dt2):
-            E += w[i] * 0.5 * (u + un)
-            u = un
-        for j, tri in enumerate(triples):
-            first[s, j] = np.mean([E[sk, x] - E[s0, x] for sk, s0, x in tri])
-
-    refs = np.array([
-        r_field[cube2.site_index([v[0] - 1, v[1]])]
-        - r_field[cube2.site_index([v[0], v[1]])]
-        for v in probes
-    ])
-    d1 = np.abs(first.mean(axis=0) - refs)
-    s1 = first.std(axis=0, ddof=1) / np.sqrt(n_env)
-    rep_b = thm13_decay_check(d1, radii, d=2, base_exponent=1.0, sigma=s1)
+    c2 = a_hom_ladder(cells2, [0.15, 0.015, 0.0015])["c_hom"]
+    out_b = first_difference_excess(V2, 0.25, PeriodicCube(2, 32), 0.1, c2, 600,
+                                    seed=1500)
+    rep_b = out_b["report"]
     part_b_ok = rep_b.extras["excess"] > 0 and rep_b.extras["excess_lower"] > 0
     passed = part_a_ok and part_b_ok
     detail = (
@@ -426,7 +358,7 @@ def criterion_13():
         f"(lower {rep_a.alpha_lower:.2f}); d=2 elliptic first-difference: "
         f"excess {rep_b.extras['excess']:.2f} "
         f"(lower {rep_b.extras['excess_lower']:.2f}, "
-        f"{rep_b.extras['excluded']} of {len(probes)} probes excluded)"
+        f"{rep_b.extras['excluded']} of {out_b['first'].shape[1]} probes excluded)"
     )
     return _result(13, "decay-rate measurements", passed, detail, t0)
 

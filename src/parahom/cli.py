@@ -7,17 +7,10 @@ output directory.  Identical (config, seed) pairs produce byte-identical data
 artifacts; the manifest additionally records the wall time of the run.
 
 Each kind runs the pipeline of an acceptance criterion through the same
-functions: ``sample-env``, ``greens``, ``corrector`` and ``avg-greens``
-sample with ``sample_environment`` (criteria 2, 3, 13); ``qmatrix`` and
-``ahom`` run the eta-ladder ``q_ladder`` (criteria 6, 13); ``thm13`` runs
-criterion 13(a)'s pipeline (``avg_kernel_excess``), by default as a
-scaled-down stand-in at d=1, dt=0.05 (the criterion runs d=3, L=16,
-dt=0.1); ``heat-kernel``, ``correlate``,
-``malliavin``, ``poincare`` and ``sde-appendix`` are criteria 1, 9, 10, 11
-and 12 (``finite_dimensional_suite``).  A runner maps params to (payload,
-verdicts) and only ``run`` writes files: a dict payload becomes
-``<kind>.json`` with the config added, a (columns, rows) pair
-``<kind>.csv`` under the config header.
+functions; the kind table in README.md maps each kind to its criteria.  A
+runner maps params to (payload, verdicts) and only ``run`` writes files: a
+dict payload becomes ``<kind>.json`` with the config added, a (columns,
+rows) pair ``<kind>.csv`` under the config header.
 
 Exit codes: 0 all verdicts pass, 1 verdict failure, 2 configuration error,
 3 internal error.  The master seed may be overridden by the ``PARAHOM_SEED``
@@ -50,11 +43,11 @@ from .field_theory import (
     poincare_variance_check,
 )
 from .homogenize import (
-    a_hom_extract,
+    a_hom_ladder,
     avg_greens_mc,
     avg_kernel_excess,
     corrector_solve,
-    q_ladder,
+    q_matrix,
     q_matrix_single,
     rate_fit,
 )
@@ -166,7 +159,7 @@ def _run_qmatrix(p):
     if len(p["xi"]) != p["d"]:
         raise ConfigError(f"xi: expected {p['d']} components, got {len(p['xi'])}")
     fields = _samples(p, p["n_steps"], p["n_env"])
-    [q] = q_ladder(fields, p["xi"], [p["eta"]])
+    q = q_matrix([(corrector_solve(a, p["xi"], eta=p["eta"]), a) for a in fields])
     row = ([float(x) for x in p["xi"]] + [p["eta"]]
            + [float(v) for v in np.real(q.value).ravel()]
            + [float(v) for v in q.stderr.ravel()])
@@ -184,12 +177,11 @@ def _run_qmatrix(p):
 def _run_ahom(p):
     etas = sorted(p["etas"], reverse=True)
     fields = _samples(p, p["n_steps"], p["n_env"])
-    qs = [q.value for q in q_ladder(fields, [0.0] * p["d"], etas)]
-    out = a_hom_extract(np.array(etas), qs)
+    out = a_hom_ladder(fields, etas)
     payload = {
         "etas": [float(e) for e in etas],
-        "q_values": [np.real(q).tolist() for q in qs],
-        "a_hom": np.real(out["a_hom"]).tolist(),
+        "q_values": [np.real(q.value).tolist() for q in out["q"]],
+        "a_hom": out["a_hom"].tolist(),
         "uncertainty": out["uncertainty"],
         "flagged": bool(out["flagged"]),
     }
@@ -254,8 +246,7 @@ def _run_thm13(p):
     cells = [sample_environment(V, p["m"], PeriodicCube(d, 8), p["dt"], 16,
                                 p["seed"] + 7000 + k)
              for k in range(p["n_env_cell"])]
-    qs = [q.value for q in q_ladder(cells, [0.0] * d, etas)]
-    c_hom = float(np.trace(a_hom_extract(np.array(etas), qs)["a_hom"]).real / d)
+    c_hom = a_hom_ladder(cells, etas)["c_hom"]
     out = avg_kernel_excess(V, p["m"], PeriodicCube(d, p["L"]), p["dt"],
                             p["t_indices"], p["n_samples"], c_hom, seed=p["seed"])
     rep = out["report"]

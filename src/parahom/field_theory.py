@@ -7,6 +7,7 @@ Four families of computations:
   against the massive lattice Green's function as the exact covariance
   of the quadratic case,
 * decay-rate measurement of a lattice-vs-continuum kernel difference,
+  with criterion 13(b)'s d=2 first differences as a per-environment map,
 * the Malliavin-derivative identity: the response of phi(x, t) to a
   single Brownian increment equals the damped backward Green's function,
 * the variance inequality Var G <= < || D G ||^2 > for terminal-time
@@ -27,6 +28,7 @@ from .environments import (
     check_langevin_window,
     hessian_coefficients,
     langevin_path,
+    sample_environment,
 )
 from .errors import ConfigError
 from .homogenize import rate_fit
@@ -173,31 +175,99 @@ def _index_of(pool: list, item) -> int:
 # -- decay-rate extraction ---------------------------------------------------------
 
 
-def thm13_decay_check(
-    diffs: np.ndarray,
-    radii: np.ndarray,
-    d: int,
-    base_exponent: float,
-    sigma: np.ndarray = None,
-):
+def thm13_decay_check(diffs: np.ndarray, radii: np.ndarray, base_exponent: float,
+                      sigma: np.ndarray):
     """Fit the decay of |lattice correlation - continuum kernel| against
     |x| and report the excess over the reference exponent.
 
     ``base_exponent`` is d-2 for values, d-1 for first differences, d for
-    second differences.  Points where the noise level exceeds half the
-    signal are excluded and reported.
+    second differences.  Points where the noise level ``sigma`` exceeds
+    half the signal are excluded and reported.
     """
     radii = np.asarray(radii, dtype=float)
     diffs = np.asarray(diffs, dtype=float)
-    keep = np.ones(radii.size, dtype=bool)
-    if sigma is not None:
-        keep &= np.asarray(sigma) < 0.5 * np.abs(diffs)
+    keep = np.asarray(sigma) < 0.5 * np.abs(diffs)
     report = rate_fit(radii[keep], np.abs(diffs[keep]), mode="epsilon")
     excess = -report.slope - base_exponent
     report.extras["excess"] = float(excess)
     report.extras["excess_lower"] = float(excess - 2.0 * report.slope_stderr)
     report.extras["excluded"] = int((~keep).sum())
     return report
+
+
+# criterion 13(b)'s probe offsets relative to the source pair (0, e): a
+# single angular family with uniform deviation sign, so the log-log fit is
+# not inflated by angular scatter
+_PROBES = ((0, 1), (-1, 1), (0, 2), (-1, 2), (-2, 2), (0, 3), (-1, 3), (-2, 3), (0, 4))
+
+
+def _damping(m: float, dt: float) -> tuple[int, float]:
+    """Steps of the damped time sum, cut where the weight left is 1e-5, and
+    its factor per step rho = e^{-m^2 dt}."""
+    return int(np.ceil(-np.log(1e-5) / (m * m) / dt)), np.exp(-m * m * dt)
+
+
+def first_difference_row(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
+                         seed: int) -> np.ndarray:
+    """Criterion 13(b) on one environment, a pure function of its arguments:
+    on ``sample_environment(V, m, cube, dt, n_steps, seed)`` the forward
+    solves from eight bases on the d=2 torus and their e1, e2 neighbours,
+    summed as E = sum_i w_i (u_i + u_{i+1}) / 2, w_i = rho^i (1 - rho) / m^2,
+    and per probe the mean of E[base + e, x] - E[base, x] over both pairs."""
+    n_steps, rho = _damping(m, dt)
+    w = rho ** np.arange(n_steps) * (1 - rho) / (m * m)
+    h, q = cube.L // 2, cube.L // 4
+    bases = [[0, 0], [h, 0], [0, h], [h, h], [q, q], [3 * q, q], [q, 3 * q],
+             [3 * q, 3 * q]]
+    # sources 3b, 3b + 1 and 3b + 2 are base b and its e1 and e2 neighbours
+    srcs = [cube.site_index([bx + ox, by + oy]) for bx, by in bases
+            for ox, oy in ((0, 0), (1, 0), (0, 1))]
+    a = sample_environment(V, m, cube, dt, n_steps, seed)
+    u = np.zeros((len(srcs), cube.n_sites))
+    u[np.arange(len(srcs)), srcs] = 1.0
+    E = np.zeros_like(u)
+    for i, un in _sweep(cube, a.values.__getitem__, u, range(n_steps), dt):
+        E += w[i] * 0.5 * (u + un)
+        u = un
+    row = []
+    for v in _PROBES:
+        tri = []
+        for b, (bx, by) in enumerate(bases):
+            # transpose the offset for the e2 pair; average the reflection
+            # across the source axis
+            for k, vs in ((1, {(v[0], v[1]), (v[0], -v[1])}),
+                          (2, {(v[1], v[0]), (-v[1], v[0])})):
+                for x in (cube.site_index([bx + vx, by + vy]) for vx, vy in vs):
+                    tri.append(E[3 * b + k, x] - E[3 * b, x])
+        row.append(np.mean(tri))
+    return np.array(row)
+
+
+def first_difference_reference(cube: PeriodicCube, m: float, dt: float,
+                               c_hom: float) -> np.ndarray:
+    """``first_difference_row`` for the constant coefficient c_hom: the same
+    damped time sum, evaluated exactly mode by mode."""
+    n_steps, rho = _damping(m, dt)
+    bsym = 1.0 - dt * c_hom * cube.laplacian_symbol()
+    geo = (1 - rho) / (m * m) * (1 - (rho * bsym) ** n_steps) / (1 - rho * bsym)
+    r_field = np.fft.ifftn(0.5 * (1 + bsym) * geo).real.ravel()
+    return np.array([r_field[cube.site_index([v[0] - 1, v[1]])]
+                     - r_field[cube.site_index([v[0], v[1]])] for v in _PROBES])
+
+
+def first_difference_excess(V: PotentialSpec, m: float, cube: PeriodicCube,
+                            dt: float, c_hom: float, n_env: int, seed: int) -> dict:
+    """Criterion 13(b): ``first_difference_row`` mapped over the seeds seed,
+    ..., seed + n_env - 1 as the matrix ``first``, and the RateReport
+    ``report`` of the mean row's gap to the c_hom reference against the
+    probe radius, beyond the exponent 1 of first differences in d=2."""
+    first = np.array([first_difference_row(V, m, cube, dt, s)
+                      for s in range(seed, seed + n_env)])
+    d1 = np.abs(first.mean(axis=0) - first_difference_reference(cube, m, dt, c_hom))
+    s1 = first.std(axis=0, ddof=1) / np.sqrt(n_env)
+    radii = np.array([float(np.hypot(*v)) for v in _PROBES])
+    return {"first": first,
+            "report": thm13_decay_check(d1, radii, base_exponent=1.0, sigma=s1)}
 
 
 # -- Malliavin derivative ----------------------------------------------------------

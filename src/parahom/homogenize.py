@@ -331,15 +331,6 @@ def q_matrix(pairs: list) -> QMatrix:
     return _q_estimate([q_matrix_single(c, a) for c, a in pairs], corr.xi, corr.eta)
 
 
-def q_ladder(fields: list, xi, etas) -> list:
-    """The regularization ladder: q(xi, eta) averaged over the
-    already-sampled coefficient ``fields``, one QMatrix per eta of ``etas``
-    (in the given order).  Each field is solved once per eta and sampled
-    only once."""
-    return [q_matrix([(corrector_solve(a, xi, eta=float(eta)), a) for a in fields])
-            for eta in etas]
-
-
 # -- the shift operator T and the Neumann series --------------------------------
 
 
@@ -453,6 +444,17 @@ def a_hom_extract(etas: np.ndarray, q_values: list) -> dict:
     flagged = bool(any(diffs[i + 1] > diffs[i] + spread for i in range(len(diffs) - 1)))
     return {"a_hom": value, "uncertainty": float(spread), "flagged": flagged,
             "extrapolants": extrap}
+
+
+def a_hom_ladder(fields: list, etas) -> dict:
+    """``a_hom_extract`` of the ladder q(0, eta), eta in ``etas``, each the
+    mean over the already-sampled coefficient ``fields``, plus the per-eta
+    QMatrix list ``q`` and the scalar ``c_hom = trace(a_hom) / d``."""
+    d = fields[0].cube.d
+    qs = [q_matrix([(corrector_solve(a, [0.0] * d, eta=float(eta)), a) for a in fields])
+          for eta in etas]
+    out = a_hom_extract(np.asarray(etas), [q.value for q in qs])
+    return {**out, "q": qs, "c_hom": float(np.trace(out["a_hom"]) / d)}
 
 
 # -- averaged Green's function ----------------------------------------------------

@@ -1,8 +1,9 @@
 """Acceptance gate: one verdict line per criterion.
 
-Criterion 13 (decay-rate measurements) takes about 11 minutes (636 s on
-one core of a 2-core machine, Python 3.11, numpy 2.4, scipy 1.17) and only
-runs when the environment variable PARAHOM_TIER is set to "full".
+Criterion 13 (decay-rate measurements) takes about 9 minutes (546 s on
+one core of a 2-core machine with the other core idle, Python 3.11, numpy
+2.4, scipy 1.17) and only runs when the environment variable PARAHOM_TIER
+is set to "full".
 """
 
 import os

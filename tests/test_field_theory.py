@@ -1,5 +1,8 @@
 """Correlation-identity, Malliavin, and variance-inequality tests."""
 
+import functools
+import pickle
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -18,7 +21,13 @@ from parahom import (
     langevin_simulate,
 )
 from parahom.environments import brownian_increments, hessian_coefficients, langevin_path
+from parahom.field_theory import (
+    first_difference_excess,
+    first_difference_reference,
+    first_difference_row,
+)
 from parahom.parabolic import div_a_grad
+from test_lattice import same_bits
 
 
 def massive_greens_integral(m, x, c=1.0):
@@ -140,7 +149,7 @@ def test_thm13_decay_check_synthetic():
     base = 1.0  # first differences in d=2
     excess = 0.4
     diffs = 2.0 * radii ** -(base + excess)
-    rep = thm13_decay_check(diffs, radii, d=2, base_exponent=base)
+    rep = thm13_decay_check(diffs, radii, base_exponent=base, sigma=np.zeros(5))
     assert rep.extras["excess"] == pytest.approx(excess, abs=1e-6)
     assert rep.extras["excess_lower"] > 0
     assert rep.extras["excluded"] == 0
@@ -151,9 +160,34 @@ def test_thm13_decay_check_excludes_noisy_points():
     diffs = radii**-1.3
     sigma = np.zeros(6)
     sigma[-1] = 10.0 * diffs[-1]  # drown the last point in noise
-    rep = thm13_decay_check(diffs, radii, d=2, base_exponent=1.0, sigma=sigma)
+    rep = thm13_decay_check(diffs, radii, base_exponent=1.0, sigma=sigma)
     assert rep.extras["excluded"] == 1
     assert rep.extras["excess"] == pytest.approx(0.3, abs=1e-6)
+
+
+@pytest.mark.parametrize("c, L", [(1.0, 8), (1.3, 12)])
+def test_first_difference_row_of_constant_coefficients_is_the_reference(c, L):
+    # the quadratic potential's coefficients are the constant c, and the
+    # damped sum of constant-coefficient steps is the reference mode by mode;
+    # the row runs as the pickled partial a process pool would map
+    cube = PeriodicCube(2, L)
+    row_of = functools.partial(first_difference_row, PotentialSpec("quadratic", c=c),
+                               1.0, cube, 0.1)
+    row = pickle.loads(pickle.dumps(row_of))(5)
+    ref = first_difference_reference(cube, 1.0, 0.1, c)
+    assert row.shape == ref.shape == (9,)
+    assert np.abs(row - ref).max() <= 1e-12
+    assert np.abs(ref).min() > 1e-4  # every probe carries signal
+
+
+def test_first_difference_excess_fits_the_rows_of_consecutive_seeds():
+    V, cube = PotentialSpec("dipole", c=1.0, a_dip=0.7), PeriodicCube(2, 8)
+    out = first_difference_excess(V, 1.0, cube, 0.1, 1.0, 3, seed=40)
+    rows = [first_difference_row(V, 1.0, cube, 0.1, s) for s in (40, 41, 42)]
+    assert same_bits(out["first"], np.array(rows))
+    rep = out["report"]
+    assert rep.extras["excluded"] + len(rep.scales) == 9
+    assert np.isfinite(rep.extras["excess"])
 
 
 # -- Malliavin finite difference ---------------------------------------------------------

@@ -331,6 +331,21 @@ def test_a_hom_extract_two_phase():
     assert out["a_hom"][0, 0] == pytest.approx(1.6, abs=0.005)
 
 
+def test_a_hom_ladder_is_the_extrapolated_sample_mean_ladder():
+    fields = [random_field(2, 6, 4, 0.5, 1.5, seed=s) for s in range(2)]
+    etas = [0.2, 0.02, 0.002]
+    out = homogenize.a_hom_ladder(fields, etas)
+    qs = [q_matrix([(corrector_solve(a, [0.0, 0.0], eta=eta), a) for a in fields])
+          for eta in etas]
+    assert [q.eta for q in out["q"]] == etas
+    assert all(same_bits(q.value, r.value) and same_bits(q.stderr, r.stderr)
+               for q, r in zip(out["q"], qs))
+    ref = a_hom_extract(np.array(etas), [q.value for q in qs])
+    assert same_bits(out["a_hom"], ref["a_hom"])
+    assert out["uncertainty"] == ref["uncertainty"]
+    assert out["c_hom"] == np.trace(ref["a_hom"]) / 2
+
+
 def test_a_hom_extract_guards():
     with pytest.raises(ConfigError):
         a_hom_extract(np.array([0.1, 0.2, 0.3]), [np.eye(1)] * 3)
