@@ -9,13 +9,14 @@ The experiment kinds of ``parahom.cli`` run the same pipelines through the
 same functions; the kind table in README.md maps each kind to its criteria.
 """
 
+import functools
 import itertools
 import time
 
 import numpy as np
 
 from .convex_diffusion import finite_dimensional_suite
-from .environments import PotentialSpec, sample_environment
+from .environments import PotentialSpec, _map_on_cores, sample_environment
 from .field_theory import (
     TERMINAL_FUNCTIONALS,
     correlation_identity_check,
@@ -250,10 +251,15 @@ def criterion_9():
     exact = abs(massive_lattice_greens(PeriodicCube(1, 64), 1.0, [0]) - 5**-0.5)
     cube = PeriodicCube(1, 16)
     Vq = PotentialSpec("quadratic", c=1.0)
-    out_q = correlation_identity_check(
-        Vq, 1.0, cube, [[0], [2]], n_samples=10000, dt=0.02, seed=9,
-        anchors=[0, 8], batch=200,
-    )
+    Vd = PotentialSpec("dipole", c=1.0, a_dip=0.2)
+    cube_d = PeriodicCube(1, 12)
+    out_q, out_d = _map_on_cores(lambda check: check(), [
+        functools.partial(correlation_identity_check, Vq, 1.0, cube, [[0], [2]],
+                          n_samples=10000, dt=0.02, seed=9, anchors=[0, 8], batch=200),
+        functools.partial(correlation_identity_check, Vd, 1.0, cube_d,
+                          [[x] for x in range(-4, 5)], n_samples=10000, dt=0.025,
+                          seed=19, anchors=[0, 4, 8], batch=200),
+    ])
     worst_q = 0.0
     for p, x in enumerate([[0], [2]]):
         oracle = massive_lattice_greens(cube, 1.0, x)
@@ -262,12 +268,6 @@ def criterion_9():
         sigma_side = np.sqrt((c00 * c00 + oracle * oracle) / out_q["n_samples"])
         for side in ("lhs", "rhs"):
             worst_q = max(worst_q, abs(out_q[side][p] - oracle) / (3 * sigma_side))
-    Vd = PotentialSpec("dipole", c=1.0, a_dip=0.2)
-    cube_d = PeriodicCube(1, 12)
-    out_d = correlation_identity_check(
-        Vd, 1.0, cube_d, [[x] for x in range(-4, 5)], n_samples=10000,
-        dt=0.025, seed=19, anchors=[0, 4, 8], batch=200,
-    )
     z_max = float(np.max(np.abs(out_d["difference"]) / out_d["sigma"]))
     passed = exact < 1e-4 and worst_q <= 1.0 and z_max <= 3.0
     detail = (
@@ -306,9 +306,11 @@ def criterion_11():
     cases = [(Vq, TERMINAL_FUNCTIONALS["site"]),
              (Vd, TERMINAL_FUNCTIONALS["tanh-sum"]),
              (Vd, TERMINAL_FUNCTIONALS["sin-sum"])]
+    outs = _map_on_cores(lambda check: check(), [
+        functools.partial(poincare_variance_check, V, 1.0, cube, 0.05, 120, F, 10000,
+                          seed=11 + k) for k, (V, F) in enumerate(cases)])
     ratios, ok = [], True
-    for k, (V, F) in enumerate(cases):
-        out = poincare_variance_check(V, 1.0, cube, 0.05, 120, F, 10000, seed=11 + k)
+    for (V, F), out in zip(cases, outs):
         ratios.append(f"{F.name}: {out['ratio']:.3f}")
         ok = ok and out["passes"]
     detail = "variance/bound ratios (tol 1 + 3 sigma): " + ", ".join(ratios)
@@ -336,17 +338,15 @@ def criterion_13():
     t0 = time.time()
     # -- part (a): d=3 environment-averaged kernel vs. Gaussian profile ----
     V3 = PotentialSpec("dipole", c=1.0, a_dip=0.3)
-    cells3 = [sample_environment(V3, 1.0, PeriodicCube(3, 8), 0.1, 16, 1300 + k)
-              for k in range(4)]
-    c3 = a_hom_ladder(cells3, [0.13, 0.013, 0.0013])["c_hom"]
-    rep_a = avg_kernel_excess(V3, 1.0, PeriodicCube(3, 16), 0.1,
-                              [20, 30, 45, 68, 100], 100, c3, seed=1301)["report"]
+    rep_a = avg_kernel_excess(V3, 1.0, PeriodicCube(3, 16), 0.1, [0.13, 0.013, 0.0013],
+                              range(1300, 1304), [20, 30, 45, 68, 100], 100,
+                              seed=1301)["report"]
     part_a_ok = rep_a.alpha_hat > 0 and rep_a.alpha_lower > 0
 
     # -- part (b): d=2 gradient-level elliptic kernel decay ----------------
     V2 = PotentialSpec("dipole", c=1.0, a_dip=0.7)
-    cells2 = [sample_environment(V2, 0.25, PeriodicCube(2, 12), 0.1, 32, 1400 + k)
-              for k in range(64)]
+    cells2 = _map_on_cores(functools.partial(
+        sample_environment, V2, 0.25, PeriodicCube(2, 12), 0.1, 32), range(1400, 1464))
     c2 = a_hom_ladder(cells2, [0.15, 0.015, 0.0015])["c_hom"]
     out_b = first_difference_excess(V2, 0.25, PeriodicCube(2, 32), 0.1, c2, 600,
                                     seed=1500)

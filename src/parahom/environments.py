@@ -9,12 +9,15 @@ produces `FieldTrajectory` objects.  The coefficient map turns a
 trajectory into a `CoefficientField` for the parabolic solvers by
 evaluating the Hessian V''(grad phi).  ``check_langevin_window`` is the
 one guard of the integrator's stability window; every entry point that
-steps the dynamics calls it before the first step.
+steps the dynamics calls it before the first step.  ``_map_on_cores``
+maps a function over independent environments (seeds) on every core.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +26,105 @@ import numpy as np
 from .errors import ConfigError, UnsupportedVariantError
 from .lattice import EllipticityPair, PeriodicCube
 from .parabolic import CoefficientField
+
+
+_SIGKILL = 9  # os.kill's signal number; the signal module is not loaded
+_inside_map = False  # True while a _map_on_cores call runs its function
+
+
+# -- process-parallel map --------------------------------------------------------
+
+
+def _map_on_cores(fn, items) -> list:
+    """``[fn(x) for x in items]`` in input order, computed on every core.
+
+    The items are cut into contiguous chunks, one per core this process
+    may run on (``os.sched_getaffinity``) and at most one per item.  The
+    parent computes the first chunk itself; each other chunk runs in an
+    ``os.fork`` child that pickles its results, or the exception it
+    raised, back through a pipe.  ``fn`` and the items reach the children
+    by fork, not by pickling, so closures work.  With one core or one
+    item, without ``os.fork``, or inside the mapped function of another
+    call (in the parent or a worker) it is the plain serial loop, so it
+    never runs more processes than cores.
+    """
+    global _inside_map
+    items = list(items)
+    n_chunks = 1
+    if not _inside_map and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n_chunks = min(len(os.sched_getaffinity(0)), len(items))
+    if n_chunks <= 1:
+        return [fn(x) for x in items]
+    ends = [len(items) * k // n_chunks for k in range(n_chunks + 1)]
+    chunks = [items[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    workers, payloads = [], []  # (pid, read end) per forked chunk; its bytes
+    try:
+        for chunk in chunks[1:]:
+            workers.append(_fork_worker(fn, chunk))
+        _inside_map = True
+        try:
+            results = [fn(x) for x in chunks[0]]
+        finally:
+            _inside_map = False
+        for _, fd in workers:
+            with open(fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for _, fd in workers:
+            os.close(fd)
+        statuses = []
+        for pid, _ in workers:
+            if len(payloads) < len(workers):  # unwinding: stop work nobody reads
+                os.kill(pid, _SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), data, status in zip(workers, payloads, statuses):
+        if status != 0 or not data:
+            raise RuntimeError(
+                f"map worker {pid} ended without a result (exit status {status})")
+        try:
+            ok, value = pickle.loads(data)
+        except Exception as exc:
+            raise RuntimeError(f"map worker {pid} sent a result that could not be "
+                               f"unpickled: {exc!r}") from exc
+        if not ok:
+            raise value
+        results += value
+    return results
+
+
+def _fork_worker(fn, chunk) -> tuple[int, int]:
+    """Fork a child that sends ``(True, [fn(x) for x in chunk])``, or
+    ``(False, exception)``, pickled to a pipe and then ends with
+    ``os._exit`` on every path; return (its pid, the pipe's read end)."""
+    global _inside_map
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        _inside_map = True
+        try:
+            message = (True, [fn(x) for x in chunk])
+        except BaseException as exc:
+            message = (False, exc)
+        try:
+            data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # an unpicklable result or exception
+            data = pickle.dumps((False, RuntimeError(
+                f"map worker result could not be pickled: {exc!r}")))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # -- potentials --------------------------------------------------------------

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IntegrityError, SolverError
-from .environments import PotentialSpec, sample_environment
+from .environments import PotentialSpec, _map_on_cores, sample_environment
 from .lattice import PeriodicCube, heat_kernel_1d, hom_gaussian_kernel
 from .parabolic import CoefficientField, _point_source, solve_forward
 
@@ -476,6 +476,11 @@ def avg_greens_mc(
     ``t_indices`` are averaged.  Returns mean and per-point standard
     error, shapes (len(t_indices), n_sites).  Time indices must be
     non-negative: a negative one would silently wrap to a late level.
+
+    The samples run on every core (``environments._map_on_cores``; the
+    sampler reaches the worker processes by fork, so a closure serves) and
+    are summed in sample order, so the output does not depend on the
+    number of cores.
     """
     if n_samples < 2:
         raise ConfigError("need n_samples >= 2 for error bars")
@@ -484,13 +489,15 @@ def avg_greens_mc(
     if t_indices.size == 0 or t_indices.min() < 0:
         raise ConfigError(
             f"t_indices: need non-negative time indices, got {t_indices.tolist()}")
+    t_max = int(t_indices.max())
+
+    def sample(child):
+        return solve_forward(sampler(child), delta, t_max)[t_indices]
+
     children = np.random.SeedSequence(seed).spawn(n_samples)
     acc = np.zeros((t_indices.size, cube.n_sites))
     acc2 = np.zeros_like(acc)
-    for s in range(n_samples):
-        a = sampler(children[s])
-        traj = solve_forward(a, delta, int(t_indices.max()))
-        vals = traj[t_indices]
+    for vals in _map_on_cores(sample, children):
         acc += vals
         acc2 += vals**2
     mean = acc / n_samples
@@ -501,15 +508,22 @@ def avg_greens_mc(
 
 
 def avg_kernel_excess(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
-                      t_indices, n_samples: int, c_hom: float, seed: int = 0) -> dict:
-    """The kernel at the origin averaged over ``n_samples`` draws of
-    ``sample_environment`` (V, m, cube, dt), against the Gaussian of
-    diffusivity c_hom I summed over the torus images -3L..3L, and the
-    ``greens-decay`` fit of their difference against Lam t + 1.
+                      etas, cell_seeds, t_indices, n_samples: int, seed: int = 0) -> dict:
+    """Criterion 13(a): the homogenized c_hom, the ``a_hom_ladder`` at
+    ``etas`` of the cells ``sample_environment`` (V, m, PeriodicCube(d, 8),
+    dt, 16 steps, s) for s in ``cell_seeds``; then the kernel at the origin
+    averaged over ``n_samples`` draws of ``sample_environment`` (V, m, cube,
+    dt), against the Gaussian of diffusivity c_hom I summed over the torus
+    images -3L..3L, and the ``greens-decay`` fit of their difference
+    against Lam t + 1.
 
-    Returns per t_index the ``mean`` and ``stderr`` at the origin, the
-    ``gaussian`` and the ``diffs``, plus the RateReport ``report``.
+    Returns ``c_hom``, per t_index the ``mean`` and ``stderr`` at the
+    origin, the ``gaussian`` and the ``diffs``, plus the RateReport
+    ``report``.
     """
+    cells = _map_on_cores(functools.partial(
+        sample_environment, V, m, PeriodicCube(cube.d, 8), dt, 16), cell_seeds)
+    c_hom = a_hom_ladder(cells, etas)["c_hom"]
     t_indices = np.asarray(t_indices, dtype=int)
     sampler = functools.partial(sample_environment, V, m, cube, dt,
                                 int(t_indices.max()))
@@ -525,7 +539,7 @@ def avg_kernel_excess(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
     diffs = np.abs(mean - gaussian)
     report = rate_fit(V.window.Lam * t_indices * dt + 1.0, diffs,
                       mode="greens-decay", d=cube.d)
-    return {"mean": mean, "stderr": mc["stderr"][:, origin],
+    return {"c_hom": c_hom, "mean": mean, "stderr": mc["stderr"][:, origin],
             "gaussian": gaussian, "diffs": diffs, "report": report}
 
 

@@ -1,4 +1,7 @@
-"""Sampler and coefficient-map tests."""
+"""Sampler, coefficient-map and process-parallel map tests."""
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -12,9 +15,15 @@ from parahom import (
     PotentialSpec,
     UnsupportedVariantError,
     coefficient_field,
+    constant_coefficients,
     langevin_simulate,
 )
-from parahom.environments import brownian_increments, langevin_drift, langevin_path
+from parahom.environments import (
+    _map_on_cores,
+    brownian_increments,
+    langevin_drift,
+    langevin_path,
+)
 
 
 # -- potentials --------------------------------------------------------------
@@ -242,3 +251,97 @@ def test_matrix_of_gradient_dipole_entries():
     assert a.window == V.window  # the window comes from the potential
     with pytest.raises(ConfigError):
         CoefficientMap("scalar-of-field", potential=V)  # the one variant
+
+
+# -- process-parallel map -----------------------------------------------------------------
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """The map sees two cores, whatever the machine has; after the test no
+    worker process is left, neither running nor unreaped."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+def test_map_on_cores_keeps_input_order_and_runs_closures(two_cores):
+    offset = 10  # a closure: the function reaches the worker by fork
+    parent = os.getpid()
+    out = _map_on_cores(lambda x: (x + offset, os.getpid() == parent), range(7))
+    assert [v for v, _ in out] == list(range(10, 17))
+    assert [in_parent for _, in_parent in out] == [True] * 3 + [False] * 4
+
+
+def test_map_on_cores_sends_a_coefficient_field_back_read_only(two_cores):
+    cube = PeriodicCube(1, 4)
+    fields = _map_on_cores(lambda c: constant_coefficients(cube, 0.1, c), [1.0, 2.0])
+    assert fields[1].values[0, 0, 0] == 2.0 and fields[1].window.lam == 2.0
+    assert not fields[1].values.flags.writeable
+
+
+def test_map_on_cores_raises_a_worker_config_error_in_the_parent(two_cores):
+    def fn(x):
+        if x == 3:
+            raise ConfigError(f"item {x} is refused")
+        return x
+
+    with pytest.raises(ConfigError, match="item 3 is refused"):
+        _map_on_cores(fn, range(4))
+
+
+def test_map_on_cores_names_the_exit_status_of_a_worker_without_result(two_cores):
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        _map_on_cores(lambda x: os._exit(3) if x == 1 else x, [0, 1])
+
+
+class _TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: its args hold one of its two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("send, message", [
+    (lambda: (lambda: None), "could not be pickled"),
+    (lambda: _raise(_TwoArgumentError(1, 2)), "could not be unpickled"),
+])
+def test_map_on_cores_reports_a_result_that_cannot_cross(two_cores, send, message):
+    with pytest.raises(RuntimeError, match=message):
+        _map_on_cores(lambda x: send() if x else x, [0, 1])
+
+
+def test_map_on_cores_stops_the_workers_when_the_parent_chunk_raises(two_cores):
+    def fn(x):
+        if x == 0:
+            raise KeyError("parent chunk")
+        time.sleep(60)  # the worker's chunk: killed, not waited for
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError, match="parent chunk"):
+        _map_on_cores(fn, [0, 1])
+    assert time.perf_counter() - t0 < 30
+
+
+def test_map_on_cores_runs_a_nested_call_serially(two_cores, monkeypatch):
+    def fn(x):  # in the parent's chunk and in the worker's
+        monkeypatch.setattr(os, "fork", _no_fork)  # after the outer fork
+        return sum(_map_on_cores(lambda y: x * y, [1, 2, 3]))
+
+    assert _map_on_cores(fn, [1, 2]) == [6, 12]
+
+
+def test_map_on_cores_forks_nothing_for_one_item_or_one_core(two_cores, monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _map_on_cores(lambda x: x + 1, [4]) == [5]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _map_on_cores(lambda x: x + 1, [4, 5, 6]) == [5, 6, 7]

@@ -1,5 +1,7 @@
 """Corrector, effective-coefficient, T-operator, and rate-fit tests."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -452,6 +454,23 @@ def test_avg_greens_constant_environment():
     out = avg_greens_mc(sampler, cube, cube.site_index([0]), [10, 40], 4, seed=1)
     assert np.abs(out["stderr"]).max() < 1e-14  # zero variance
     assert np.abs(out["mean"].sum(axis=-1) - 1.0).max() < 1e-10
+
+
+def test_avg_greens_is_the_same_on_one_core_and_on_two(monkeypatch):
+    cube = PeriodicCube(1, 12)
+
+    def sampler(seed_seq):  # a closure: it reaches the workers by fork
+        vals = np.random.default_rng(seed_seq).uniform(0.5, 1.5, size=(20, 1, 12))
+        return CoefficientField(cube, 0.05, vals, EllipticityPair(0.5, 1.5))
+
+    outs = []
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        outs.append(avg_greens_mc(sampler, cube, 3, [5, 20], 7, seed=4))
+    for key in ("mean", "stderr"):
+        assert np.array_equal(outs[0][key], outs[1][key])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # the worker was reaped
 
 
 def test_avg_greens_mass_and_symmetry():
