@@ -39,7 +39,6 @@ from .homogenize import (
     a_hom_extract,
     avg_greens_mc,
     corrector_solve,
-    e_vector,
     greens_hat_formula,
     greens_hat_quadrature,
     neumann_series_q,

@@ -92,7 +92,7 @@ def criterion_2():
     worst = 0.0
     for k in range(20):
         a = sample_environment(V, 1.0, PeriodicCube(2, 16), 0.1, 10, 200 + k)
-        _, mats = greens_backward_matrix(a, t_index=10)
+        mats = greens_backward_matrix(a, t_index=10)
         worst = max(worst, float(np.abs(mats.sum(axis=1) - 1.0).max()))
         worst = max(worst, float(np.abs(mats.sum(axis=2) - 1.0).max()))
     passed = worst < 1e-8

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__, acceptance
 from .config import (
     KINDS,
+    ExperimentConfig,
     dump_json,
     fmt17,
     load_config,
@@ -131,7 +132,7 @@ def _run_greens(p):
                         + xc + [t, float(table.values[k, y])])
     cols = ([f"y{j}" for j in range(cube.d)] + ["s"]
             + [f"x{j}" for j in range(cube.d)] + ["t", "value"])
-    _, mats = greens_backward_matrix(a, p["t_index"])
+    mats = greens_backward_matrix(a, p["t_index"])
     dev = max(float(np.abs(mats.sum(axis=1) - 1.0).max()),
               float(np.abs(mats.sum(axis=2) - 1.0).max()))
     return (cols, rows), {"sum_rules": dev < 1e-8}
@@ -296,7 +297,7 @@ _RUNNERS = {
 }
 
 
-def run(config, out_dir):
+def run(config: ExperimentConfig, out_dir):
     """Execute an experiment, write artifacts + manifest, return the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()

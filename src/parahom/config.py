@@ -200,7 +200,7 @@ def parse_config_text(text, kind=None):
     return kind, raw
 
 
-def resolve_config(kind, raw, seed_override=None):
+def resolve_config(kind, raw, seed_override=None) -> ExperimentConfig:
     """Validate raw string pairs against the schema for ``kind``."""
     if kind not in SCHEMAS:
         raise ConfigError(f"kind: unknown experiment kind {kind!r}; "
@@ -229,7 +229,7 @@ def resolve_config(kind, raw, seed_override=None):
     return ExperimentConfig(kind, params)
 
 
-def load_config(path, kind=None, seed_override=None):
+def load_config(path, kind=None, seed_override=None) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         kind, raw = parse_config_text(fh.read(), kind=kind)
     if kind is None:

@@ -132,6 +132,14 @@ def exact_gaussian_path(A, b, dt: float, increments: np.ndarray, phi0=None) -> n
 # -- stationary moments --------------------------------------------------------------
 
 
+def _batch_sigma(x: np.ndarray) -> np.ndarray:
+    """Standard error of the time average of ``x`` along axis 0: the
+    spread of the means of 20 consecutive batches (``np.array_split``)
+    over sqrt(20), which stays honest when successive steps correlate."""
+    means = np.stack([batch.mean(axis=0) for batch in np.array_split(x, 20)])
+    return means.std(axis=0, ddof=1) / np.sqrt(20)
+
+
 def stationary_moments_check(A, b, lags, dt: float, n_keep: int, seed: int = 0) -> dict:
     """Empirical stationary mean and lag covariances of the quadratic
     diffusion against A^{-1} b and A^{-1} e^{-A tau / 2}.
@@ -154,7 +162,6 @@ def stationary_moments_check(A, b, lags, dt: float, n_keep: int, seed: int = 0) 
     k = W.k
     cov_inf = np.linalg.inv(A_m)
     results = []
-    batches = np.array_split(np.arange(n_keep), 20)
     centered = vals - mean_hat
     for tau in lags:
         ell = int(round(tau / dt))
@@ -163,15 +170,13 @@ def stationary_moments_check(A, b, lags, dt: float, n_keep: int, seed: int = 0) 
             "ti,tj->tij", centered[: n_keep], centered[ell : n_keep + ell]
         )
         cov_hat = prods.mean(axis=0)
-        per_batch = np.stack([prods[idx].mean(axis=0) for idx in batches])
-        sigma = per_batch.std(axis=0, ddof=1) / np.sqrt(len(batches))
+        sigma = _batch_sigma(prods)
         passes = bool(np.all(np.abs(cov_hat - oracle) <= 3.0 * sigma + 1e-12))
         results.append(
             {"lag": float(ell * dt), "cov_hat": cov_hat, "oracle": oracle,
              "sigma": sigma, "passes": passes}
         )
-    mean_batch = np.stack([vals[: n_keep][idx].mean(axis=0) for idx in batches])
-    mean_sigma = mean_batch.std(axis=0, ddof=1) / np.sqrt(len(batches))
+    mean_sigma = _batch_sigma(vals[:n_keep])
     return {
         "mean_hat": mean_hat,
         "mean_oracle": mean_oracle,
@@ -294,7 +299,8 @@ def finite_dimensional_suite(seed: int, n_keep: int = 20000,
     """Criterion 12's checks of the R^k diffusion, on the seeds seed .. seed + 4:
     stationary mean (``n_keep`` steps) and covariances (2 n_keep steps)
     within 3 sigma; Euler error halving and pathwise gap; the Feynman--Kac
-    estimate (``n_paths`` paths) against a long time average; the sign of
+    estimate (``n_paths`` paths) against a long time average, each with
+    its own error bar (the average's from 20 batch means); the sign of
     the path-action Hessian for a quadratic and a cosine potential.
     Returns (measurements, verdicts).
     """
@@ -326,7 +332,7 @@ def finite_dimensional_suite(seed: int, n_keep: int = 20000,
     path_c = convex_diffusion_simulate(Wc, 0.02, _increments(1, 0.02, 120000, seed + 4))
     vals = path_c[20000:, 0] ** 2
     ta = float(vals.mean())
-    ta_sigma = float(vals[::50].std() / np.sqrt(vals[::50].size / 20.0))
+    ta_sigma = float(_batch_sigma(vals))
     fk_gap = abs(fk["estimate"] - ta)
     fk_tol = 3.0 * float(np.hypot(fk["sigma"], ta_sigma))
     fk_ok = (not fk["degenerate"]) and fk_gap <= fk_tol

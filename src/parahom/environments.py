@@ -161,14 +161,6 @@ class PotentialSpec:
     def window(self) -> EllipticityPair:
         return EllipticityPair(self.c - abs(self.a_dip), self.c + abs(self.a_dip))
 
-    def value(self, z: np.ndarray) -> np.ndarray:
-        """V(z) summed over the gradient components (axis -2 of a field)."""
-        z = np.asarray(z, dtype=float)
-        out = 0.5 * self.c * (z**2)
-        if self.form == "dipole":
-            out = out + self.a_dip * np.cos(z)
-        return out.sum(axis=-2) if out.ndim >= 2 else out.sum()
-
     def dv(self, z: np.ndarray, out=None) -> np.ndarray:
         """Componentwise V'(z); into ``out`` when given (``z`` itself may
         serve)."""

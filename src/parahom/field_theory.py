@@ -44,16 +44,8 @@ from .parabolic import CoefficientField, _sweep, greens_backward
 def massive_lattice_greens(cube: PeriodicCube, m: float, x) -> float:
     """(c grad* grad + m^2)^{-1}(x, 0) on the cube by Fourier summation
     (c = 1); the quadratic-potential stationary covariance."""
-    A = cube.laplacian_symbol() + m * m
-    x = np.asarray(x, dtype=int)
-    phase = np.ones(cube.shape, dtype=complex)
-    for j in range(cube.d):
-        shape = [1] * cube.d
-        shape[j] = cube.L
-        phase = phase * np.exp(
-            2j * np.pi * np.fft.fftfreq(cube.L) * x[j]
-        ).reshape(shape)
-    return float((phase / A).sum().real / cube.n_sites)
+    kernel = np.fft.ifftn(1.0 / (cube.laplacian_symbol() + m * m))
+    return float(kernel[tuple(np.asarray(x, dtype=int) % cube.L)].real)
 
 
 # -- correlation identity -------------------------------------------------------

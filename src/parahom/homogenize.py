@@ -23,9 +23,9 @@ b = 1 - a/c, so it converges at the rate (Lam - lam)/(Lam + lam).
 
 At xi = 0 every twisted difference is real, so the stencils, the
 corrector and T run in real arithmetic with a half-spectrum real FFT;
-at xi != 0 they run in complex arithmetic.  ``_phases`` is the one
-switch: its factors are the real 1.0 at xi = 0, and each output takes
-the result type of its input and the phases.
+at xi != 0 they run in complex arithmetic.  The switch is
+``lattice._phases``, whose factors are the real 1.0 at xi = 0; the
+stencils are ``PeriodicCube.grad``/``div`` called with ``xi``.
 
 The right side carries the mean-zero projection P so that constant
 coefficients yield Phi = 0 for every xi; at xi = 0 the projection is a
@@ -45,18 +45,12 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError, SolverError
 from .environments import PotentialSpec, _map_on_cores, sample_environment
-from .lattice import PeriodicCube, heat_kernel_1d, hom_gaussian_kernel
-from .parabolic import CoefficientField, _point_source, solve_forward
+from .lattice import PeriodicCube, _phases, heat_kernel_1d, hom_gaussian_kernel
+from .parabolic import (CoefficientField, _point_source, _stencil_work, div_a_grad,
+                        solve_forward)
 
 
 # -- twisted shift calculus on a periodic sample ------------------------------
-
-
-def e_vector(xi) -> np.ndarray:
-    """The vector e(xi) with components e^{-i xi_j} - 1 (twisted gradient
-    of the constant function 1)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return np.exp(-1j * xi) - 1.0
 
 
 def twisted_shift_symbols(cube: PeriodicCube, xi) -> np.ndarray:
@@ -76,47 +70,6 @@ def time_symbols(n_times: int, dt: float) -> np.ndarray:
     """Symbols (1 - e^{-2 pi i l / nt}) / dt of the periodic backward time
     difference; real part >= 0."""
     return (1.0 - np.exp(-2j * np.pi * np.fft.fftfreq(n_times))) / dt
-
-
-def _phases(xi) -> np.ndarray:
-    """The phase factors e^{-i xi_j} of the twisted differences: the real
-    1.0 at xi = 0, which keeps real fields real."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return np.exp(-1j * xi) if xi.any() else np.ones_like(xi)
-
-
-def twisted_grad(cube: PeriodicCube, xi, psi: np.ndarray, out=None) -> np.ndarray:
-    """(dxi psi)_j = e^{-i xi_j} psi(x + e_j) - psi(x), shape (..., d, n);
-    into ``out`` when given, as for ``PeriodicCube.grad``."""
-    ph = _phases(xi)
-    out = cube._out(out, psi.shape[:-1] + (cube.d, cube.n_sites),
-                    np.result_type(psi, ph), psi)
-    for j in range(cube.d):
-        out_j = out[..., j, :]
-        cube._shift_into(psi, out_j, j, +1)
-        if ph[j] != 1.0:
-            out_j *= ph[j]
-        out_j -= psi
-    return out
-
-
-def twisted_div(cube: PeriodicCube, xi, F: np.ndarray, out=None) -> np.ndarray:
-    """dxi* F = sum_j e^{i xi_j} F_j(x - e_j) - F_j(x), the adjoint of
-    ``twisted_grad``, summed from zero in the order j = 0..d-1; ``F`` has
-    shape (..., d, n), the result (..., n), into ``out`` when given, as
-    for ``PeriodicCube.div``."""
-    ph = np.conj(_phases(xi))
-    out = cube._out(out, F.shape[:-2] + (cube.n_sites,), np.result_type(F, ph), F)
-    out[...] = 0
-    term = np.empty_like(out)
-    for j in range(cube.d):
-        F_j = F[..., j, :]
-        cube._shift_into(F_j, term, j, -1)
-        if ph[j] != 1.0:
-            term *= ph[j]
-        term -= F_j
-        out += term
-    return out
 
 
 def _symbol(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, Lam: float):
@@ -172,7 +125,6 @@ class CorrectorField:
     """
 
     cube: PeriodicCube
-    dt: float
     xi: np.ndarray
     eta: float
     values: np.ndarray  # (nt, d, n), real at xi = 0 and complex otherwise
@@ -182,7 +134,7 @@ class CorrectorField:
     def twisted_gradient(self) -> np.ndarray:
         """dxi Phi with shape (nt, d, d, n); axis -3 is the difference
         direction j, axis -2 the corrector component k."""
-        return np.swapaxes(twisted_grad(self.cube, self.xi, self.values), 1, 2)
+        return np.swapaxes(self.cube.grad(self.values, xi=self.xi), 1, 2)
 
     def energy_check(self, window) -> dict:
         """Discrete energy bound along the unit diagonal v = (1, ..., 1)/sqrt(d):
@@ -223,8 +175,9 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     finite, raises SolverError.
 
     A sweep makes no field-sized temporaries beyond the FFT pair and the
-    divergence's term: the residual runs in buffers made once per solve
-    (the gradient, scaled by ``a`` in place, A u and r), and the spectrum
+    divergence's term: the residual runs through ``parabolic.div_a_grad``
+    in buffers made once per solve (its gradient, scaled by ``a`` in
+    place, and its output, which then holds r; and A u), and the spectrum
     is divided in place.  It sums A u in the order written above, so the
     iterates do not depend on the buffering.
 
@@ -244,14 +197,15 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     coeff = a.values[:, None]  # (nt, 1, d_j, n), against gradients (nt, d_k, d_j, n)
 
     # component k of the right side is -D_k^H a_k: the divergence of a_k e_k
-    f = -twisted_div(cube, xi, coeff * np.eye(d)[None, :, :, None])
+    f = -cube.div(coeff * np.eye(d)[None, :, :, None], xi=xi)
     f -= f.mean(axis=(0, 2), keepdims=True)
     _, denom = _symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
     forward, inverse, denom = _spectral(cube, np.isrealobj(f), denom[:, None])
 
-    # the residual's buffers: the gradient (nt, d_k, d_j, n), A u and r
-    grad = np.empty((nt, d, d, cube.n_sites), f.dtype)
-    au, r_buf = np.empty_like(f), np.empty_like(f)
+    # the residual's buffers: the stencil's gradient (nt, d_k, d_j, n) and
+    # output, which also holds the time difference and r, and A u
+    work = _stencil_work(cube, coeff, f)
+    r_buf, au = work[1], np.empty_like(f)
 
     def residual(u):
         """r = f - A u with A u = eta u + (u - u_prev)/dt + dxi* a dxi u,
@@ -261,8 +215,7 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
         np.subtract(u[0], u[-1], out=r_buf[0])
         np.divide(r_buf, a.dt, out=r_buf)
         np.add(au, r_buf, out=au)
-        np.multiply(twisted_grad(cube, xi, u, out=grad), coeff, out=grad)
-        np.add(au, twisted_div(cube, xi, grad, out=r_buf), out=au)
+        np.add(au, div_a_grad(cube, coeff, u, work, xi), out=au)
         return np.subtract(f, au, out=r_buf)
 
     f_norm = _component_norms(f)
@@ -283,7 +236,7 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
             f"corrector solve stopped after {iterations} iterations at "
             f"relative residual {rel:.3e}"
         )
-    return CorrectorField(cube, a.dt, xi, eta, u, iterations, rel)
+    return CorrectorField(cube, xi, eta, u, iterations, rel)
 
 
 # -- q matrix ------------------------------------------------------------------
@@ -293,8 +246,6 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
 class QMatrix:
     """Estimate of q(xi, eta) with per-entry standard errors."""
 
-    xi: np.ndarray
-    eta: float
     value: np.ndarray  # (d, d) complex
     stderr: np.ndarray  # (d, d) real
 
@@ -311,24 +262,23 @@ def q_matrix_single(corr: CorrectorField, a: CoefficientField) -> np.ndarray:
     return base + corr_term
 
 
-def _q_estimate(per_sample: list, xi, eta: float) -> QMatrix:
+def _q_estimate(per_sample: list) -> QMatrix:
     """Mean of per-sample q matrices, with per-entry standard errors
-    (zero for a single sample)."""
+    sqrt(sum |q - mean|^2 / (n - 1)) / sqrt(n) (zero for a single sample)."""
     qs = np.stack(per_sample)
     mean = qs.mean(axis=0)
     if len(qs) > 1:
-        stderr = np.abs(qs - mean).std(axis=0, ddof=1) / np.sqrt(len(qs))
+        stderr = qs.std(axis=0, ddof=1) / np.sqrt(len(qs))
     else:
         stderr = np.zeros_like(mean, dtype=float)
-    return QMatrix(np.atleast_1d(np.asarray(xi, dtype=float)), eta, mean, stderr)
+    return QMatrix(mean, stderr)
 
 
 def q_matrix(pairs: list) -> QMatrix:
     """Average q over independent (corrector, coefficient sample) pairs."""
     if not pairs:
         raise ConfigError("need at least one (corrector, sample) pair")
-    corr = pairs[0][0]
-    return _q_estimate([q_matrix_single(c, a) for c, a in pairs], corr.xi, corr.eta)
+    return _q_estimate([q_matrix_single(c, a) for c, a in pairs])
 
 
 # -- the shift operator T and the Neumann series --------------------------------
@@ -409,7 +359,7 @@ def neumann_series_q(
             q = q + terms[-1]
         per_sample.append(q)
         ledger_norms.append([float(np.linalg.norm(t)) for t in terms])
-    return _q_estimate(per_sample, xi, eta), {"term_norms": ledger_norms}
+    return _q_estimate(per_sample), {"term_norms": ledger_norms}
 
 
 # -- eta -> 0 extrapolation ------------------------------------------------------
@@ -548,8 +498,9 @@ def avg_kernel_excess(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
 
 def greens_hat_formula(q: np.ndarray, xi, eta: float) -> complex:
     """1 / (eta + e(xi)^* q e(xi)), the Fourier--Laplace Green's function
-    of the constant-coefficient forward equation."""
-    ev = e_vector(xi)
+    of the constant-coefficient forward equation; e(xi)_j = e^{-i xi_j} - 1
+    is the twisted gradient of the constant 1."""
+    ev = np.exp(-1j * np.atleast_1d(np.asarray(xi, dtype=float))) - 1.0
     q = np.atleast_2d(np.asarray(q, dtype=complex))
     return 1.0 / (eta + np.conj(ev) @ q @ ev)
 

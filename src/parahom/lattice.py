@@ -9,6 +9,12 @@ Sign conventions: the gradient is the forward difference
 adjoint under the periodic inner product, and ``div(grad phi)`` is the
 nonnegative five-point (2d+1-point) Laplacian
 ``sum_j [2 phi(x) - phi(x+e_j) - phi(x-e_j)]``.
+
+Called with ``xi``, the same two operators are the xi-twisted difference
+``e^{-i xi_j} phi(x + e_j) - phi(x)`` of the corrector problem and its
+adjoint.  ``_phases`` is the one switch: its factors are the real 1.0 at
+xi = 0, which keeps real fields real, and each output takes the result
+type of its input and the phases.
 """
 
 from __future__ import annotations
@@ -35,6 +41,13 @@ class EllipticityPair:
     def contrast(self) -> float:
         """The contraction ratio 1 - lam/Lam."""
         return 1.0 - self.lam / self.Lam
+
+
+def _phases(xi) -> np.ndarray:
+    """The phase factors e^{-i xi_j} of the twisted differences: the real
+    1.0 at xi = 0, which keeps real fields real."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return np.exp(-1j * xi) if xi.any() else np.ones_like(xi)
 
 
 class PeriodicCube:
@@ -92,11 +105,13 @@ class PeriodicCube:
         L = self.L
         return field.reshape(field.shape[:-1] + (L**j, L, L ** (self.d - 1 - j)))
 
-    def _out(self, out, shape, dtype, field: np.ndarray) -> np.ndarray:
-        """``out``, or a new array of ``shape`` when it is None; ConfigError
-        when ``out`` may overlap the input ``field``."""
+    def _out(self, out, shape, field: np.ndarray, ph) -> np.ndarray:
+        """``out``, or when it is None a new array of ``shape`` in the
+        result type of ``field`` and the phases ``ph`` (``field``'s own type
+        without phases); ConfigError when ``out`` may overlap ``field``."""
         if out is None:
-            return np.empty(shape, dtype=dtype)
+            return np.empty(shape, field.dtype if ph is None
+                            else np.result_type(field, ph))
         if np.may_share_memory(out, field):
             raise ConfigError("out must not overlap the input")
         return out
@@ -108,29 +123,37 @@ class PeriodicCube:
         dst[..., : self.L - s, :] = src[..., s:, :]
         dst[..., self.L - s :, :] = src[..., :s, :]
 
-    def grad(self, phi: np.ndarray, out=None) -> np.ndarray:
+    def grad(self, phi: np.ndarray, out=None, xi=None) -> np.ndarray:
         """Forward-difference gradient, shape (..., d, n_sites); into
         ``out`` when given (an array of that shape that does not overlap
-        ``phi``)."""
+        ``phi``).  With ``xi``, the twisted difference
+        e^{-i xi_j} phi(x + e_j) - phi(x)."""
         phi = np.asarray(phi)
-        out = self._out(out, phi.shape[:-1] + (self.d, self.n_sites), phi.dtype, phi)
+        ph = None if xi is None else _phases(xi)
+        out = self._out(out, phi.shape[:-1] + (self.d, self.n_sites), phi, ph)
         for j in range(self.d):
             out_j = out[..., j, :]
             self._shift_into(phi, out_j, j, +1)
+            if ph is not None and ph[j] != 1.0:
+                out_j *= ph[j]
             out_j -= phi
         return out
 
-    def div(self, F: np.ndarray, out=None) -> np.ndarray:
+    def div(self, F: np.ndarray, out=None, xi=None) -> np.ndarray:
         """Adjoint of grad: (div F)(x) = sum_j [F_j(x - e_j) - F_j(x)],
         summed from zero in the order j = 0..d-1; into ``out`` when given,
-        as for ``grad``."""
+        as for ``grad``.  With ``xi``, the adjoint of the twisted
+        difference, sum_j [e^{i xi_j} F_j(x - e_j) - F_j(x)]."""
         F = np.asarray(F)
-        out = self._out(out, F.shape[:-2] + (self.n_sites,), F.dtype, F)
+        ph = None if xi is None else np.conj(_phases(xi))
+        out = self._out(out, F.shape[:-2] + (self.n_sites,), F, ph)
         out[...] = 0
         term = np.empty_like(out)
         for j in range(self.d):
             F_j = F[..., j, :]
             self._shift_into(F_j, term, j, -1)
+            if ph is not None and ph[j] != 1.0:
+                term *= ph[j]
             term -= F_j
             out += term
         return out

@@ -90,16 +90,18 @@ def constant_coefficients(
     return CoefficientField(cube, dt, vals, EllipticityPair(float(c), float(c)))
 
 
-def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, work=None):
+def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, work=None, xi=None):
     """Apply u -> div(a grad u).  Broadcasts over leading axes of u and a.
 
     ``a`` has shape (..., d, n_sites); the entry a_j(x) weights the edge
     (x, x+e_j).  ``work`` is an optional pair (flux, out) of buffers from
-    ``_stencil_work``; the result is then written into its ``out``.
+    ``_stencil_work``; the result is then written into its ``out``.  With
+    ``xi``, the differences are xi-twisted (``PeriodicCube.grad``), which
+    gives the corrector's dxi* a dxi u.
     """
     flux, out = (None, None) if work is None else work
-    g = cube.grad(u, out=flux)
-    return cube.div(np.multiply(a, g, out=g), out=out)
+    g = cube.grad(u, out=flux, xi=xi)
+    return cube.div(np.multiply(a, g, out=g), out=out, xi=xi)
 
 
 def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray):
@@ -265,19 +267,16 @@ def greens_backward(
     return GreensTable(a.cube, a.dt, source_site, t_index, levels, vals, a.window)
 
 
-def greens_backward_matrix(a: CoefficientField,
-                           t_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full propagator tables: out[k, x, y] = G(y, s_k; x, t) on the levels
-    s_k = 0..t_index.
+def greens_backward_matrix(a: CoefficientField, t_index: int) -> np.ndarray:
+    """Full propagator tables: out[k, x, y] = G(y, k dt; x, t) on the levels
+    k = 0..t_index.
 
     Evolves the identity matrix backwards (one row per source), so both
     (E4) sum rules can be checked directly: axis -1 sums over y, axis -2
-    over sources x.  Returns (s_indices, values).
+    over sources x.
     """
     _check_dt(a)
-    levels = np.arange(t_index + 1)
-    eye = np.eye(a.cube.n_sites)
-    return levels, _backward_table(a, eye, 0, t_index, a.dt / 2.0)
+    return _backward_table(a, np.eye(a.cube.n_sites), 0, t_index, a.dt / 2.0)
 
 
 # -- Aronson-type envelope fits ---------------------------------------------

@@ -17,7 +17,6 @@ from parahom import (
     avg_greens_mc,
     constant_coefficients,
     corrector_solve,
-    e_vector,
     greens_hat_formula,
     greens_hat_quadrature,
     neumann_series_q,
@@ -89,15 +88,21 @@ def dense_corrector_q(a, xi, eta):
 # -- twisted calculus ---------------------------------------------------------
 
 
-def test_e_vector_values():
-    ev = e_vector([0.0, np.pi])
-    assert ev[0] == 0.0
-    assert ev[1] == pytest.approx(-2.0)
-    # |e(xi)|^2 = sum 2(1 - cos xi_j)
+def test_twisted_gradient_of_one_is_e_of_xi():
+    # (dxi 1)_j = e^{-i xi_j} - 1 at every site: the vector e(xi) of
+    # greens_hat_formula
+    cube = PeriodicCube(2, 4)
+    ones = np.ones(cube.n_sites)
+    g = cube.grad(ones, xi=[0.0, np.pi])
+    assert np.all(g[0] == 0.0) and np.abs(g[1] + 2.0).max() <= 1e-15
     xi = np.array([0.3, 1.1])
-    assert np.vdot(e_vector(xi), e_vector(xi)).real == pytest.approx(
-        float((2 - 2 * np.cos(xi)).sum())
-    )
+    g = cube.grad(ones, xi=xi)
+    e = np.exp(-1j * xi) - 1.0
+    assert same_bits(g, np.repeat(e[:, None], cube.n_sites, axis=1))
+    # |e(xi)|^2 = sum 2(1 - cos xi_j)
+    assert np.vdot(e, e).real == pytest.approx(float((2 - 2 * np.cos(xi)).sum()))
+    # real zeros at xi = 0
+    assert same_bits(cube.grad(ones, xi=[0.0, 0.0]), np.zeros((2, cube.n_sites)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,20 +125,23 @@ def test_twisted_stencils_into_out_match_the_allocating_forms(d, L, batch, compl
 
     psi, F = data(batch + (cube.n_sites,)), data(batch + (d, cube.n_sites))
     xi = np.zeros(d) if xi_zero else rng.uniform(-np.pi, np.pi, size=d)
-    g = homogenize.twisted_grad(cube, xi, psi)
-    dv = homogenize.twisted_div(cube, xi, F)
+    g = cube.grad(psi, xi=xi)
+    dv = cube.div(F, xi=xi)
     assert g.dtype == dv.dtype == (np.float64 if xi_zero and not complex_
                                    else np.complex128)
     g_out, dv_out = np.full_like(g, np.nan), np.full_like(dv, np.nan)
-    assert homogenize.twisted_grad(cube, xi, psi, out=g_out) is g_out
-    assert homogenize.twisted_div(cube, xi, F, out=dv_out) is dv_out
+    assert cube.grad(psi, out=g_out, xi=xi) is g_out
+    assert cube.div(F, out=dv_out, xi=xi) is dv_out
     assert same_bits(g_out, g) and same_bits(dv_out, dv)
+    # at xi = 0 the twisted stencils are the plain ones, bit for bit
+    if xi_zero:
+        assert same_bits(g, cube.grad(psi)) and same_bits(dv, cube.div(F))
     # an out that overlaps the input is refused
     buf = np.zeros(batch + (d + 1, cube.n_sites), dtype=g.dtype)
     with pytest.raises(ConfigError, match="overlap"):
-        homogenize.twisted_grad(cube, xi, buf[..., 0, :], out=buf[..., :d, :])
+        cube.grad(buf[..., 0, :], out=buf[..., :d, :], xi=xi)
     with pytest.raises(ConfigError, match="overlap"):
-        homogenize.twisted_div(cube, xi, buf[..., 1:, :], out=buf[..., 1, :])
+        cube.div(buf[..., 1:, :], out=buf[..., 1, :], xi=xi)
 
 
 # -- corrector ------------------------------------------------------------------
@@ -215,15 +223,14 @@ def allocating_corrector_solve(a, xi, eta):
     rate = (Lam_s - lam_s) / (Lam_s + lam_s)
     max_iter = 10 + int(np.ceil(np.log(1e-14) / np.log(max(rate, 1e-14))))
     coeff = a.values[:, None]
-    f = -homogenize.twisted_div(cube, xi, coeff * np.eye(d)[None, :, :, None])
+    f = -cube.div(coeff * np.eye(d)[None, :, :, None], xi=xi)
     f -= f.mean(axis=(0, 2), keepdims=True)
     _, denom = homogenize._symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
     forward, inverse, denom = homogenize._spectral(cube, np.isrealobj(f), denom[:, None])
 
     def residual(u):
         au = (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
-              + homogenize.twisted_div(cube, xi,
-                                       coeff * homogenize.twisted_grad(cube, xi, u)))
+              + cube.div(coeff * cube.grad(u, xi=xi), xi=xi))
         return f - au
 
     norms = homogenize._component_norms
@@ -298,6 +305,17 @@ def test_q_matrix_aggregation():
     assert q.stderr[0, 0] > 0
 
 
+def test_q_stderr_is_the_standard_error_of_the_mean():
+    # entries 1, 2, 4 and 1+i, 1-i, 3: both have sample variance
+    # sum |q - mean|^2 / (n - 1) = 7/3, so the standard error is sqrt(7)/3
+    qs = [np.array([[1.0, 1 + 1j]]), np.array([[2.0, 1 - 1j]]),
+          np.array([[4.0, 3.0 + 0j]])]
+    est = homogenize._q_estimate(qs)
+    assert np.abs(est.value - [[7 / 3, 5 / 3]]).max() <= 1e-15
+    assert np.abs(est.stderr - np.sqrt(7.0) / 3.0).max() <= 1e-15
+    assert same_bits(homogenize._q_estimate(qs[:1]).stderr, np.zeros((1, 2)))
+
+
 def test_a_hom_extract_constant_exact():
     etas = np.array([0.1, 0.01, 0.001])
     qs = [np.array([[2.2]])] * 3
@@ -339,7 +357,6 @@ def test_a_hom_ladder_is_the_extrapolated_sample_mean_ladder():
     out = homogenize.a_hom_ladder(fields, etas)
     qs = [q_matrix([(corrector_solve(a, [0.0, 0.0], eta=eta), a) for a in fields])
           for eta in etas]
-    assert [q.eta for q in out["q"]] == etas
     assert all(same_bits(q.value, r.value) and same_bits(q.stderr, r.stderr)
                for q, r in zip(out["q"], qs))
     ref = a_hom_extract(np.array(etas), [q.value for q in qs])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -189,15 +189,24 @@ def test_adjointness_brute_force_double_sum():
 @given(
     d=st.integers(min_value=1, max_value=3),
     L=st.sampled_from([2, 4, 6]),
+    twisted=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_adjointness_property(d, L, seed):
+@example(d=3, L=4, twisted=True, seed=5)
+def test_adjointness_property(d, L, twisted, seed):
+    # <grad phi, F> = <phi, div F>; twisted, with complex xi-phases and
+    # complex fields under the inner product sum conj(u) v
     cube = PeriodicCube(d, L)
     rng = np.random.default_rng(seed)
-    phi = rng.standard_normal(cube.n_sites)
-    F = rng.standard_normal((d, cube.n_sites))
-    lhs = float((cube.grad(phi) * F).sum())
-    rhs = float((phi * cube.div(F)).sum())
+
+    def data(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if twisted else x
+
+    phi, F = data(cube.n_sites), data((d, cube.n_sites))
+    xi = rng.uniform(-np.pi, np.pi, size=d) if twisted else None
+    lhs = np.vdot(cube.grad(phi, xi=xi), F)
+    rhs = np.vdot(phi, cube.div(F, xi=xi))
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 

@@ -77,7 +77,7 @@ def test_solves_match_dense_step_matrices(lattice, n_times, lam, ratio,
         u = dense_step(a, i, dt) @ u
         assert np.abs(traj[i + 1] - u).max() <= 1e-12
     # backward: every source row through I - (dt/2) D^T a_i D
-    _, mats = greens_backward_matrix(a, t_index=n_times)
+    mats = greens_backward_matrix(a, t_index=n_times)
     P = np.eye(n)
     for i in range(n_times - 1, -1, -1):
         P = P @ dense_step(a, i, dt / 2.0).T
@@ -220,7 +220,7 @@ def test_greens_terminal_delta_and_constant_reduction():
 def test_greens_sum_rules_and_nonnegativity(lattice, n_times, lam, ratio,
                                             dt_fraction, seed):
     a = drawn_field(lattice, n_times, lam, ratio, dt_fraction, seed)
-    levels, mats = greens_backward_matrix(a, t_index=n_times)
+    mats = greens_backward_matrix(a, t_index=n_times)
     # sum over y (axis -1) and over sources x (axis -2), every stored level
     assert np.abs(mats.sum(axis=-1) - 1.0).max() < 1e-12
     assert np.abs(mats.sum(axis=-2) - 1.0).max() < 1e-12
@@ -232,15 +232,15 @@ def test_greens_single_source_matches_matrix_row():
     a = random_diagonal_field(cube, 0.1, 12, 0.5, 2.0, seed=7)
     src = 3
     table = greens_backward(a, src, t_index=12)
-    _, mats = greens_backward_matrix(a, t_index=12)
+    mats = greens_backward_matrix(a, t_index=12)
     assert np.allclose(table.values, mats[:, src, :], atol=1e-14)
 
 
 def test_greens_semigroup_property():
     cube = PeriodicCube(1, 10)
     a = random_diagonal_field(cube, 0.08, 20, 0.5, 2.0, seed=8)
-    _, m_t = greens_backward_matrix(a, t_index=20)  # levels 0..20
-    _, m_r = greens_backward_matrix(a, t_index=12)  # levels 0..12
+    m_t = greens_backward_matrix(a, t_index=20)  # levels 0..20
+    m_r = greens_backward_matrix(a, t_index=12)  # levels 0..12
     # propagator from 20 down to 4 = (20 -> 12) then (12 -> 4)
     lhs = m_t[4]
     rhs = m_t[12] @ m_r[4]
@@ -327,7 +327,7 @@ def duhamel_via_greens(a, m, g):
     out[0] += rho * a.dt * g[1]
     for k in range(2, g.shape[0]):
         # tables[i, x, y] = G(y, s_i; x, t_{k-1}); contract over sources
-        _, tables = greens_backward_matrix(a, t_index=k - 1)
+        tables = greens_backward_matrix(a, t_index=k - 1)
         weights = rho ** (k - np.arange(k))
         out[:k] += a.dt * weights[:, None] * np.einsum("ixy,x->iy", tables[:k], g[k])
     return out
