@@ -236,7 +236,7 @@ def _run_correlate(p):
                          float(out["difference"][k]), float(out["sigma"][k])])
     cols = [f"x{j}" for j in range(p["d"])] + ["lhs", "rhs", "diff", "sigma"]
     z = float(np.max(np.abs(out["difference"]) / np.maximum(out["sigma"], 1e-300)))
-    return (cols, rows), {"identity_3sigma": z <= 3.0 and not out["flagged"]}
+    return (cols, rows), {"identity_3sigma": z <= 3.0}
 
 
 def _run_thm13(p):

@@ -77,6 +77,12 @@ _XI_ETA = {
 }
 _N_ENV = Key(int, 4, _positive)
 
+
+def _n_samples(default):
+    """Monte Carlo samples: a standard error or variance needs two."""
+    return Key(int, default, lambda n: n >= 2, "at least 2 samples")
+
+
 SCHEMAS = {
     "heat-kernel": {
         "d": _D,
@@ -101,7 +107,7 @@ SCHEMAS = {
         **_ENV_KEYS,
         "t_indices": Key(_int_list, [10, 20], lambda xs: bool(xs) and min(xs) >= 0,
                          "non-empty list of non-negative time indices"),
-        "n_samples": Key(int, 8, _positive),
+        "n_samples": _n_samples(8),
         "x_max": Key(int, 4, lambda x: x >= 0, "non-negative coordinate range"),
     },
     "rate-fit": {
@@ -113,7 +119,7 @@ SCHEMAS = {
     },
     "correlate": {
         **_ENV_KEYS,
-        "n_samples": Key(int, 2000, _positive),
+        "n_samples": _n_samples(2000),
         "x_max": Key(int, 2, lambda x: x >= 0),
         "anchors": Key(_int_list, [0]),
     },
@@ -121,7 +127,7 @@ SCHEMAS = {
         **_ENV_KEYS,
         "t_indices": Key(_int_list, [20, 30, 45, 68, 100], _distinct_positive(4),
                          "at least 4 distinct positive time indices"),
-        "n_samples": Key(int, 100, _positive),
+        "n_samples": _n_samples(100),
         "n_env_cell": Key(int, 4, _positive),
         "etas": Key(_float_list, [0.13, 0.013, 0.0013], _distinct_positive(3), _ETAS_WHY),
     },
@@ -139,7 +145,7 @@ SCHEMAS = {
     "poincare": {
         **_ENV_KEYS,
         "n_steps": Key(int, 120, _positive),
-        "n_samples": Key(int, 2000, _positive),
+        "n_samples": _n_samples(2000),
         "functional": Key(str, "site", lambda s: s in ("site", "tanh-sum", "sin-sum")),
     },
     "sde-appendix": {

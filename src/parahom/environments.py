@@ -191,12 +191,12 @@ def hessian_coefficients(V: PotentialSpec, cube: PeriodicCube, phi: np.ndarray,
                          out=None) -> np.ndarray:
     """The coefficients diag V''(grad phi), shape phi.shape[:-1] + (d,
     n_sites), computed in ``out`` (or a new array) without temporaries.
-    For the quadratic potential they are the constant c and no gradient
-    is taken."""
+    Where the window collapses (the quadratic, or a dipole with a_dip = 0)
+    they are the constant c and no gradient is taken."""
     phi = np.asarray(phi, dtype=float)
     if out is None:
         out = np.empty(phi.shape[:-1] + (cube.d, cube.n_sites))
-    if V.form == "quadratic":
+    if V.window.lam == V.window.Lam:
         out[...] = V.c
         return out
     return V.d2v_diag(cube.grad(phi, out=out), out=out)

@@ -74,12 +74,16 @@ def correlation_identity_check(
     contributes the product of two damped backward propagations of the
     anchor deltas, driven by a = V''(grad phi)).  This realization makes
     the discrete identity exact for quadratic potentials at any step
-    size, so the residual bias is O(dt) in the anharmonicity only.
+    size, so the residual bias is O(dt) in the anharmonicity only.  Where
+    the potential's window collapses, a = c on every path, and one
+    propagation serves them all.
 
     Differences are paired per sample; sigma is the standard error of
-    the paired mean.
+    the paired mean, so ``n_samples`` must be at least 2.
     """
     check_langevin_window(V, m, cube, dt)
+    if n_samples < 2:
+        raise ConfigError(f"n_samples: need at least 2 for sigma, got {n_samples}")
     burn_in = int(np.ceil(10.0 / (m * m * dt)))
     x_list = [np.asarray(x, dtype=int) for x in x_list]
     # the two damped propagators jointly decay like e^{-m^2 tau}
@@ -91,17 +95,17 @@ def correlation_identity_check(
     if not all(0 <= site < cube.n_sites for site in anchors):
         raise ConfigError(f"anchors: sites must lie in [0, {cube.n_sites})")
     n_anchors, n_x = len(anchors), len(x_list)
-    # all delta sources needed: anchors and their x-shifts; pair p = (anchor,
-    # x) in anchor-major order reads sources s_pos[p] and a_pos[p]
+    # all delta sources needed, the anchors first and then their x-shifts;
+    # pair p = (anchor, x) in anchor-major order reads sources s_pos[p] and
+    # a_pos[p] < n_a
     src_sites = []
-    s_pos, a_pos = [], []
-    for a_site in anchors:
-        a_coord = cube.site_coords(a_site)
-        for x in x_list:
-            a_pos.append(_index_of(src_sites, a_site))
-            s_pos.append(_index_of(src_sites, cube.site_index(a_coord + x)))
+    a_pos = [_index_of(src_sites, a_site) for a_site in anchors for _ in x_list]
+    n_a = len(src_sites)
+    s_pos = [_index_of(src_sites, cube.site_index(cube.site_coords(a_site) + x))
+             for a_site in anchors for x in x_list]
     sites = np.array(src_sites)
     n_src = len(src_sites)
+    rho = 1.0 - m * m * dt / 2.0
 
     def anchor_mean(pairs):
         """(b, pairs) -> (b, x): the average over anchors, in C order (a
@@ -109,6 +113,27 @@ def correlation_identity_check(
         pairs = np.ascontiguousarray(pairs).reshape(-1, n_anchors, n_x)
         return pairs.sum(axis=1) / n_anchors
 
+    def pathwise_rhs(coeff, b):
+        """The right side of b paths whose step i has coefficients coeff(i):
+        u <- J_i u with J = I - (dt/2)(div a grad + m^2), written as
+        rho (I - h div a grad) with rho = 1 - m^2 dt/2, and the sum over
+        steps of the inner products <u^s, u^a> for every source s and
+        anchor a at once, the Gram columns of the anchors, (b, n_src, n_a)."""
+        u = np.zeros((b, n_src, cube.n_sites))
+        u[:, np.arange(n_src), sites] = 1.0
+        gram = u @ u[:, :n_a].transpose(0, 2, 1)
+        step_gram = np.empty_like(gram)
+        sweep = _sweep(cube, coeff, u, range(n_win - 1, 0, -1), dt / (2.0 * rho), rho)
+        for _, u in sweep:
+            gram += np.matmul(u, u[:, :n_a].transpose(0, 2, 1), out=step_gram)
+        return dt * anchor_mean(gram[:, s_pos, a_pos])
+
+    # a collapsed window means V'' = c on every path: one propagation serves
+    # all paths, with c rounded as the per-path store would round it
+    constant = V.window.lam == V.window.Lam
+    if constant:
+        a_c = np.full((cube.d, cube.n_sites), V.c, dtype=np.float32)
+        rhs_c = pathwise_rhs(lambda i: a_c, 1)
     rng = np.random.default_rng(seed)
     lhs_all = []
     rhs_all = []
@@ -118,32 +143,21 @@ def correlation_identity_check(
         # a stationary stretch: burn_in steps from 0, then the window, whose
         # coefficients are kept (the batch axis broadcasts over sources)
         phi = np.zeros((b, cube.n_sites))
-        a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
-        a_work = np.empty((b, cube.d, cube.n_sites))
+        if not constant:
+            a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
+            a_work = np.empty((b, cube.d, cube.n_sites))
         noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
         for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
-            if k >= burn_in:
+            if k >= burn_in and not constant:
                 hessian_coefficients(V, cube, phi, a_work)
                 a_store[k - burn_in] = a_work[:, None]
             phi = phi_next
         # left side at the terminal level
-        lhs = anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]])
-        # pathwise: u <- J_i u with J = I - (dt/2)(div a grad + m^2),
-        # written as rho (I - h div a grad) with rho = 1 - m^2 dt/2
-        u = np.zeros((b, n_src, cube.n_sites))
-        u[:, np.arange(n_src), sites] = 1.0
-        rho = 1.0 - m * m * dt / 2.0
-        # the sum over steps of the propagations' inner products, for every
-        # pair of sources at once: the Gram matrices u u^T, (b, n_src, n_src)
-        gram = u @ u.transpose(0, 2, 1)
-        step_gram = np.empty_like(gram)
-        sweep = _sweep(cube, a_store.__getitem__, u, range(n_win - 1, 0, -1),
-                       dt / (2.0 * rho), rho)
-        for _, u in sweep:
-            gram += np.matmul(u, u.transpose(0, 2, 1), out=step_gram)
-        rhs = dt * anchor_mean(gram[:, s_pos, a_pos])
-        lhs_all.append(lhs)
-        rhs_all.append(rhs)
+        lhs_all.append(anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]]))
+        # the constant rows as a C-order copy: a broadcast view would stack
+        # to F order and change how the sample mean sums
+        rhs_all.append(np.repeat(rhs_c, b, axis=0) if constant
+                       else pathwise_rhs(a_store.__getitem__, b))
         done += b
     lhs_all = np.vstack(lhs_all)
     rhs_all = np.vstack(rhs_all)
@@ -156,7 +170,6 @@ def correlation_identity_check(
         "difference": diff.mean(axis=0),
         "sigma": sigma,
         "n_samples": diff.shape[0],
-        "flagged": bool(diff.shape[0] < 2),
     }
 
 
@@ -374,6 +387,8 @@ def poincare_variance_check(
     groups of samples give the sigma of the reported ratio.
     """
     check_langevin_window(V, m, cube, dt)
+    if n_samples < 2:
+        raise ConfigError(f"n_samples: need at least 2 for a variance, got {n_samples}")
     rng = np.random.default_rng(seed)
     rho = float(np.exp(-m * m * dt / 2.0))
     g_vals = np.empty(0)
@@ -392,8 +407,13 @@ def poincare_variance_check(
         # the increment of step i feeds through the Jacobians of steps
         # i+1 .. n-1 only; the last increment enters undamped
         norm2 = dt * (w**2).sum(axis=-1)
-        a_work = np.empty((b, cube.d, cube.n_sites))
-        coeff = lambda i: hessian_coefficients(V, cube, traj[i], a_work)
+        if V.window.lam == V.window.Lam:
+            # V'' = c on every path and step: one (d, n_sites) level
+            level = hessian_coefficients(V, cube, phi[0])
+            coeff = lambda i: level
+        else:
+            a_work = np.empty((b, cube.d, cube.n_sites))
+            coeff = lambda i: hessian_coefficients(V, cube, traj[i], a_work)
         for _, w in _sweep(cube, coeff, w, range(n_steps - 1, 0, -1), dt / 2.0, rho):
             norm2 += dt * (w**2).sum(axis=-1)
         d_norms = np.concatenate([d_norms, norm2])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     key = text.splitlines()[-1].split(" = ")[0]
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["correlate", "poincare", "avg-greens", "thm13"])
+def test_exit_code_2_on_one_sample_before_compute(kind, tmp_path, monkeypatch, capsys):
+    # one sample has no standard error or variance: the schema refuses it, so
+    # nothing runs, no artifact is written and no NaN warning is raised
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    monkeypatch.setattr("parahom.cli.run", no_run)
+    cfg = _write(tmp_path, "n_samples = 1\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "n_samples" in capsys.readouterr().err
 
 
 def test_exit_code_1_on_verdict_failure(tmp_path):

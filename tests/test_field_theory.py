@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from parahom import (
@@ -78,58 +80,112 @@ def test_correlation_identity_quadratic_pathwise():
     out = correlation_identity_check(
         V, 1.0, cube, [[0], [1], [2]], n_samples=2000, dt=0.05, seed=4
     )
-    assert not out["flagged"]
     for p in range(3):
         assert abs(out["difference"][p]) <= 3.5 * out["sigma"][p] + 1e-4
 
 
-def gathered_pathwise_sides(V, m, cube, x_list, n_samples, dt, seed, anchors):
-    """Per-path (lhs, rhs) of the pathwise estimator, one path per batch
-    row, with the right side gathered pair by pair at every step:
-    rhs = sum_i dt sum_x u_i^s(x) u_i^a(x), averaged over anchors."""
+def gathered_pathwise_sides(V, m, cube, x_list, n_samples, dt, seed, anchors,
+                            batch=None):
+    """Per-path (lhs, rhs) of the pathwise estimator, one path per row, with
+    the right side gathered pair by pair at every step:
+    rhs = sum_i dt sum_x u_i^s(x) u_i^a(x), averaged over anchors.  The
+    paths run in batches of ``batch`` (all at once when None), drawing the
+    noise in the check's order."""
     burn_in = int(np.ceil(10.0 / (m * m * dt)))
     n_win = int(np.ceil(-np.log(1e-6) / (m * m) / dt))
     pairs = [(cube.site_index(cube.site_coords(a) + np.asarray(x)), a)
              for a in anchors for x in x_list]
     s_sites, a_sites = (np.array(p) for p in zip(*pairs))
     rng = np.random.default_rng(seed)
-    phi = np.zeros((n_samples, cube.n_sites))
-    a_store = np.empty((n_win, n_samples, 1, cube.d, cube.n_sites), dtype=np.float32)
-    noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
-    for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
-        if k >= burn_in:
-            a_store[k - burn_in] = hessian_coefficients(V, cube, phi)[:, None]
-        phi = phi_next
 
     def anchor_mean(per_pair):
         return per_pair.reshape(-1, len(anchors), len(x_list)).mean(axis=1)
 
-    lhs = anchor_mean(phi[:, s_sites] * phi[:, a_sites])
-    u_s = np.zeros((n_samples, len(pairs), cube.n_sites))
-    u_a = np.zeros_like(u_s)
-    u_s[:, np.arange(len(pairs)), s_sites] = 1.0
-    u_a[:, np.arange(len(pairs)), a_sites] = 1.0
-    rho = 1.0 - m * m * dt / 2.0
-    rhs = dt * (u_s * u_a).sum(axis=-1)
-    for i in range(n_win - 1, 0, -1):
-        for u in (u_s, u_a):
-            u -= dt / (2.0 * rho) * div_a_grad(cube, a_store[i], u)
-            u *= rho
-        rhs += dt * (u_s * u_a).sum(axis=-1)
-    return lhs, anchor_mean(rhs)
+    def batch_sides(b):
+        phi = np.zeros((b, cube.n_sites))
+        a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
+        noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
+        for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
+            if k >= burn_in:
+                a_store[k - burn_in] = hessian_coefficients(V, cube, phi)[:, None]
+            phi = phi_next
+        lhs = anchor_mean(phi[:, s_sites] * phi[:, a_sites])
+        u_s = np.zeros((b, len(pairs), cube.n_sites))
+        u_a = np.zeros_like(u_s)
+        u_s[:, np.arange(len(pairs)), s_sites] = 1.0
+        u_a[:, np.arange(len(pairs)), a_sites] = 1.0
+        rho = 1.0 - m * m * dt / 2.0
+        rhs = dt * (u_s * u_a).sum(axis=-1)
+        for i in range(n_win - 1, 0, -1):
+            for u in (u_s, u_a):
+                u -= dt / (2.0 * rho) * div_a_grad(cube, a_store[i], u)
+                u *= rho
+            rhs += dt * (u_s * u_a).sum(axis=-1)
+        return lhs, anchor_mean(rhs)
+
+    batch = batch or n_samples
+    sides = [batch_sides(min(batch, n_samples - done))
+             for done in range(0, n_samples, batch)]
+    return tuple(np.vstack(side) for side in zip(*sides))
+
+
+def assert_check_matches_the_gather(V, cube, x_list, anchors, n_samples, dt, seed,
+                                    batch):
+    out = correlation_identity_check(V, 1.0, cube, x_list, n_samples, dt, seed=seed,
+                                     anchors=anchors, batch=batch)
+    lhs, rhs = gathered_pathwise_sides(V, 1.0, cube, x_list, n_samples, dt, seed,
+                                       anchors, batch)
+    assert out["lhs"] == pytest.approx(lhs.mean(axis=0), rel=1e-12)
+    assert out["rhs"] == pytest.approx(rhs.mean(axis=0), rel=1e-12)
+    diff = lhs - rhs
+    assert out["sigma"] == pytest.approx(
+        diff.std(axis=0, ddof=1) / np.sqrt(n_samples), rel=1e-12)
 
 
 def test_correlation_gram_accumulation_matches_the_pairwise_gather():
     # criterion 9's dipole geometry, on a few paths
-    V, cube = PotentialSpec("dipole", c=1.0, a_dip=0.2), PeriodicCube(1, 12)
-    x_list, anchors = [[x] for x in range(-4, 5)], [0, 4, 8]
-    out = correlation_identity_check(V, 1.0, cube, x_list, n_samples=3, dt=0.025,
-                                     seed=19, anchors=anchors, batch=3)
-    lhs, rhs = gathered_pathwise_sides(V, 1.0, cube, x_list, 3, 0.025, 19, anchors)
-    assert out["lhs"] == pytest.approx(lhs.mean(axis=0), rel=1e-12)
-    assert out["rhs"] == pytest.approx(rhs.mean(axis=0), rel=1e-12)
-    diff = lhs - rhs
-    assert out["sigma"] == pytest.approx(diff.std(axis=0, ddof=1) / np.sqrt(3), rel=1e-12)
+    assert_check_matches_the_gather(
+        PotentialSpec("dipole", c=1.0, a_dip=0.2), PeriodicCube(1, 12),
+        [[x] for x in range(-4, 5)], [0, 4, 8], n_samples=3, dt=0.025, seed=19, batch=3)
+
+
+@pytest.mark.parametrize("V, cube, x_list, anchors, n_samples, batch", [
+    (PotentialSpec("quadratic", c=1.3), PeriodicCube(1, 8), [[0], [1], [3]], [0, 2], 3, 3),
+    (PotentialSpec("dipole", c=1.0, a_dip=0.4), PeriodicCube(1, 8), [[0], [2]], [1], 5, 2),
+    (PotentialSpec("dipole", c=1.0, a_dip=0.2), PeriodicCube(2, 4),
+     [[0, 0], [1, 0], [1, 1]], [0, 5], 3, 3),
+    # the shifts reach 6 of the 12 sites
+    (PotentialSpec("dipole", c=1.0, a_dip=0.2), PeriodicCube(1, 12), [[0], [2], [-3]],
+     [1, 6], 3, 3),
+], ids=["quadratic-batched", "several-batches", "d2", "sparse-shifts"])
+def test_correlation_sides_match_the_pairwise_gather(V, cube, x_list, anchors,
+                                                     n_samples, batch):
+    assert_check_matches_the_gather(V, cube, x_list, anchors, n_samples, 0.05,
+                                    seed=23, batch=batch)
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.integers(1, 3), half_L=st.integers(1, 3), data=st.data(),
+       V=st.sampled_from([PotentialSpec("quadratic", c=1.0),
+                          PotentialSpec("dipole", c=1.2, a_dip=0.0)]))
+def test_constant_hessian_rhs_is_the_one_path_value(d, half_L, data, V):
+    # with V'' = c the right side does not depend on the path: every gathered
+    # row is the same, the check's rhs is the one-path value, and its sigma
+    # is the left side's alone
+    cube = PeriodicCube(d, 2 * half_L)
+    anchors = data.draw(st.lists(st.integers(0, cube.n_sites - 1), min_size=1,
+                                 max_size=3), label="anchors")
+    x_list = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                                min_size=1, max_size=3), label="x_list")
+    dt, n = 0.1, 4
+    out = correlation_identity_check(V, 1.0, cube, x_list, n, dt, seed=3,
+                                     anchors=anchors, batch=3)
+    lhs, rhs = gathered_pathwise_sides(V, 1.0, cube, x_list, n, dt, 3, anchors, 3)
+    assert (rhs == rhs[0]).all()
+    _, one = gathered_pathwise_sides(V, 1.0, cube, x_list, 1, dt, 0, anchors)
+    assert same_bits(rhs[:1], one)
+    assert out["rhs"] == pytest.approx(one[0], rel=1e-12)
+    assert out["sigma"] == pytest.approx(lhs.std(axis=0, ddof=1) / np.sqrt(n), rel=1e-12)
 
 
 def test_correlation_identity_guards():
@@ -139,6 +195,8 @@ def test_correlation_identity_guards():
         correlation_identity_check(V, 0.0, cube, [[0]], 10, 0.05)
     with pytest.raises(ConfigError):
         correlation_identity_check(V, 1.0, cube, [[0]], 10, dt=2.0)
+    with pytest.raises(ConfigError, match="n_samples"):
+        correlation_identity_check(V, 1.0, cube, [[0]], 1, 0.05)
 
 
 # -- decay-rate extraction -------------------------------------------------------------
@@ -316,3 +374,5 @@ def test_poincare_variance_guards():
         poincare_variance_check(
             V, 1.0, cube, 2.0, 10, linear_site_functional(0), 10
         )
+    with pytest.raises(ConfigError, match="n_samples"):
+        poincare_variance_check(V, 1.0, cube, 0.05, 10, linear_site_functional(0), 1)
