@@ -204,15 +204,15 @@ def criterion_7():
     a = _TWO_PHASE
     eta = 0.01
     q_corr = q_matrix_single(corrector_solve(a, [0.0], eta=eta), a)
-    q_series, _ = neumann_series_q([a], [0.0], eta, m_max=80)
-    diff_two_phase = abs(q_series.value[0, 0] - q_corr[0, 0])
+    q_series, _ = neumann_series_q(a, [0.0], eta, m_max=80)
+    diff_two_phase = abs(q_series[0, 0] - q_corr[0, 0])
     rng = np.random.default_rng(7)
     cube_t = PeriodicCube(1, 8)
     vals_t = rng.uniform(1.0, 2.0, size=(6, 1, cube_t.n_sites))
     at = CoefficientField(cube_t, 0.05, vals_t, EllipticityPair(1.0, 2.0))
     q_corr_t = q_matrix_single(corrector_solve(at, [0.0], eta=0.05), at)
-    q_series_t, _ = neumann_series_q([at], [0.0], 0.05, m_max=60)
-    diff_time = abs(q_series_t.value[0, 0] - q_corr_t[0, 0])
+    q_series_t, _ = neumann_series_q(at, [0.0], 0.05, m_max=60)
+    diff_time = abs(q_series_t[0, 0] - q_corr_t[0, 0])
     cube_c = PeriodicCube(2, 6)
     worst = 0.0
     for _ in range(100):

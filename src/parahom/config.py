@@ -145,7 +145,8 @@ SCHEMAS = {
     "poincare": {
         **_ENV_KEYS,
         "n_steps": Key(int, 120, _positive),
-        "n_samples": _n_samples(2000),
+        "n_samples": Key(int, 2000, lambda n: n >= 40,
+                         "at least 40 samples, two in each of the 20 groups behind sigma"),
         "functional": Key(str, "site", lambda s: s in ("site", "tanh-sum", "sin-sum")),
     },
     "sde-appendix": {

@@ -257,37 +257,25 @@ def path_action_hessian_probe(W: ConvexPotential, path: np.ndarray, h: float) ->
     n_pts, k = path.shape
     if n_pts < 3:
         raise ConfigError("need at least one interior path point")
-    interior = path[1:-1]
     n_int = n_pts - 2
-    dim = n_int * k
-    H = np.zeros((dim, dim))
     # kinetic part: (1/h) * (2 I on diagonal blocks, -I on neighbors)
-    for i in range(n_int):
-        sl = slice(i * k, (i + 1) * k)
-        H[sl, sl] += 2.0 / h * np.eye(k)
-        if i + 1 < n_int:
-            sl2 = slice((i + 1) * k, (i + 2) * k)
-            H[sl, sl2] += -1.0 / h * np.eye(k)
-            H[sl2, sl] += -1.0 / h * np.eye(k)
-    # potential part: h * numerical Hessian of U at each interior point
+    tridiag = 2.0 * np.eye(n_int) - np.eye(n_int, k=1) - np.eye(n_int, k=-1)
+    # potential part: h * numerical Hessian of U at each interior point, the
+    # entries (a, c >= a) by central differences and mirrored below
     step = 1e-5
-    for i in range(n_int):
-        p = interior[i]
-        Hu = np.empty((k, k))
-        for a in range(k):
-            for c in range(a, k):
-                pa = np.zeros(k); pa[a] = step
-                pc = np.zeros(k); pc[c] = step
-                val = (
-                    _action_potential(W, p + pa + pc)
-                    - _action_potential(W, p + pa - pc)
-                    - _action_potential(W, p - pa + pc)
-                    + _action_potential(W, p - pa - pc)
-                ) / (4.0 * step * step)
-                Hu[a, c] = Hu[c, a] = val
-        sl = slice(i * k, (i + 1) * k)
-        H[sl, sl] += h * Hu
-    H = 0.5 * (H + H.T)
+    p = path[1:-1, None, None, :]
+    e = step * np.eye(k)
+    ea, ec = e[:, None, :], e[None, :, :]
+    Hu = (
+        _action_potential(W, p + ea + ec)
+        - _action_potential(W, p + ea - ec)
+        - _action_potential(W, p - ea + ec)
+        + _action_potential(W, p - ea - ec)
+    ) / (4.0 * step * step)
+    Hu = np.triu(Hu) + np.swapaxes(np.triu(Hu, 1), 1, 2)
+    H = np.kron(tridiag / h, np.eye(k))
+    for i, block in enumerate(h * Hu):
+        H[i * k:(i + 1) * k, i * k:(i + 1) * k] += block
     return float(np.linalg.eigvalsh(H).min())
 
 

@@ -174,14 +174,10 @@ class PotentialSpec:
         return out
 
     def d2v_diag(self, z: np.ndarray, out=None) -> np.ndarray:
-        """Diagonal entries of V''(z), componentwise; into ``out`` when
-        given (``z`` itself may serve)."""
+        """Diagonal entries of V''(z) = c - a_dip cos z (a_dip = 0 for the
+        quadratic), componentwise; into ``out`` when given (``z`` itself
+        may serve)."""
         z = np.asarray(z, dtype=float)
-        if self.form == "quadratic":
-            if out is None:
-                return np.full_like(z, self.c)
-            out[...] = self.c
-            return out
         out = np.cos(z, out=out)
         out *= self.a_dip
         return np.subtract(self.c, out, out=out)

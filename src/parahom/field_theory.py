@@ -384,11 +384,13 @@ def poincare_variance_check(
     The derivative field D(y, s) is the terminal gradient evolved by the
     damped backward equation (coefficients V''(grad phi) along the same
     trajectory); the bound holds with constant 1.  The ratios of 20
-    groups of samples give the sigma of the reported ratio.
+    groups of samples give the sigma of the reported ratio, so each group
+    needs two samples: n_samples >= 40.
     """
     check_langevin_window(V, m, cube, dt)
-    if n_samples < 2:
-        raise ConfigError(f"n_samples: need at least 2 for a variance, got {n_samples}")
+    if n_samples < 40:
+        raise ConfigError("n_samples: need at least 40, two in each of the 20 groups "
+                          f"that give sigma, got {n_samples}")
     rng = np.random.default_rng(seed)
     rho = float(np.exp(-m * m * dt / 2.0))
     g_vals = np.empty(0)
@@ -425,8 +427,6 @@ def poincare_variance_check(
     groups = np.array_split(np.arange(n_samples), 20)
     ratios = []
     for idx in groups:
-        if idx.size < 2:
-            continue
         v = g_vals[idx].var(ddof=1)
         bnd = d_norms[idx].mean()
         if bnd > 0:

@@ -319,47 +319,30 @@ def _project_mean_zero(w: np.ndarray) -> np.ndarray:
     return w - w.mean(axis=(0, 2), keepdims=True)
 
 
-def neumann_series_q(
-    samples: list, xi, eta: float, m_max: int
-) -> tuple[QMatrix, dict]:
-    """q(xi, eta) through the contrast series
+def neumann_series_q(a: CoefficientField, xi, eta: float,
+                     m_max: int) -> tuple[np.ndarray, list]:
+    """q(xi, eta) of one sample through the contrast series
     q = <a> - Lam sum_{m>=1} <b [P T b]^m>, truncated at m_max.
 
-    Returns the QMatrix plus a ledger with per-term matrices and norms;
+    Returns the (d, d) complex matrix and the norms of its m_max terms;
     consecutive term norms contract at rate <= 1 - lam/Lam for real xi.
     """
     if m_max < 1:
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
-    per_sample = []
-    ledger_norms = []
-    for a in samples:
-        cube, nt = a.cube, a.n_times
-        b = a.contrast()  # (nt, d, n)
-        Lam = a.window.Lam
-        d = cube.d
-        q = np.zeros((d, d), dtype=complex)
-        np.fill_diagonal(q, _sample_mean(a.values))
-        terms = []
-        # u_m = P T (b u_{m-1}) starting from the constant unit vectors
-        u = np.zeros((d, nt, d, cube.n_sites),  # one per column k
-                     dtype=np.result_type(b, _phases(xi)))
-        for k in range(d):
-            u[k, :, k, :] = 1.0
-        for m in range(1, m_max + 1):
-            new_u = np.empty_like(u)
-            for k in range(d):
-                new_u[k] = _project_mean_zero(
-                    t_operator_apply(cube, b * u[k], xi, eta, a.dt, Lam)
-                )
-            u = new_u
-            term = np.empty((d, d), dtype=complex)
-            for k in range(d):
-                term[:, k] = _sample_mean(b * u[k])
-            terms.append(-Lam * term)
-            q = q + terms[-1]
-        per_sample.append(q)
-        ledger_norms.append([float(np.linalg.norm(t)) for t in terms])
-    return _q_estimate(per_sample), {"term_norms": ledger_norms}
+    b = a.contrast()  # (nt, d, n)
+    cube, Lam = a.cube, a.window.Lam
+    q = np.zeros((cube.d, cube.d), dtype=complex)
+    np.fill_diagonal(q, _sample_mean(a.values))
+    term_norms = []
+    # u[k] = [P T b]^m e_k, one per column k, from the constant unit vectors
+    u = np.eye(cube.d)[:, None, :, None]
+    for _ in range(m_max):
+        u = np.stack([_project_mean_zero(t_operator_apply(cube, b * uk, xi, eta, a.dt, Lam))
+                      for uk in u])
+        term = -Lam * np.stack([_sample_mean(b * uk) for uk in u], axis=1).astype(complex)
+        term_norms.append(float(np.linalg.norm(term)))
+        q = q + term
+    return q, term_norms
 
 
 # -- eta -> 0 extrapolation ------------------------------------------------------
@@ -410,6 +393,18 @@ def a_hom_ladder(fields: list, etas) -> dict:
 # -- averaged Green's function ----------------------------------------------------
 
 
+def _check_mc_inputs(t_indices, n_samples: int) -> np.ndarray:
+    """The time indices as an int array, after checking that there are
+    some, none negative, and at least two samples."""
+    if n_samples < 2:
+        raise ConfigError("need n_samples >= 2 for error bars")
+    t_indices = np.asarray(t_indices, dtype=int)
+    if t_indices.size == 0 or t_indices.min() < 0:
+        raise ConfigError(
+            f"t_indices: need non-negative time indices, got {t_indices.tolist()}")
+    return t_indices
+
+
 def avg_greens_mc(
     sampler,
     cube: PeriodicCube,
@@ -432,13 +427,8 @@ def avg_greens_mc(
     are summed in sample order, so the output does not depend on the
     number of cores.
     """
-    if n_samples < 2:
-        raise ConfigError("need n_samples >= 2 for error bars")
+    t_indices = _check_mc_inputs(t_indices, n_samples)
     delta = _point_source(cube, source_site)
-    t_indices = np.asarray(t_indices, dtype=int)
-    if t_indices.size == 0 or t_indices.min() < 0:
-        raise ConfigError(
-            f"t_indices: need non-negative time indices, got {t_indices.tolist()}")
     t_max = int(t_indices.max())
 
     def sample(child):
@@ -471,10 +461,10 @@ def avg_kernel_excess(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
     origin, the ``gaussian`` and the ``diffs``, plus the RateReport
     ``report``.
     """
+    t_indices = _check_mc_inputs(t_indices, n_samples)
     cells = _map_on_cores(functools.partial(
         sample_environment, V, m, PeriodicCube(cube.d, 8), dt, 16), cell_seeds)
     c_hom = a_hom_ladder(cells, etas)["c_hom"]
-    t_indices = np.asarray(t_indices, dtype=int)
     sampler = functools.partial(sample_environment, V, m, cube, dt,
                                 int(t_indices.max()))
     origin = cube.site_index([0] * cube.d)

@@ -197,15 +197,20 @@ def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["correlate", "poincare", "avg-greens", "thm13"])
-def test_exit_code_2_on_one_sample_before_compute(kind, tmp_path, monkeypatch, capsys):
-    # one sample has no standard error or variance: the schema refuses it, so
-    # nothing runs, no artifact is written and no NaN warning is raised
+@pytest.mark.parametrize(
+    "kind, n_samples",
+    [("correlate", 1), ("poincare", 1), ("avg-greens", 1), ("thm13", 1), ("poincare", 39)],
+    ids=["correlate", "poincare", "avg-greens", "thm13", "poincare-39"])
+def test_exit_code_2_on_one_sample_before_compute(kind, n_samples, tmp_path, monkeypatch,
+                                                  capsys):
+    # one sample has no standard error or variance, and poincare's sigma needs
+    # two in each of its 20 groups: the schema refuses fewer, so nothing runs,
+    # no artifact is written and no NaN warning is raised
     def no_run(*args, **kwargs):
         raise AssertionError("ran before the config was checked")
 
     monkeypatch.setattr("parahom.cli.run", no_run)
-    cfg = _write(tmp_path, "n_samples = 1\n")
+    cfg = _write(tmp_path, f"n_samples = {n_samples}\n")
     out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -189,6 +189,20 @@ def test_action_hessian_negative_direction_perturbed():
     assert path_action_hessian_probe(W0, np.full(n_pts, 1.5 * np.pi), h=h) > 0
 
 
+@pytest.mark.parametrize("n_pts, h", [(9, 0.3), (41, 0.25)])
+def test_action_hessian_two_dimensional_quadratic(n_pts, h):
+    # U = -(1/2) tr A + (1/4)|A phi - b|^2 has U'' = A^2 / 2 on every path, so
+    # the Hessian is (1/h) tridiag(-1, 2, -1) x I + h I x A^2 / 2 and its least
+    # eigenvalue is the sum of the two factors' least eigenvalues
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    W = quadratic_potential(A, [0.3, -0.2])
+    path = np.random.default_rng(5).standard_normal((n_pts, 2))
+    n_int = n_pts - 2
+    expected = ((2.0 - 2.0 * np.cos(np.pi / (n_int + 1))) / h
+                + h * np.linalg.eigvalsh(A)[0] ** 2 / 2.0)
+    assert abs(path_action_hessian_probe(W, path, h=h) - expected) < 1e-5
+
+
 def test_action_hessian_guard():
     W = quadratic_potential(np.eye(1))
     with pytest.raises(ConfigError):

@@ -374,5 +374,9 @@ def test_poincare_variance_guards():
         poincare_variance_check(
             V, 1.0, cube, 2.0, 10, linear_site_functional(0), 10
         )
-    with pytest.raises(ConfigError, match="n_samples"):
-        poincare_variance_check(V, 1.0, cube, 0.05, 10, linear_site_functional(0), 1)
+    # sigma comes from the ratios of 20 groups of samples, each needing two
+    F = linear_site_functional(0)
+    for n_samples in (1, 39):
+        with pytest.raises(ConfigError, match="n_samples"):
+            poincare_variance_check(V, 1.0, cube, 0.05, 10, F, n_samples)
+    assert poincare_variance_check(V, 1.0, cube, 0.05, 10, F, 40, seed=3)["sigma"] > 0

@@ -11,6 +11,7 @@ from parahom import (
     ConfigError,
     EllipticityPair,
     PeriodicCube,
+    PotentialSpec,
     CoefficientField,
     SolverError,
     a_hom_extract,
@@ -432,9 +433,9 @@ def test_t_operator_matches_dense_solve():
 def test_neumann_series_zero_contrast():
     cube = PeriodicCube(1, 8)
     a = constant_coefficients(cube, 0.05, 2.0, n_times=3)
-    q, ledger = neumann_series_q([a], [0.0], 0.1, m_max=3)
-    assert np.allclose(q.value, 2.0 * np.eye(1), atol=1e-12)
-    assert max(ledger["term_norms"][0]) < 1e-12
+    q, term_norms = neumann_series_q(a, [0.0], 0.1, m_max=3)
+    assert np.allclose(q, 2.0 * np.eye(1), atol=1e-12)
+    assert len(term_norms) == 3 and max(term_norms) < 1e-12
 
 
 def test_neumann_matches_corrector_two_phase():
@@ -442,9 +443,9 @@ def test_neumann_matches_corrector_two_phase():
     eta = 0.01
     corr = corrector_solve(a, [0.0], eta=eta)
     q_corr = q_matrix_single(corr, a)
-    q_series, ledger = neumann_series_q([a], [0.0], eta, m_max=80)
-    assert abs(q_series.value[0, 0] - q_corr[0, 0]) < 1e-5
-    norms = np.array(ledger["term_norms"][0])
+    q_series, term_norms = neumann_series_q(a, [0.0], eta, m_max=80)
+    assert abs(q_series[0, 0] - q_corr[0, 0]) < 1e-5
+    norms = np.array(term_norms)
     ratios = norms[1:] / norms[:-1]
     assert np.all(ratios <= 0.75 + 0.05)  # contrast of the {1,4} field
 
@@ -454,8 +455,17 @@ def test_neumann_series_time_dependent_sample():
     eta = 0.05
     corr = corrector_solve(a, [0.0], eta=eta)
     q_corr = q_matrix_single(corr, a)
-    q_series, _ = neumann_series_q([a], [0.0], eta, m_max=60)
-    assert abs(q_series.value[0, 0] - q_corr[0, 0]) < 1e-6
+    q_series, _ = neumann_series_q(a, [0.0], eta, m_max=60)
+    assert abs(q_series[0, 0] - q_corr[0, 0]) < 1e-6
+
+
+def test_neumann_series_matches_corrector_in_two_dimensions():
+    a = random_field(2, 4, 3, 1.0, 2.0, seed=3)
+    eta = 0.1
+    q_corr = q_matrix_single(corrector_solve(a, [0.0, 0.0], eta=eta), a)
+    q_series, term_norms = neumann_series_q(a, [0.0, 0.0], eta, m_max=60)
+    assert q_series.shape == (2, 2) and len(term_norms) == 60
+    assert np.abs(q_series - q_corr).max() < 1e-12
 
 
 # -- averaged Green's function --------------------------------------------------------------
@@ -488,6 +498,19 @@ def test_avg_greens_is_the_same_on_one_core_and_on_two(monkeypatch):
         assert np.array_equal(outs[0][key], outs[1][key])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # the worker was reaped
+
+
+@pytest.mark.parametrize("n_samples, t_indices", [(1, [5, 10]), (4, [-1, 10])])
+def test_avg_kernel_excess_checks_its_inputs_before_the_cells(monkeypatch, n_samples,
+                                                              t_indices):
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("solved the cells before the inputs were checked")
+
+    monkeypatch.setattr(homogenize, "a_hom_ladder", no_ladder)
+    with pytest.raises(ConfigError, match="n_samples|t_indices"):
+        homogenize.avg_kernel_excess(PotentialSpec("dipole", c=1.0, a_dip=0.3), 1.0,
+                                     PeriodicCube(1, 8), 0.1, [0.1, 0.01, 0.001], [0],
+                                     t_indices, n_samples)
 
 
 def test_avg_greens_mass_and_symmetry():

@@ -385,6 +385,30 @@ def test_heat_kernel_solver_matches_bessel():
             assert np.abs(solved - oracle).max() < 1e-10
 
 
+@pytest.mark.parametrize("d, radius", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 3)])
+def test_heat_kernel_solver_matches_dense_exponential(d, radius):
+    # the box Laplacian built site by site from coordinates: 2d on the
+    # diagonal, -1 between neighbours inside the box
+    from scipy.linalg import expm
+
+    coords = list(np.ndindex(*(2 * radius + 1,) * d))
+    index = {x: i for i, x in enumerate(coords)}
+    K = 2.0 * d * np.eye(len(coords))
+    for i, x in enumerate(coords):
+        for j in range(d):
+            y = x[:j] + (x[j] + 1,) + x[j + 1:]
+            if y in index:
+                K[i, index[y]] = K[index[y], i] = -1.0
+    origin = index[(radius,) * d]
+    for t in (0.3, 2.0, 10.0):
+        dense = expm(-t * K)[:, origin].reshape((2 * radius + 1,) * d)
+        solved = heat_kernel_solver(d, radius, t)
+        assert np.abs(solved - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert same_bits(heat_kernel_solver(d, radius, 0.0),
+                     (np.arange(len(coords)) == origin).astype(float).reshape(
+                         (2 * radius + 1,) * d))
+
+
 def test_heat_kernel_gaussian_envelope_bound():
     # G(x,t) <= C (t+1)^{-d/2} exp(-gamma min(|x|, |x|^2/(t+1)))
     gamma = 0.25
