@@ -84,6 +84,7 @@ def correlation_identity_check(
     check_langevin_window(V, m, cube, dt)
     if n_samples < 2:
         raise ConfigError(f"n_samples: need at least 2 for sigma, got {n_samples}")
+    _check_batch(batch)
     burn_in = int(np.ceil(10.0 / (m * m * dt)))
     x_list = [np.asarray(x, dtype=int) for x in x_list]
     # the two damped propagators jointly decay like e^{-m^2 tau}
@@ -171,6 +172,12 @@ def correlation_identity_check(
         "sigma": sigma,
         "n_samples": diff.shape[0],
     }
+
+
+def _check_batch(batch: int) -> None:
+    """The paths per batch: below 1 the batch loop would never advance."""
+    if batch < 1:
+        raise ConfigError(f"batch: need at least 1 path per batch, got {batch}")
 
 
 def _index_of(pool: list, item) -> int:
@@ -391,6 +398,7 @@ def poincare_variance_check(
     if n_samples < 40:
         raise ConfigError("n_samples: need at least 40, two in each of the 20 groups "
                           f"that give sigma, got {n_samples}")
+    _check_batch(batch)
     rng = np.random.default_rng(seed)
     rho = float(np.exp(-m * m * dt / 2.0))
     g_vals = np.empty(0)

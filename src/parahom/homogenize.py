@@ -29,7 +29,10 @@ stencils are ``PeriodicCube.grad``/``div`` called with ``xi``.
 
 The right side carries the mean-zero projection P so that constant
 coefficients yield Phi = 0 for every xi; at xi = 0 the projection is a
-no-op because dxi* of anything is mean-free there.
+no-op because dxi* of anything is mean-free there.  A component whose
+projected right side is zero has Phi_k = 0, and the solve does not sweep
+it: a layered cell, whose a_k does not depend on x_k, solves only the
+components across its layers.
 
 The periodic time derivative is the backward difference; its symbol has
 nonnegative real part, which is what makes T_{xi,eta} a contraction mode
@@ -121,7 +124,9 @@ class CorrectorField:
     ``values[i, k]`` is the k-th component at time level i, flat over
     sites; real (float64) at xi = 0, complex otherwise.  ``iterations``
     and ``residual`` record the solve: the sweeps taken and the final
-    relative residual (the largest over the components).
+    relative residual, the largest over the swept components.  A
+    component whose right side is zero is not swept; it is exactly 0, and
+    when every component is, ``iterations`` is 0 and ``residual`` 0.0.
     """
 
     cube: PeriodicCube
@@ -183,7 +188,15 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
 
     The right side f = -P D_k^H a_k is projected to mean zero, which is
     what makes Phi = 0 the solution for constant coefficients at every xi
-    (at xi = 0 the projection changes nothing).
+    (at xi = 0 the projection changes nothing).  A component whose
+    projected right side is zero (a_k independent of x_k at xi_k = 0, as
+    in a layered cell) has Phi_k = 0 and is not swept: the iteration runs
+    on the other components only, whose iterates are bit for bit those of
+    a sweep over all of them, since the transforms and stencils act on
+    each component alone.  ``iterations`` counts the sweeps of that
+    block and ``residual`` is its largest relative residual; with no
+    component left both are 0.  The rate and the sweep limit still come
+    from the whole field.
     """
     if eta <= 0:
         raise ConfigError(f"eta must be > 0, got {eta}")
@@ -199,6 +212,12 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     # component k of the right side is -D_k^H a_k: the divergence of a_k e_k
     f = -cube.div(coeff * np.eye(d)[None, :, :, None], xi=xi)
     f -= f.mean(axis=(0, 2), keepdims=True)
+    # a zero right side has the solution zero: sweep the others only
+    active = f.any(axis=(0, 2))
+    values = np.zeros_like(f)
+    if not active.any():
+        return CorrectorField(cube, xi, eta, values, 0, 0.0)
+    f = np.compress(active, f, axis=1)  # C order, unlike f[:, active]: the same sums
     _, denom = _symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
     forward, inverse, denom = _spectral(cube, np.isrealobj(f), denom[:, None])
 
@@ -236,7 +255,8 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
             f"corrector solve stopped after {iterations} iterations at "
             f"relative residual {rel:.3e}"
         )
-    return CorrectorField(cube, xi, eta, u, iterations, rel)
+    values[:, active] = u
+    return CorrectorField(cube, xi, eta, values, iterations, rel)
 
 
 # -- q matrix ------------------------------------------------------------------

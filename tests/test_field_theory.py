@@ -22,6 +22,7 @@ from parahom import (
     heat_kernel_1d,
     langevin_simulate,
 )
+from parahom import field_theory
 from parahom.environments import brownian_increments, hessian_coefficients, langevin_path
 from parahom.field_theory import (
     first_difference_excess,
@@ -197,6 +198,24 @@ def test_correlation_identity_guards():
         correlation_identity_check(V, 1.0, cube, [[0]], 10, dt=2.0)
     with pytest.raises(ConfigError, match="n_samples"):
         correlation_identity_check(V, 1.0, cube, [[0]], 1, 0.05)
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_a_batch_below_one_raises_before_any_path(monkeypatch, batch):
+    # without the guard the correlation loop never advances and the Poincare
+    # check fails later; a sampler that refuses to run keeps this test bounded
+    # whatever the outcome
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was sampled")
+
+    monkeypatch.setattr(field_theory, "brownian_increments", no_paths)
+    cube = PeriodicCube(1, 8)
+    V = PotentialSpec("quadratic", c=1.0)
+    with pytest.raises(ConfigError, match="batch"):
+        correlation_identity_check(V, 1.0, cube, [[0]], 10, 0.05, batch=batch)
+    with pytest.raises(ConfigError, match="batch"):
+        poincare_variance_check(V, 1.0, cube, 0.05, 10, linear_site_functional(0), 40,
+                                batch=batch)
 
 
 # -- decay-rate extraction -------------------------------------------------------------

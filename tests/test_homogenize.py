@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parahom import (
@@ -42,6 +42,26 @@ def random_field(d, L, nt, lam, Lam, dt=0.05, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(lam, Lam, size=(nt, d, cube.n_sites))
     return CoefficientField(cube, dt, vals, EllipticityPair(lam, Lam))
+
+
+def layered_field(d, L, nt, depends, in_time, tie_last, seed=0):
+    """a_k in [0.5, 1.5) that varies along x_j only where depends[k][j] and
+    in time only when ``in_time``; with ``tie_last``, a_d = a_{d-1}."""
+    cube = PeriodicCube(d, L)
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 1.5, size=(nt if in_time else 1, d) + cube.shape)
+    for k in range(d):
+        for j in range(d):
+            if not depends[k][j]:
+                vals[:, k] = np.take(vals[:, k], [0], axis=1 + j)
+    if tie_last:
+        vals[:, -1] = vals[:, -2]
+    vals = np.broadcast_to(vals, (nt, d) + cube.shape).reshape(nt, d, cube.n_sites)
+    return CoefficientField(cube, 0.1, vals, EllipticityPair(0.5, 1.5))
+
+
+# the cell of the ahom-d3 benchmark: a_j = f_j(x_1), a_3 = a_2, constant in time
+LAMINATE = dict(d=3, depends=[[True, False, False]] * 3, in_time=False, tie_last=True)
 
 
 def dense_differences(cube, xi):
@@ -158,6 +178,18 @@ def test_corrector_vanishes_for_constant_coefficients():
         assert np.allclose(q, 1.7 * np.eye(2), atol=1e-10)
 
 
+def test_corrector_of_a_zero_right_side_takes_no_sweep():
+    # on 4 x 4 sites and 4 levels the mean of a constant rounds to itself,
+    # so the projected right side is exactly zero at xi != 0 too (on 6 x 6
+    # sites it is ~1e-17, and one sweep is taken, as the test above allows)
+    a = constant_coefficients(PeriodicCube(2, 4), 0.05, 1.7, n_times=4)
+    for xi in ([0.0, 0.0], [0.6, -0.4]):
+        corr = corrector_solve(a, xi, eta=0.01)
+        assert corr.iterations == 0 and corr.residual == 0.0
+        assert corr.values.shape == (4, 2, 16) and np.all(corr.values == 0.0)
+        assert corr.values.dtype == (np.complex128 if any(xi) else np.float64)
+
+
 def test_corrector_two_phase_harmonic_mean():
     a = two_phase_field()
     corr = corrector_solve(a, [0.0], eta=1e-3)
@@ -254,6 +286,59 @@ def test_corrector_pinned_to_the_allocating_residual(xi):
     assert corr.values.dtype == (np.complex128 if any(xi) else np.float64)
     assert corr.iterations == iterations
     assert same_bits(corr.values, values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    L=st.sampled_from([2, 4, 6]),
+    nt=st.sampled_from([1, 2, 3, 5]),
+    depends=st.lists(st.lists(st.booleans(), min_size=3, max_size=3),
+                     min_size=3, max_size=3),
+    in_time=st.booleans(),
+    tie_last=st.booleans(),
+    complex_xi=st.booleans(),
+    log_eta=st.floats(-3.0, 0.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(L=4, nt=3, complex_xi=False, log_eta=-2.0, seed=1, **LAMINATE)
+@example(d=2, L=4, nt=3, depends=[[True, True, True], [True, False, True], [True] * 3],
+         in_time=True, tie_last=False, complex_xi=True, log_eta=-1.0, seed=2)
+def test_corrector_skips_the_components_with_a_zero_right_side(
+        d, L, nt, depends, in_time, tie_last, complex_xi, log_eta, seed):
+    # a_k independent of x_k at xi_k = 0 gives -D_k^H a_k = 0, so Phi_k = 0
+    depends = [row[:d] for row in depends[:d]]
+    if tie_last:
+        depends[-1] = depends[-2]
+    zero = [k for k in range(d) if not depends[k][k]]
+    assume(zero)
+    rest = [k for k in range(d) if depends[k][k]]
+    a = layered_field(d, L, nt, depends, in_time, tie_last, seed)
+    xi = np.random.default_rng([seed, 1]).uniform(-np.pi, np.pi, d) * complex_xi
+    xi[zero] = 0.0
+    eta = 10.0**log_eta
+    corr = corrector_solve(a, xi, eta)
+    values, iterations = allocating_corrector_solve(a, xi, eta)
+    assert np.all(corr.values[:, zero] == 0.0)
+    assert same_bits(corr.values[:, rest], values[:, rest])
+    assert corr.iterations == iterations
+    assert np.abs(q_matrix_single(corr, a) - dense_corrector_q(a, xi, eta)).max() <= 1e-10
+
+
+def test_laminate_corrector_transforms_one_component(monkeypatch):
+    from scipy import fft
+
+    rfftn, components = fft.rfftn, []
+
+    def recording_rfftn(w, *args, **kwargs):
+        components.append(w.shape[1])
+        return rfftn(w, *args, **kwargs)
+
+    monkeypatch.setattr(fft, "rfftn", recording_rfftn)
+    a = layered_field(L=4, nt=3, **LAMINATE)
+    corr = corrector_solve(a, [0.0] * 3, eta=0.01)
+    assert corr.iterations > 0 and len(components) == corr.iterations
+    assert set(components) == {1}
 
 
 def test_corrector_solver_error_reports_statistics(monkeypatch):
@@ -466,6 +551,45 @@ def test_neumann_series_matches_corrector_in_two_dimensions():
     q_series, term_norms = neumann_series_q(a, [0.0, 0.0], eta, m_max=60)
     assert q_series.shape == (2, 2) and len(term_norms) == 60
     assert np.abs(q_series - q_corr).max() < 1e-12
+
+
+def dense_twisted_operator(a, xi, eta):
+    """A_xi = (eta + D_t) + dxi* a dxi as a dense matrix on time-major
+    space-time vectors, column by column from ``cube.grad``/``div``."""
+    cube, nt, n = a.cube, a.n_times, a.cube.n_sites
+    units = np.eye(nt * n, dtype=complex).reshape(nt * n, nt, n)
+    flux = cube.grad(units, xi=xi) * a.values
+    cols = (eta * units + (units - np.roll(units, 1, axis=1)) / a.dt
+            + cube.div(flux, xi=xi))
+    return cols.reshape(nt * n, nt * n).T
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    L=st.sampled_from([2, 4, 6]),
+    nt=st.sampled_from([1, 2, 3]),
+    lam=st.floats(0.1, 1.0),
+    ratio=st.floats(1.0, 3.0),
+    log_eta=st.floats(-2.0, 0.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(d=3, L=4, nt=2, lam=0.5, ratio=3.0, log_eta=-2.0, seed=4)
+def test_neumann_series_q_meets_the_exact_averaged_resolvent(d, L, nt, lam, ratio,
+                                                            log_eta, seed):
+    # mean(A_xi^{-1} 1) = 1 / (eta + e* q e) with e_j = e^{-i xi_j} - 1: the
+    # Fourier--Laplace transform of the averaged kernel of the sample
+    a = random_field(d, L, nt, lam, lam * ratio, dt=0.1, seed=seed)
+    xi = np.random.default_rng([seed, 1]).uniform(-np.pi, np.pi, d)
+    assume(xi.any())
+    eta = 10.0**log_eta
+    exact = np.linalg.solve(dense_twisted_operator(a, xi, eta), np.ones(nt * a.cube.n_sites))
+    # the terms contract at the contrast 1 - lam/Lam: sum them to 1e-16
+    rate = 1.0 - 1.0 / ratio
+    m_max = 1 if rate == 0.0 else max(1, int(np.ceil(np.log(1e-16) / np.log(rate))))
+    q, _ = neumann_series_q(a, xi, eta, m_max)
+    assert abs(exact.mean() - greens_hat_formula(q, xi, eta)) <= 1e-12 * max(
+        1.0, abs(exact.mean()))
 
 
 # -- averaged Green's function --------------------------------------------------------------
