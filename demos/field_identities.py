@@ -41,8 +41,7 @@ out = correlation_identity_check(
     Vd, m, cube, [[x] for x in range(0, 4)], n_samples=4000, dt=0.05,
     seed=6, anchors=[0, 6],
 )
-z = np.max(np.abs(out["difference"]) / out["sigma"])
-print(f"dipole potential (no closed form): max |diff|/sigma = {z:.2f}\n")
+print(f"dipole potential (no closed form): max |diff|/sigma = {out['z_max']:.2f}\n")
 
 # -- noise-sensitivity identity ----------------------------------------------
 

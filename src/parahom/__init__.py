@@ -1,7 +1,7 @@
 """Numerical laboratory for lattice parabolic equations with random
 space-time coefficients and their homogenization."""
 
-from .errors import ConfigError, IntegrityError, SolverError, UnsupportedVariantError
+from .errors import ConfigError, IntegrityError, SolverError
 from .lattice import (
     EllipticityPair,
     PeriodicCube,
@@ -13,7 +13,6 @@ from .lattice import (
 from .parabolic import (
     CoefficientField,
     GreensTable,
-    aronson_constant,
     aronson_fit,
     constant_coefficients,
     damped_perturbation_terms,
@@ -21,7 +20,6 @@ from .parabolic import (
     greens_backward,
     greens_backward_matrix,
     greens_perturbation_terms,
-    max_stable_dt,
     solve_forward,
     spacetime_norm,
 )
@@ -52,7 +50,6 @@ from .field_theory import (
     malliavin_fd_check,
     massive_lattice_greens,
     poincare_variance_check,
-    thm13_decay_check,
 )
 from .convex_diffusion import (
     ConvexPotential,

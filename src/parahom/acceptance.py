@@ -268,7 +268,7 @@ def criterion_9():
         sigma_side = np.sqrt((c00 * c00 + oracle * oracle) / out_q["n_samples"])
         for side in ("lhs", "rhs"):
             worst_q = max(worst_q, abs(out_q[side][p] - oracle) / (3 * sigma_side))
-    z_max = float(np.max(np.abs(out_d["difference"]) / out_d["sigma"]))
+    z_max = out_d["z_max"]
     passed = exact < 1e-4 and worst_q <= 1.0 and z_max <= 3.0
     detail = (
         f"deterministic oracle err {exact:.1e} (tol 1e-4); quadratic sides "
@@ -350,15 +350,13 @@ def criterion_13():
     c2 = a_hom_ladder(cells2, [0.15, 0.015, 0.0015])["c_hom"]
     out_b = first_difference_excess(V2, 0.25, PeriodicCube(2, 32), 0.1, c2, 600,
                                     seed=1500)
-    rep_b = out_b["report"]
-    part_b_ok = rep_b.extras["excess"] > 0 and rep_b.extras["excess_lower"] > 0
+    part_b_ok = out_b["excess"] > 0 and out_b["excess_lower"] > 0
     passed = part_a_ok and part_b_ok
     detail = (
         f"d=3 parabolic: excess {rep_a.alpha_hat:.2f} "
         f"(lower {rep_a.alpha_lower:.2f}); d=2 elliptic first-difference: "
-        f"excess {rep_b.extras['excess']:.2f} "
-        f"(lower {rep_b.extras['excess_lower']:.2f}, "
-        f"{rep_b.extras['excluded']} of {out_b['first'].shape[1]} probes excluded)"
+        f"excess {out_b['excess']:.2f} (lower {out_b['excess_lower']:.2f}, "
+        f"{out_b['excluded']} of {out_b['first'].shape[1]} probes excluded)"
     )
     return _result(13, "decay-rate measurements", passed, detail, t0)
 

@@ -2,8 +2,10 @@
 
 Config files are diff-friendly text: one ``key = value`` pair per line,
 ``#`` comments, no nesting.  List-valued keys use comma separation.
-Every key is schema-checked before any compute; unknown keys and invalid
-values raise :class:`ConfigError` naming the field.
+Every key is schema-checked before any compute, and then the keys that
+bound each other (``source_site`` by the lattice size ``L**d``, the length
+of ``xi`` by ``d``); unknown keys and invalid values raise
+:class:`ConfigError` naming the field.
 """
 
 import hashlib
@@ -11,12 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-
-KINDS = (
-    "heat-kernel", "sample-env", "greens", "corrector", "qmatrix", "ahom",
-    "avg-greens", "rate-fit", "correlate", "thm13", "malliavin", "poincare",
-    "sde-appendix",
-)
 
 
 def _positive(x):
@@ -155,6 +151,7 @@ SCHEMAS = {
         "n_keep": Key(int, 20000, _positive),
     },
 }
+KINDS = tuple(SCHEMAS)
 
 
 @dataclass
@@ -231,6 +228,11 @@ def resolve_config(kind, raw, seed_override=None) -> ExperimentConfig:
             hint = f" ({key.why})" if key.why else ""
             raise ConfigError(f"{name}: invalid value {val!r}{hint}")
         params[name] = val
+    # keys checked against each other once each is valid on its own
+    if "source_site" in params and params["source_site"] >= params["L"] ** params["d"]:
+        raise ConfigError("source_site: outside the lattice")
+    if "xi" in params and len(params["xi"]) != params["d"]:
+        raise ConfigError(f"xi: expected {params['d']} components, got {len(params['xi'])}")
     if seed_override is not None and "seed" in schema:
         params["seed"] = int(seed_override)
     return ExperimentConfig(kind, params)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedVariantError
+from .errors import ConfigError
 from .lattice import EllipticityPair, PeriodicCube
 from .parabolic import CoefficientField
 
@@ -238,11 +238,10 @@ def langevin_drift(
 
 def check_langevin_window(V: PotentialSpec, m: float, cube: PeriodicCube,
                           dt: float) -> None:
-    """UnsupportedVariantError (a ConfigError) for a mass m <= 0, and
-    ConfigError for a step outside the stability window
-    min(1/(2 d Lam), 1/m^2) of the explicit integrator."""
+    """ConfigError for a mass m <= 0 and for a step outside the stability
+    window min(1/(2 d Lam), 1/m^2) of the explicit integrator."""
     if m <= 0:
-        raise UnsupportedVariantError(
+        raise ConfigError(
             "m: massless dynamics are only reached as m -> 0 limits of statistics"
         )
     max_dt = min(1.0 / (2.0 * cube.d * V.window.Lam), 1.0 / (m * m))

@@ -11,7 +11,3 @@ class IntegrityError(RuntimeError):
 
 class SolverError(RuntimeError):
     """An iterative or direct solve failed to reach its tolerance."""
-
-
-class UnsupportedVariantError(ConfigError):
-    """The requested variant of an operation is deliberately not provided."""

@@ -79,7 +79,9 @@ def correlation_identity_check(
     propagation serves them all.
 
     Differences are paired per sample; sigma is the standard error of
-    the paired mean, so ``n_samples`` must be at least 2.
+    the paired mean, so ``n_samples`` must be at least 2.  ``z_max`` is the
+    largest |difference| / sigma over the offsets, with sigma floored at
+    1e-300.
     """
     check_langevin_window(V, m, cube, dt)
     if n_samples < 2:
@@ -164,12 +166,13 @@ def correlation_identity_check(
     rhs_all = np.vstack(rhs_all)
     diff = lhs_all - rhs_all
     sigma = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
+    difference = diff.mean(axis=0)
     return {
-        "x_list": x_list,
         "lhs": lhs_all.mean(axis=0),
         "rhs": rhs_all.mean(axis=0),
-        "difference": diff.mean(axis=0),
+        "difference": difference,
         "sigma": sigma,
+        "z_max": float(np.max(np.abs(difference) / np.maximum(sigma, 1e-300))),
         "n_samples": diff.shape[0],
     }
 
@@ -189,24 +192,23 @@ def _index_of(pool: list, item) -> int:
 # -- decay-rate extraction ---------------------------------------------------------
 
 
-def thm13_decay_check(diffs: np.ndarray, radii: np.ndarray, base_exponent: float,
-                      sigma: np.ndarray):
-    """Fit the decay of |lattice correlation - continuum kernel| against
-    |x| and report the excess over the reference exponent.
-
-    ``base_exponent`` is d-2 for values, d-1 for first differences, d for
-    second differences.  Points where the noise level ``sigma`` exceeds
-    half the signal are excluded and reported.
+def _decay_excess(diffs: np.ndarray, radii: np.ndarray, base_exponent: float,
+                  sigma: np.ndarray) -> dict:
+    """The ``epsilon``-mode RateReport ``report`` of |diffs| against the
+    radii, and the ``excess`` of its decay over ``base_exponent`` (d-2 for
+    values, d-1 for first differences, d for second differences) with its
+    two-standard-error ``excess_lower``.  The points whose noise level
+    ``sigma`` exceeds half the signal are left out; ``excluded`` counts
+    them.
     """
     radii = np.asarray(radii, dtype=float)
     diffs = np.asarray(diffs, dtype=float)
     keep = np.asarray(sigma) < 0.5 * np.abs(diffs)
     report = rate_fit(radii[keep], np.abs(diffs[keep]), mode="epsilon")
     excess = -report.slope - base_exponent
-    report.extras["excess"] = float(excess)
-    report.extras["excess_lower"] = float(excess - 2.0 * report.slope_stderr)
-    report.extras["excluded"] = int((~keep).sum())
-    return report
+    return {"report": report, "excess": float(excess),
+            "excess_lower": float(excess - 2.0 * report.slope_stderr),
+            "excluded": int((~keep).sum())}
 
 
 # criterion 13(b)'s probe offsets relative to the source pair (0, e): a
@@ -273,16 +275,16 @@ def first_difference_excess(V: PotentialSpec, m: float, cube: PeriodicCube,
                             dt: float, c_hom: float, n_env: int, seed: int) -> dict:
     """Criterion 13(b): ``first_difference_row`` mapped on every core over
     the seeds seed, ..., seed + n_env - 1 as the matrix ``first``, and the
-    RateReport ``report`` of the mean row's gap to the c_hom reference
-    against the probe radius, beyond the exponent 1 of first differences
-    in d=2."""
+    fit of the mean row's gap to the c_hom reference against the probe
+    radius: its RateReport ``report``, and the ``excess`` and
+    ``excess_lower`` of the decay beyond the exponent 1 of first
+    differences in d=2, with the probes ``excluded`` as noise."""
     first = np.array(_map_on_cores(functools.partial(first_difference_row, V, m, cube, dt),
                                    range(seed, seed + n_env)))
     d1 = np.abs(first.mean(axis=0) - first_difference_reference(cube, m, dt, c_hom))
     s1 = first.std(axis=0, ddof=1) / np.sqrt(n_env)
     radii = np.array([float(np.hypot(*v)) for v in _PROBES])
-    return {"first": first,
-            "report": thm13_decay_check(d1, radii, base_exponent=1.0, sigma=s1)}
+    return {"first": first, **_decay_excess(d1, radii, base_exponent=1.0, sigma=s1)}
 
 
 # -- Malliavin derivative ----------------------------------------------------------

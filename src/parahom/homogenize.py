@@ -42,7 +42,7 @@ by mode.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -563,7 +563,6 @@ class RateReport:
     alpha_hat: float
     mode: str
     warning: str = ""
-    extras: dict = field(default_factory=dict)
 
     @property
     def alpha_lower(self) -> float:

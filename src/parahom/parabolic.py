@@ -113,17 +113,11 @@ def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray):
             np.empty(lead + (cube.n_sites,), dtype))
 
 
-def max_stable_dt(window: EllipticityPair, d: int) -> float:
-    """Explicit-step stability bound dt <= 1/(2 d Lam)."""
-    return 1.0 / (2.0 * d * window.Lam)
-
-
 def _check_dt(a: CoefficientField) -> None:
-    if a.dt > max_stable_dt(a.window, a.cube.d) * (1 + 1e-12):
-        raise ConfigError(
-            f"dt={a.dt} exceeds the stability bound "
-            f"1/(2 d Lam)={max_stable_dt(a.window, a.cube.d)}"
-        )
+    """ConfigError for a step above the explicit stability bound 1/(2 d Lam)."""
+    bound = 1.0 / (2.0 * a.cube.d * a.window.Lam)
+    if a.dt > bound * (1 + 1e-12):
+        raise ConfigError(f"dt={a.dt} exceeds the stability bound 1/(2 d Lam)={bound}")
 
 
 def _check_levels(a: CoefficientField, g: np.ndarray, name: str, m: float = 1.0):
@@ -240,10 +234,6 @@ class GreensTable:
     values: np.ndarray
     window: EllipticityPair
 
-    def time_lags(self) -> np.ndarray:
-        """t - s_k for each stored level."""
-        return (self.t_index - self.s_indices) * self.dt
-
 
 def greens_backward(
     a: CoefficientField,
@@ -282,36 +272,22 @@ def greens_backward_matrix(a: CoefficientField, t_index: int) -> np.ndarray:
 # -- Aronson-type envelope fits ---------------------------------------------
 
 
-def _table_envelope_stats(table: GreensTable):
-    """Per-level maxima of G against the Gaussian envelope.
-
-    Returns (time lags tau, max over y of value * exp(dist/sqrt(Lam tau + 1)))
-    excluding the terminal delta level.
+def _aronson_constant(table: GreensTable) -> float:
+    """Least C with G <= C [Lam tau + 1]^{-d/2} exp(-|x-z|/sqrt(Lam tau + 1))
+    over every stored value of the table at a lag tau = t - s > 0
+    (periodic minimum-image distance).
     """
     cube = table.cube
     Lam = table.window.Lam
-    src = cube.site_coords(table.source_site)
-    offs = cube.min_image(cube.all_coords() - src)
+    offs = cube.min_image(cube.all_coords() - cube.site_coords(table.source_site))
     dist = np.sqrt((offs**2).sum(axis=-1))
-    taus = table.time_lags()
+    taus = (table.t_index - table.s_indices) * table.dt
     keep = taus > 0
     taus = taus[keep]
-    vals = table.values[keep]
     scale = np.sqrt(Lam * taus + 1.0)
     env = np.exp(dist[None, :] / scale[:, None])
-    return taus, (np.abs(vals) * env).max(axis=-1)
-
-
-def aronson_constant(tables: list[GreensTable]) -> float:
-    """Least C with G <= C [Lam tau + 1]^{-d/2} exp(-|x-z|/sqrt(Lam tau + 1))
-    over every stored value of every table (periodic minimum-image distance).
-    """
-    c = 0.0
-    for table in tables:
-        taus, peaks = _table_envelope_stats(table)
-        d = table.cube.d
-        c = max(c, float((peaks * (table.window.Lam * taus + 1.0) ** (d / 2.0)).max()))
-    return c
+    peaks = (np.abs(table.values[keep]) * env).max(axis=-1)
+    return float((peaks * (Lam * taus + 1.0) ** (cube.d / 2.0)).max())
 
 
 def aronson_fit(tables: list[GreensTable]) -> dict:
@@ -322,8 +298,9 @@ def aronson_fit(tables: list[GreensTable]) -> dict:
     """
     if len(tables) < 2:
         raise ConfigError("need at least 2 tables to assess stability")
-    c_half = aronson_constant(tables[: len(tables) // 2])
-    c_full = aronson_constant(tables)
+    per_table = [_aronson_constant(table) for table in tables]
+    c_half = max(per_table[: len(tables) // 2])
+    c_full = max(per_table)
     growth = (c_full - c_half) / c_half
     return {
         "C_hat": c_full,

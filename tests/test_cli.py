@@ -52,6 +52,26 @@ def test_resolve_fills_defaults_and_validates():
         resolve_config("rate-fit", {"values": "1,2,3,4"})  # required key
 
 
+@pytest.mark.parametrize("kind, raw, key", [
+    ("greens", {"L": "8", "source_site": "8"}, "source_site"),
+    ("greens", {"d": "2", "L": "4", "source_site": "16"}, "source_site"),
+    ("corrector", {"d": "2", "L": "4", "xi": "0.5"}, "xi"),
+    ("qmatrix", {"xi": "0.5,0.5"}, "xi"),
+])
+def test_resolve_refuses_a_site_or_xi_that_does_not_fit_the_lattice(kind, raw, key):
+    # each key is valid alone; against L and d it names no site of the
+    # lattice, or not one twist per direction
+    with pytest.raises(ConfigError, match=key):
+        resolve_config(kind, raw)
+
+
+def test_resolve_accepts_the_last_site_and_one_twist_per_direction():
+    greens = resolve_config("greens", {"d": "2", "L": "4", "source_site": "15"})
+    assert greens.params["source_site"] == 15
+    cell = resolve_config("corrector", {"d": "2", "L": "4", "xi": "0.5,-0.5"})
+    assert cell.params["xi"] == [0.5, -0.5]
+
+
 def test_config_hash_stable_and_seed_sensitive():
     a = resolve_config("sample-env", {"d": "1"})
     b = resolve_config("sample-env", {"d": "1"})

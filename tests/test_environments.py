@@ -13,7 +13,6 @@ from parahom import (
     FieldTrajectory,
     PeriodicCube,
     PotentialSpec,
-    UnsupportedVariantError,
     coefficient_field,
     constant_coefficients,
     langevin_simulate,
@@ -108,7 +107,7 @@ def test_langevin_drift_indicator_hand_computed():
 def test_langevin_guards():
     cube = PeriodicCube(2, 4)
     V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
-    with pytest.raises(UnsupportedVariantError):
+    with pytest.raises(ConfigError):
         langevin_simulate(V, 0.0, cube, 0.1, 10)
     with pytest.raises(ConfigError):
         langevin_simulate(V, 1.0, cube, 0.5, 10)  # above stability window
@@ -155,7 +154,7 @@ def gaussian_field_sample(
     at the grid times (no integrator error).
     """
     if m <= 0:
-        raise UnsupportedVariantError("stationary sampler requires m > 0")
+        raise ConfigError("stationary sampler requires m > 0")
     if dt <= 0 or n_steps < 0:
         raise ConfigError(f"need dt > 0 and n_steps >= 0, got {dt}, {n_steps}")
     rng = np.random.default_rng(seed)
@@ -182,7 +181,7 @@ def test_gaussian_sampler_determinism_and_shapes():
     t2 = gaussian_field_sample(1.0, cube, 0.1, 15, seed=5)
     assert np.array_equal(t1.values, t2.values)
     assert t1.values.shape == (16, 36)
-    with pytest.raises(UnsupportedVariantError):
+    with pytest.raises(ConfigError):
         gaussian_field_sample(0.0, cube, 0.1, 3)
 
 

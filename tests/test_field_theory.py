@@ -18,7 +18,6 @@ from parahom import (
     malliavin_fd_check,
     massive_lattice_greens,
     poincare_variance_check,
-    thm13_decay_check,
     heat_kernel_1d,
     langevin_simulate,
 )
@@ -141,6 +140,7 @@ def assert_check_matches_the_gather(V, cube, x_list, anchors, n_samples, dt, see
     diff = lhs - rhs
     assert out["sigma"] == pytest.approx(
         diff.std(axis=0, ddof=1) / np.sqrt(n_samples), rel=1e-12)
+    assert out["z_max"] == np.max(np.abs(out["difference"]) / out["sigma"])
 
 
 def test_correlation_gram_accumulation_matches_the_pairwise_gather():
@@ -226,10 +226,10 @@ def test_thm13_decay_check_synthetic():
     base = 1.0  # first differences in d=2
     excess = 0.4
     diffs = 2.0 * radii ** -(base + excess)
-    rep = thm13_decay_check(diffs, radii, base_exponent=base, sigma=np.zeros(5))
-    assert rep.extras["excess"] == pytest.approx(excess, abs=1e-6)
-    assert rep.extras["excess_lower"] > 0
-    assert rep.extras["excluded"] == 0
+    out = field_theory._decay_excess(diffs, radii, base_exponent=base, sigma=np.zeros(5))
+    assert out["excess"] == pytest.approx(excess, abs=1e-6)
+    assert out["excess_lower"] > 0
+    assert out["excluded"] == 0
 
 
 def test_thm13_decay_check_excludes_noisy_points():
@@ -237,9 +237,9 @@ def test_thm13_decay_check_excludes_noisy_points():
     diffs = radii**-1.3
     sigma = np.zeros(6)
     sigma[-1] = 10.0 * diffs[-1]  # drown the last point in noise
-    rep = thm13_decay_check(diffs, radii, base_exponent=1.0, sigma=sigma)
-    assert rep.extras["excluded"] == 1
-    assert rep.extras["excess"] == pytest.approx(0.3, abs=1e-6)
+    out = field_theory._decay_excess(diffs, radii, base_exponent=1.0, sigma=sigma)
+    assert out["excluded"] == 1
+    assert out["excess"] == pytest.approx(0.3, abs=1e-6)
 
 
 @pytest.mark.parametrize("c, L", [(1.0, 8), (1.3, 12)])
@@ -262,9 +262,8 @@ def test_first_difference_excess_fits_the_rows_of_consecutive_seeds():
     out = first_difference_excess(V, 1.0, cube, 0.1, 1.0, 3, seed=40)
     rows = [first_difference_row(V, 1.0, cube, 0.1, s) for s in (40, 41, 42)]
     assert same_bits(out["first"], np.array(rows))
-    rep = out["report"]
-    assert rep.extras["excluded"] + len(rep.scales) == 9
-    assert np.isfinite(rep.extras["excess"])
+    assert out["excluded"] + len(out["report"].scales) == 9
+    assert np.isfinite(out["excess"])
 
 
 # -- Malliavin finite difference ---------------------------------------------------------
