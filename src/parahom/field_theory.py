@@ -227,35 +227,35 @@ def first_difference_row(V: PotentialSpec, m: float, cube: PeriodicCube, dt: flo
                          seed: int) -> np.ndarray:
     """Criterion 13(b) on one environment, a pure function of its arguments:
     on ``sample_environment(V, m, cube, dt, n_steps, seed)`` the forward
-    solves from eight bases on the d=2 torus and their e1, e2 neighbours,
-    summed as E = sum_i w_i (u_i + u_{i+1}) / 2, w_i = rho^i (1 - rho) / m^2,
-    and per probe the mean of E[base + e, x] - E[base, x] over both pairs."""
+    solves from the dipoles delta_{b + e_k} - delta_b at eight bases b on
+    the d=2 torus, summed as E = sum_j c_j u_j, the trapezoid of the
+    weights w_i = rho^i (1 - rho) / m^2 (c_j = (w_{j-1} + w_j) / 2, with
+    w_{-1} = w_n = 0), and per probe the mean of E over both dipoles."""
     n_steps, rho = _damping(m, dt)
-    w = rho ** np.arange(n_steps) * (1 - rho) / (m * m)
+    c = np.convolve(rho ** np.arange(n_steps) * (1 - rho) / (m * m), [0.5, 0.5])
     h, q = cube.L // 2, cube.L // 4
     bases = [[0, 0], [h, 0], [0, h], [h, h], [q, q], [3 * q, q], [q, 3 * q],
              [3 * q, 3 * q]]
-    # sources 3b, 3b + 1 and 3b + 2 are base b and its e1 and e2 neighbours
-    srcs = [cube.site_index([bx + ox, by + oy]) for bx, by in bases
-            for ox, oy in ((0, 0), (1, 0), (0, 1))]
+    # row 2b + k - 1 is base b's dipole delta_{b + e_k} - delta_b
+    ends = [(cube.site_index([bx, by]), cube.site_index([bx + ox, by + oy]))
+            for bx, by in bases for ox, oy in ((1, 0), (0, 1))]
+    u = np.zeros((len(ends), cube.n_sites))
+    for r, (tail, head) in enumerate(ends):
+        u[r, tail], u[r, head] = -1.0, 1.0
     a = sample_environment(V, m, cube, dt, n_steps, seed)
-    u = np.zeros((len(srcs), cube.n_sites))
-    u[np.arange(len(srcs)), srcs] = 1.0
-    E = np.zeros_like(u)
-    for i, un in _sweep(cube, a.values.__getitem__, u, range(n_steps), dt):
-        E += w[i] * 0.5 * (u + un)
-        u = un
+    E = c[0] * u
+    for i, level in _sweep(cube, a.values.__getitem__, u, range(n_steps), dt):
+        E += c[i + 1] * level
     row = []
-    for v in _PROBES:
-        tri = []
+    for vx, vy in _PROBES:
+        reads = []
         for b, (bx, by) in enumerate(bases):
-            # transpose the offset for the e2 pair; average the reflection
-            # across the source axis
-            for k, vs in ((1, {(v[0], v[1]), (v[0], -v[1])}),
-                          (2, {(v[1], v[0]), (-v[1], v[0])})):
-                for x in (cube.site_index([bx + vx, by + vy]) for vx, vy in vs):
-                    tri.append(E[3 * b + k, x] - E[3 * b, x])
-        row.append(np.mean(tri))
+            # transpose the offset for the e2 dipole; average the reflection
+            # across the dipole's axis
+            for k, offsets in ((1, ((vx, vy), (vx, -vy))), (2, ((vy, vx), (-vy, vx)))):
+                reads += [E[2 * b + k - 1, cube.site_index([bx + ox, by + oy])]
+                          for ox, oy in offsets]
+        row.append(np.mean(reads))
     return np.array(row)
 
 
@@ -419,13 +419,8 @@ def poincare_variance_check(
         # the increment of step i feeds through the Jacobians of steps
         # i+1 .. n-1 only; the last increment enters undamped
         norm2 = dt * (w**2).sum(axis=-1)
-        if V.window.lam == V.window.Lam:
-            # V'' = c on every path and step: one (d, n_sites) level
-            level = hessian_coefficients(V, cube, phi[0])
-            coeff = lambda i: level
-        else:
-            a_work = np.empty((b, cube.d, cube.n_sites))
-            coeff = lambda i: hessian_coefficients(V, cube, traj[i], a_work)
+        a_work = np.empty((b, cube.d, cube.n_sites))
+        coeff = lambda i: hessian_coefficients(V, cube, traj[i], a_work)
         for _, w in _sweep(cube, coeff, w, range(n_steps - 1, 0, -1), dt / 2.0, rho):
             norm2 += dt * (w**2).sum(axis=-1)
         d_norms = np.concatenate([d_norms, norm2])

@@ -1,6 +1,6 @@
 """Acceptance gate: one verdict line per criterion.
 
-Criterion 13 (decay-rate measurements) takes about 5 minutes (317 s on a
+Criterion 13 (decay-rate measurements) takes about 2.5 minutes (138 s on a
 2-core machine, its independent environments sampled on both cores,
 Python 3.11, numpy 2.4, scipy 1.17) and only runs when the environment
 variable PARAHOM_TIER is set to "full".

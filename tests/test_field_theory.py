@@ -22,13 +22,18 @@ from parahom import (
     langevin_simulate,
 )
 from parahom import field_theory
-from parahom.environments import brownian_increments, hessian_coefficients, langevin_path
+from parahom.environments import (
+    brownian_increments,
+    hessian_coefficients,
+    langevin_path,
+    sample_environment,
+)
 from parahom.field_theory import (
     first_difference_excess,
     first_difference_reference,
     first_difference_row,
 )
-from parahom.parabolic import div_a_grad
+from parahom.parabolic import _sweep, div_a_grad
 from test_lattice import same_bits
 
 
@@ -255,6 +260,47 @@ def test_first_difference_row_of_constant_coefficients_is_the_reference(c, L):
     assert row.shape == ref.shape == (9,)
     assert np.abs(row - ref).max() <= 1e-12
     assert np.abs(ref).min() > 1e-4  # every probe carries signal
+
+
+def point_source_first_difference_row(V, m, cube, dt, seed):
+    """The row by 24 point sources, each base and its e1 and e2 neighbours,
+    summed as sum_i w_i (u_i + u_{i+1}) / 2, each probe read as the
+    difference E[base + e_k, x] - E[base, x]."""
+    n_steps, rho = field_theory._damping(m, dt)
+    w = rho ** np.arange(n_steps) * (1 - rho) / (m * m)
+    h, q = cube.L // 2, cube.L // 4
+    bases = [[0, 0], [h, 0], [0, h], [h, h], [q, q], [3 * q, q], [q, 3 * q],
+             [3 * q, 3 * q]]
+    # sources 3b, 3b + 1 and 3b + 2 are base b and its e1 and e2 neighbours
+    srcs = [cube.site_index([bx + ox, by + oy]) for bx, by in bases
+            for ox, oy in ((0, 0), (1, 0), (0, 1))]
+    a = sample_environment(V, m, cube, dt, n_steps, seed)
+    u = np.zeros((len(srcs), cube.n_sites))
+    u[np.arange(len(srcs)), srcs] = 1.0
+    E = np.zeros_like(u)
+    for i, un in _sweep(cube, a.values.__getitem__, u, range(n_steps), dt):
+        E += w[i] * 0.5 * (u + un)
+        u = un
+    row = []
+    for vx, vy in field_theory._PROBES:
+        tri = []
+        for b, (bx, by) in enumerate(bases):
+            for k, offsets in ((1, ((vx, vy), (vx, -vy))), (2, ((vy, vx), (-vy, vx)))):
+                for ox, oy in offsets:
+                    x = cube.site_index([bx + ox, by + oy])
+                    tri.append(E[3 * b + k, x] - E[3 * b, x])
+        row.append(np.mean(tri))
+    return np.array(row)
+
+
+@pytest.mark.parametrize("L", [32, 8])
+def test_first_difference_row_matches_the_point_source_differences(L):
+    # the sweep is linear, so the dipole sources give the differences of
+    # the point-source responses; at criterion 13(b)'s own parameters
+    V, cube = PotentialSpec("dipole", c=1.0, a_dip=0.7), PeriodicCube(2, L)
+    row = first_difference_row(V, 0.25, cube, 0.1, 1500)
+    ref = point_source_first_difference_row(V, 0.25, cube, 0.1, 1500)
+    assert np.abs(row - ref).max() <= 1e-13 * np.abs(row).max()
 
 
 def test_first_difference_excess_fits_the_rows_of_consecutive_seeds():
