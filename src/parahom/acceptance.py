@@ -253,13 +253,12 @@ def criterion_9():
     Vq = PotentialSpec("quadratic", c=1.0)
     Vd = PotentialSpec("dipole", c=1.0, a_dip=0.2)
     cube_d = PeriodicCube(1, 12)
-    out_q, out_d = _map_on_cores(lambda check: check(), [
-        functools.partial(correlation_identity_check, Vq, 1.0, cube, [[0], [2]],
-                          n_samples=10000, dt=0.02, seed=9, anchors=[0, 8], batch=200),
-        functools.partial(correlation_identity_check, Vd, 1.0, cube_d,
-                          [[x] for x in range(-4, 5)], n_samples=10000, dt=0.025,
-                          seed=19, anchors=[0, 4, 8], batch=200),
-    ])
+    # one check after the other, each splitting its paths over the cores
+    out_q = correlation_identity_check(Vq, 1.0, cube, [[0], [2]], n_samples=10000,
+                                       dt=0.02, seed=9, anchors=[0, 8], batch=200)
+    out_d = correlation_identity_check(Vd, 1.0, cube_d, [[x] for x in range(-4, 5)],
+                                       n_samples=10000, dt=0.025, seed=19,
+                                       anchors=[0, 4, 8], batch=200)
     worst_q = 0.0
     for p, x in enumerate([[0], [2]]):
         oracle = massive_lattice_greens(cube, 1.0, x)

@@ -10,7 +10,9 @@ trajectory into a `CoefficientField` for the parabolic solvers by
 evaluating the Hessian V''(grad phi).  ``check_langevin_window`` is the
 one guard of the integrator's stability window; every entry point that
 steps the dynamics calls it before the first step.  ``_map_on_cores``
-maps a function over independent environments (seeds) on every core.
+maps a function over independent environments (seeds) on every core, and
+``_map_chunks_on_cores`` maps one over contiguous chunks of items (the
+paths of a correlation check).
 """
 
 from __future__ import annotations
@@ -29,24 +31,33 @@ from .parabolic import CoefficientField
 
 
 _SIGKILL = 9  # os.kill's signal number; the signal module is not loaded
-_inside_map = False  # True while a _map_on_cores call runs its function
+_inside_map = False  # True while a map over chunks runs its function
 
 
 # -- process-parallel map --------------------------------------------------------
 
 
 def _map_on_cores(fn, items) -> list:
-    """``[fn(x) for x in items]`` in input order, computed on every core.
+    """``[fn(x) for x in items]`` in input order, computed on every core:
+    ``_map_chunks_on_cores`` with the loop over each chunk as its
+    function."""
+    chunks = _map_chunks_on_cores(lambda chunk: [fn(x) for x in chunk], items)
+    return [y for chunk in chunks for y in chunk]
 
-    The items are cut into contiguous chunks, one per core this process
-    may run on (``os.sched_getaffinity``) and at most one per item.  The
-    parent computes the first chunk itself; each other chunk runs in an
-    ``os.fork`` child that pickles its results, or the exception it
-    raised, back through a pipe.  ``fn`` and the items reach the children
-    by fork, not by pickling, so closures work.  With one core or one
-    item, without ``os.fork``, or inside the mapped function of another
-    call (in the parent or a worker) it is the plain serial loop, so it
-    never runs more processes than cores.
+
+def _map_chunks_on_cores(fn, items) -> list:
+    """``[fn(chunk) for chunk in chunks]`` in order, computed on every core,
+    where the chunks cut the items into contiguous, non-empty lists.
+
+    There is one chunk per core this process may run on
+    (``os.sched_getaffinity``) and at most one per item; no items make no
+    chunks.  The parent computes the first chunk itself; each other chunk
+    runs in an ``os.fork`` child that pickles its result, or the exception
+    it raised, back through a pipe.  ``fn`` and the items reach the
+    children by fork, not by pickling, so closures work.  With one core or
+    one item, without ``os.fork``, or inside the mapped function of another
+    call (in the parent or a worker) all the items are one chunk, computed
+    in the calling process, so it never runs more processes than cores.
     """
     global _inside_map
     items = list(items)
@@ -54,7 +65,7 @@ def _map_on_cores(fn, items) -> list:
     if not _inside_map and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         n_chunks = min(len(os.sched_getaffinity(0)), len(items))
     if n_chunks <= 1:
-        return [fn(x) for x in items]
+        return [fn(items)] if items else []
     ends = [len(items) * k // n_chunks for k in range(n_chunks + 1)]
     chunks = [items[lo:hi] for lo, hi in zip(ends, ends[1:])]
     workers, payloads = [], []  # (pid, read end) per forked chunk; its bytes
@@ -63,7 +74,7 @@ def _map_on_cores(fn, items) -> list:
             workers.append(_fork_worker(fn, chunk))
         _inside_map = True
         try:
-            results = [fn(x) for x in chunks[0]]
+            results = [fn(chunks[0])]
         finally:
             _inside_map = False
         for _, fd in workers:
@@ -88,14 +99,14 @@ def _map_on_cores(fn, items) -> list:
                                f"unpickled: {exc!r}") from exc
         if not ok:
             raise value
-        results += value
+        results.append(value)
     return results
 
 
 def _fork_worker(fn, chunk) -> tuple[int, int]:
-    """Fork a child that sends ``(True, [fn(x) for x in chunk])``, or
-    ``(False, exception)``, pickled to a pipe and then ends with
-    ``os._exit`` on every path; return (its pid, the pipe's read end)."""
+    """Fork a child that sends ``(True, fn(chunk))``, or ``(False,
+    exception)``, pickled to a pipe and then ends with ``os._exit`` on
+    every path; return (its pid, the pipe's read end)."""
     global _inside_map
     r, w = os.pipe()
     try:
@@ -112,7 +123,7 @@ def _fork_worker(fn, chunk) -> tuple[int, int]:
         os.close(r)
         _inside_map = True
         try:
-            message = (True, [fn(x) for x in chunk])
+            message = (True, fn(chunk))
         except BaseException as exc:
             message = (False, exc)
         try:
@@ -238,12 +249,15 @@ def langevin_drift(
 
 def check_langevin_window(V: PotentialSpec, m: float, cube: PeriodicCube,
                           dt: float) -> None:
-    """ConfigError for a mass m <= 0 and for a step outside the stability
-    window min(1/(2 d Lam), 1/m^2) of the explicit integrator."""
-    if m <= 0:
+    """ConfigError for a mass that is not positive (m <= 0 or NaN), for a
+    step that is not finite and positive, and for one outside the
+    stability window min(1/(2 d Lam), 1/m^2) of the explicit integrator."""
+    if not m > 0:
         raise ConfigError(
             "m: massless dynamics are only reached as m -> 0 limits of statistics"
         )
+    if not (np.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt={dt}: the step must be finite and positive")
     max_dt = min(1.0 / (2.0 * cube.d * V.window.Lam), 1.0 / (m * m))
     if dt > max_dt * (1 + 1e-12):
         raise ConfigError(

@@ -25,6 +25,7 @@ import numpy as np
 
 from .environments import (
     PotentialSpec,
+    _map_chunks_on_cores,
     _map_on_cores,
     brownian_increments,
     check_langevin_window,
@@ -78,10 +79,18 @@ def correlation_identity_check(
     the potential's window collapses, a = c on every path, and one
     propagation serves them all.
 
+    The paths run in batches of ``batch`` from one noise stream,
+    ``default_rng(seed)``.  They are split into contiguous ranges of path
+    indices, one per core (``environments._map_chunks_on_cores``; inside
+    another map, one range in the calling process).  A range's worker
+    draws the stream from the seed up to the range's end and steps only
+    its own rows of each draw; every row's arithmetic acts on that row
+    alone, so every output is bit-identical for any number of cores.
+
     Differences are paired per sample; sigma is the standard error of
     the paired mean, so ``n_samples`` must be at least 2.  ``z_max`` is the
     largest |difference| / sigma over the offsets, with sigma floored at
-    1e-300.
+    1e-300.  Each offset in ``x_list`` has ``cube.d`` coordinates.
     """
     check_langevin_window(V, m, cube, dt)
     if n_samples < 2:
@@ -89,6 +98,9 @@ def correlation_identity_check(
     _check_batch(batch)
     burn_in = int(np.ceil(10.0 / (m * m * dt)))
     x_list = [np.asarray(x, dtype=int) for x in x_list]
+    if any(x.shape != (cube.d,) for x in x_list):
+        raise ConfigError(f"x_list: each offset needs {cube.d} coordinates, got "
+                          f"{[x.tolist() for x in x_list]}")
     # the two damped propagators jointly decay like e^{-m^2 tau}
     t_star = -np.log(1e-6) / (m * m)
     n_win = int(np.ceil(t_star / dt))
@@ -137,33 +149,48 @@ def correlation_identity_check(
     if constant:
         a_c = np.full((cube.d, cube.n_sites), V.c, dtype=np.float32)
         rhs_c = pathwise_rhs(lambda i: a_c, 1)
-    rng = np.random.default_rng(seed)
-    lhs_all = []
-    rhs_all = []
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        # a stationary stretch: burn_in steps from 0, then the window, whose
-        # coefficients are kept (the batch axis broadcasts over sources)
-        phi = np.zeros((b, cube.n_sites))
-        if not constant:
-            a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
-            a_work = np.empty((b, cube.d, cube.n_sites))
-        noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
-        for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
-            if k >= burn_in and not constant:
-                hessian_coefficients(V, cube, phi, a_work)
-                a_store[k - burn_in] = a_work[:, None]
-            phi = phi_next
-        # left side at the terminal level
-        lhs_all.append(anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]]))
-        # the constant rows as a C-order copy: a broadcast view would stack
-        # to F order and change how the sample mean sums
-        rhs_all.append(np.repeat(rhs_c, b, axis=0) if constant
-                       else pathwise_rhs(a_store.__getitem__, b))
-        done += b
-    lhs_all = np.vstack(lhs_all)
-    rhs_all = np.vstack(rhs_all)
+
+    def rows(paths):
+        """(lhs, rhs) of the paths in ``paths``, a contiguous range of path
+        indices.  The noise stream is drawn from the seed, batch by batch up
+        to the range's end, and each path steps on its own row of its
+        batch's draws, so every row is the one a serial run computes."""
+        r0, r1 = paths[0], paths[-1] + 1
+        rng = np.random.default_rng(seed)
+        lhs, rhs = [], []
+        for start in range(0, r1, batch):
+            b = min(batch, n_samples - start)
+            noise = brownian_increments(rng, dt, (b, cube.n_sites), burn_in + n_win)
+            lo, hi = max(r0 - start, 0), min(r1 - start, b)
+            if lo >= hi:  # a batch before the range only advances the stream
+                for _ in noise:
+                    pass
+                continue
+            # a stationary stretch: burn_in steps from 0, then the window,
+            # whose coefficients are kept (the batch axis broadcasts over
+            # sources)
+            phi = np.zeros((hi - lo, cube.n_sites))
+            if not constant:
+                a_store = np.empty((n_win, hi - lo, 1, cube.d, cube.n_sites),
+                                   dtype=np.float32)
+                a_work = np.empty((hi - lo, cube.d, cube.n_sites))
+            own = (dB[lo:hi] for dB in noise)
+            for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, own)):
+                if k >= burn_in and not constant:
+                    hessian_coefficients(V, cube, phi, a_work)
+                    a_store[k - burn_in] = a_work[:, None]
+                phi = phi_next
+            # left side at the terminal level
+            lhs.append(anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]]))
+            # the constant rows as a C-order copy: a broadcast view would
+            # stack to F order and change how the sample mean sums
+            rhs.append(np.repeat(rhs_c, hi - lo, axis=0) if constant
+                       else pathwise_rhs(a_store.__getitem__, hi - lo))
+        return np.vstack(lhs), np.vstack(rhs)
+
+    parts = _map_chunks_on_cores(rows, range(n_samples))
+    lhs_all = np.vstack([lhs for lhs, _ in parts])
+    rhs_all = np.vstack([rhs for _, rhs in parts])
     diff = lhs_all - rhs_all
     sigma = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
     difference = diff.mean(axis=0)
@@ -397,6 +424,8 @@ def poincare_variance_check(
     needs two samples: n_samples >= 40.
     """
     check_langevin_window(V, m, cube, dt)
+    if n_steps < 1:
+        raise ConfigError(f"n_steps: need at least 1 step, got {n_steps}")
     if n_samples < 40:
         raise ConfigError("n_samples: need at least 40, two in each of the 20 groups "
                           f"that give sigma, got {n_samples}")

@@ -18,6 +18,7 @@ from parahom import (
     langevin_simulate,
 )
 from parahom.environments import (
+    _map_chunks_on_cores,
     _map_on_cores,
     brownian_increments,
     langevin_drift,
@@ -255,16 +256,6 @@ def test_matrix_of_gradient_dipole_entries():
 # -- process-parallel map -----------------------------------------------------------------
 
 
-@pytest.fixture
-def two_cores(monkeypatch):
-    """The map sees two cores, whatever the machine has; after the test no
-    worker process is left, neither running nor unreaped."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _no_fork():
     raise AssertionError("os.fork called")
 
@@ -344,3 +335,11 @@ def test_map_on_cores_forks_nothing_for_one_item_or_one_core(two_cores, monkeypa
     assert _map_on_cores(lambda x: x + 1, [4]) == [5]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _map_on_cores(lambda x: x + 1, [4, 5, 6]) == [5, 6, 7]
+
+
+def test_map_chunks_on_cores_calls_fn_once_per_contiguous_chunk(two_cores):
+    parent = os.getpid()
+    out = _map_chunks_on_cores(lambda chunk: (chunk, os.getpid() == parent), range(5))
+    assert out == [([0, 1], True), ([2, 3, 4], False)]
+    assert _map_chunks_on_cores(lambda chunk: chunk, [4]) == [[4]]
+    assert _map_chunks_on_cores(lambda chunk: chunk, []) == []  # no empty chunk

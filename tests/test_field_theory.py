@@ -1,6 +1,7 @@
 """Correlation-identity, Malliavin, and variance-inequality tests."""
 
 import functools
+import os
 import pickle
 
 import numpy as np
@@ -23,6 +24,7 @@ from parahom import (
 )
 from parahom import field_theory
 from parahom.environments import (
+    _map_on_cores,
     brownian_increments,
     hessian_coefficients,
     langevin_path,
@@ -34,6 +36,7 @@ from parahom.field_theory import (
     first_difference_row,
 )
 from parahom.parabolic import _sweep, div_a_grad
+from test_environments import _no_fork
 from test_lattice import same_bits
 
 
@@ -205,6 +208,52 @@ def test_correlation_identity_guards():
         correlation_identity_check(V, 1.0, cube, [[0]], 1, 0.05)
 
 
+@pytest.mark.parametrize("d, x", [(2, [1]), (1, [1, 2])], ids=["short", "long"])
+def test_correlation_offsets_need_d_coordinates(d, x):
+    V = PotentialSpec("quadratic", c=1.0)
+    with pytest.raises(ConfigError, match="x_list"):
+        correlation_identity_check(V, 1.0, PeriodicCube(d, 4), [[0] * d, x], 10, 0.05)
+
+
+def _correlation_on_8_sites(V, n_samples, batch):
+    return correlation_identity_check(V, 1.0, PeriodicCube(1, 8), [[0], [2]], n_samples,
+                                      0.05, seed=23, anchors=[1, 4], batch=batch)
+
+
+@pytest.mark.parametrize("V", [PotentialSpec("dipole", c=1.0, a_dip=0.4),
+                               PotentialSpec("quadratic", c=1.0)],
+                         ids=["dipole", "quadratic"])
+@pytest.mark.parametrize("n_samples, batch", [(7, 3), (7, 2), (2, 50)])
+def test_correlation_check_is_the_same_on_one_core_and_two(two_cores, monkeypatch, V,
+                                                           n_samples, batch):
+    # two cores take paths [0, n/2) and [n/2, n): the worker redraws the
+    # stream up to its range and keeps its rows, across batch boundaries
+    # (7, 3), inside a batch (7, 2) and inside the one batch (2, 50)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    two = _correlation_on_8_sites(V, n_samples, batch)
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = _correlation_on_8_sites(V, n_samples, batch)
+    assert len(forks) == 1
+    for key in one:
+        assert np.array_equal(one[key], two[key]), key
+
+
+def test_correlation_check_inside_a_map_forks_no_worker(two_cores, monkeypatch):
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.4)
+    alone = _correlation_on_8_sites(V, 7, 3)
+
+    def fn(_):  # in the parent's chunk and in the worker's
+        monkeypatch.setattr(os, "fork", _no_fork)  # after the outer fork
+        return _correlation_on_8_sites(V, 7, 3)
+
+    for inside in _map_on_cores(fn, [0, 1]):
+        for key in alone:
+            assert np.array_equal(inside[key], alone[key]), key
+
+
 @pytest.mark.parametrize("batch", [0, -1])
 def test_a_batch_below_one_raises_before_any_path(monkeypatch, batch):
     # without the guard the correlation loop never advances and the Poincare
@@ -355,8 +404,10 @@ def test_malliavin_guards():
         malliavin_fd_check(V, 1.0, cube, 0.01, 0, 12, 0, 10)
 
 
-@pytest.mark.parametrize("m, dt", [(3.0, 0.2), (1.0, 0.5), (0.0, 0.01)],
-                         ids=["1/m^2", "1/(2d Lam)", "massless"])
+@pytest.mark.parametrize("m, dt", [(3.0, 0.2), (1.0, 0.5), (0.0, 0.01), (float("nan"), 0.01),
+                                   (1.0, 0.0), (1.0, -0.01), (1.0, float("nan"))],
+                         ids=["1/m^2", "1/(2d Lam)", "massless", "nan-mass", "zero-step",
+                              "negative-step", "nan-step"])
 def test_every_langevin_entry_point_checks_the_window_before_a_step(m, dt,
                                                                     monkeypatch):
     # min(1/(2 d Lam), 1/m^2) = 1/9 at m = 3, and 1/2.6 for the dipole at d = 1
@@ -444,3 +495,7 @@ def test_poincare_variance_guards():
         with pytest.raises(ConfigError, match="n_samples"):
             poincare_variance_check(V, 1.0, cube, 0.05, 10, F, n_samples)
     assert poincare_variance_check(V, 1.0, cube, 0.05, 10, F, 40, seed=3)["sigma"] > 0
+    # no step leaves a variance of 0 against a positive bound
+    for n_steps in (0, -1):
+        with pytest.raises(ConfigError, match="n_steps"):
+            poincare_variance_check(V, 1.0, cube, 0.05, n_steps, F, 40)
