@@ -213,6 +213,9 @@ def resolve_config(kind, raw, seed_override=None) -> ExperimentConfig:
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown key for kind {kind!r}")
+    if seed_override is not None and "seed" in schema:
+        # the override passes the seed key's own check like a file's seed
+        raw = {**raw, "seed": seed_override}
     params = {}
     for name, key in schema.items():
         if name in raw:
@@ -233,8 +236,6 @@ def resolve_config(kind, raw, seed_override=None) -> ExperimentConfig:
         raise ConfigError("source_site: outside the lattice")
     if "xi" in params and len(params["xi"]) != params["d"]:
         raise ConfigError(f"xi: expected {params['d']} components, got {len(params['xi'])}")
-    if seed_override is not None and "seed" in schema:
-        params["seed"] = int(seed_override)
     return ExperimentConfig(kind, params)
 
 

@@ -32,6 +32,7 @@ from .parabolic import CoefficientField
 
 _SIGKILL = 9  # os.kill's signal number; the signal module is not loaded
 _inside_map = False  # True while a map over chunks runs its function
+_NOISE_FLOATS = 1 << 15  # brownian_increments' block buffer: 256 KB of float64
 
 
 # -- process-parallel map --------------------------------------------------------
@@ -265,14 +266,21 @@ def check_langevin_window(V: PotentialSpec, m: float, cube: PeriodicCube,
         )
 
 
-def brownian_increments(rng: np.random.Generator, dt: float, shape, n_steps: int):
-    """Stream of n_steps Brownian increments sqrt(dt) N(0, 1) of ``shape``,
-    drawn one step at a time, each a new array."""
+def brownian_increments(rngs: list, dt: float, n_sites: int, n_steps: int):
+    """Stream of n_steps Brownian increments of shape (len(rngs), n_sites):
+    row r is sqrt(dt) times the normals of ``rngs[r]`` in step order, drawn
+    a block of steps at a time into one buffer of about 256 KB at most.
+    Each yielded array is a view of it, overwritten by the next block."""
     scale = np.sqrt(dt)
-    for _ in range(n_steps):
-        dB = rng.standard_normal(shape)
-        dB *= scale
-        yield dB
+    block = max(1, min(n_steps, _NOISE_FLOATS // (len(rngs) * n_sites)))
+    buf = np.empty((len(rngs), block, n_sites))
+    for start in range(0, n_steps, block):
+        k = min(block, n_steps - start)
+        for rng, row in zip(rngs, buf):
+            rng.standard_normal(out=row[:k])
+        buf[:, :k] *= scale
+        for i in range(k):
+            yield buf[:, i]
 
 
 def langevin_path(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
@@ -313,9 +321,9 @@ def langevin_simulate(
         burn_in = int(np.ceil(10.0 / (m * m * dt)))
     if burn_in < 0:
         raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    noise = brownian_increments(rng, dt, cube.n_sites, burn_in + n_steps)
-    phi = np.zeros(cube.n_sites)
+    rngs = [np.random.default_rng(seed)]
+    noise = brownian_increments(rngs, dt, cube.n_sites, burn_in + n_steps)
+    phi = np.zeros((1, cube.n_sites))  # the one row of the one stream
     path = langevin_path(V, m, cube, dt, phi, noise)
     for phi in itertools.islice(path, burn_in):
         pass

@@ -79,13 +79,13 @@ def correlation_identity_check(
     the potential's window collapses, a = c on every path, and one
     propagation serves them all.
 
-    The paths run in batches of ``batch`` from one noise stream,
-    ``default_rng(seed)``.  They are split into contiguous ranges of path
-    indices, one per core (``environments._map_chunks_on_cores``; inside
-    another map, one range in the calling process).  A range's worker
-    draws the stream from the seed up to the range's end and steps only
-    its own rows of each draw; every row's arithmetic acts on that row
-    alone, so every output is bit-identical for any number of cores.
+    Path p steps on its own noise stream, the normals of
+    ``default_rng(SeedSequence(seed).spawn(n)[p])`` in step order.  The
+    paths are cut into contiguous ranges, one per core
+    (``environments._map_chunks_on_cores``; inside another map, one range
+    in the calling process), each run in batches of ``batch``.  Every row's
+    arithmetic acts on that row alone, so the output is the same for any
+    ``batch``, core count and prefix of ``n_samples``.
 
     Differences are paired per sample; sigma is the standard error of
     the paired mean, so ``n_samples`` must be at least 2.  ``z_max`` is the
@@ -151,31 +151,22 @@ def correlation_identity_check(
         rhs_c = pathwise_rhs(lambda i: a_c, 1)
 
     def rows(paths):
-        """(lhs, rhs) of the paths in ``paths``, a contiguous range of path
-        indices.  The noise stream is drawn from the seed, batch by batch up
-        to the range's end, and each path steps on its own row of its
-        batch's draws, so every row is the one a serial run computes."""
-        r0, r1 = paths[0], paths[-1] + 1
-        rng = np.random.default_rng(seed)
+        """(lhs, rhs) of the paths in ``paths``, in batches of ``batch``, each
+        path stepping on its own noise stream."""
         lhs, rhs = [], []
-        for start in range(0, r1, batch):
-            b = min(batch, n_samples - start)
-            noise = brownian_increments(rng, dt, (b, cube.n_sites), burn_in + n_win)
-            lo, hi = max(r0 - start, 0), min(r1 - start, b)
-            if lo >= hi:  # a batch before the range only advances the stream
-                for _ in noise:
-                    pass
-                continue
+        for start in range(0, len(paths), batch):
+            own = paths[start:start + batch]
+            b = len(own)
+            noise = brownian_increments(_path_streams(seed, own), dt, cube.n_sites,
+                                        burn_in + n_win)
             # a stationary stretch: burn_in steps from 0, then the window,
             # whose coefficients are kept (the batch axis broadcasts over
             # sources)
-            phi = np.zeros((hi - lo, cube.n_sites))
+            phi = np.zeros((b, cube.n_sites))
             if not constant:
-                a_store = np.empty((n_win, hi - lo, 1, cube.d, cube.n_sites),
-                                   dtype=np.float32)
-                a_work = np.empty((hi - lo, cube.d, cube.n_sites))
-            own = (dB[lo:hi] for dB in noise)
-            for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, own)):
+                a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
+                a_work = np.empty((b, cube.d, cube.n_sites))
+            for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
                 if k >= burn_in and not constant:
                     hessian_coefficients(V, cube, phi, a_work)
                     a_store[k - burn_in] = a_work[:, None]
@@ -184,8 +175,8 @@ def correlation_identity_check(
             lhs.append(anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]]))
             # the constant rows as a C-order copy: a broadcast view would
             # stack to F order and change how the sample mean sums
-            rhs.append(np.repeat(rhs_c, hi - lo, axis=0) if constant
-                       else pathwise_rhs(a_store.__getitem__, hi - lo))
+            rhs.append(np.repeat(rhs_c, b, axis=0) if constant
+                       else pathwise_rhs(a_store.__getitem__, b))
         return np.vstack(lhs), np.vstack(rhs)
 
     parts = _map_chunks_on_cores(rows, range(n_samples))
@@ -204,8 +195,14 @@ def correlation_identity_check(
     }
 
 
+def _path_streams(seed: int, paths) -> list:
+    """Path p's generator, ``default_rng(SeedSequence(seed).spawn(n)[p])``."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
+            for p in paths]
+
+
 def _check_batch(batch: int) -> None:
-    """The paths per batch: below 1 the batch loop would never advance."""
+    """The paths per batch: below 1 the batch loops would raise or run no path."""
     if batch < 1:
         raise ConfigError(f"batch: need at least 1 path per batch, got {batch}")
 
@@ -421,7 +418,9 @@ def poincare_variance_check(
     damped backward equation (coefficients V''(grad phi) along the same
     trajectory); the bound holds with constant 1.  The ratios of 20
     groups of samples give the sigma of the reported ratio, so each group
-    needs two samples: n_samples >= 40.
+    needs two samples: n_samples >= 40.  Path p steps on its own noise
+    stream, as in ``correlation_identity_check``, so the output does not
+    depend on ``batch``; the paths run in the calling process.
     """
     check_langevin_window(V, m, cube, dt)
     if n_steps < 1:
@@ -430,15 +429,14 @@ def poincare_variance_check(
         raise ConfigError("n_samples: need at least 40, two in each of the 20 groups "
                           f"that give sigma, got {n_samples}")
     _check_batch(batch)
-    rng = np.random.default_rng(seed)
     rho = float(np.exp(-m * m * dt / 2.0))
     g_vals = np.empty(0)
     d_norms = np.empty(0)
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
+    for done in range(0, n_samples, batch):
+        own = range(done, min(done + batch, n_samples))
+        b = len(own)
         traj = np.zeros((n_steps + 1, b, cube.n_sites))
-        noise = brownian_increments(rng, dt, traj[0].shape, n_steps)
+        noise = brownian_increments(_path_streams(seed, own), dt, cube.n_sites, n_steps)
         for i, phi in enumerate(langevin_path(V, m, cube, dt, traj[0], noise), 1):
             traj[i] = phi
         phi = traj[-1]
@@ -453,7 +451,6 @@ def poincare_variance_check(
         for _, w in _sweep(cube, coeff, w, range(n_steps - 1, 0, -1), dt / 2.0, rho):
             norm2 += dt * (w**2).sum(axis=-1)
         d_norms = np.concatenate([d_norms, norm2])
-        done += b
     variance = float(g_vals.var(ddof=1))
     bound = float(d_norms.mean())
     ratio = variance / bound if bound > 0 else 0.0

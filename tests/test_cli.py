@@ -217,6 +217,28 @@ def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, flag, env", [
+    ("sample-env", ["--seed", "-1"], None),
+    ("correlate", [], "-3"),
+    ("poincare", ["--seed", "-1"], "4"),  # the flag wins over a valid variable
+], ids=["flag", "env", "flag-over-env"])
+def test_exit_code_2_on_a_negative_seed_override_before_compute(kind, flag, env, tmp_path,
+                                                                monkeypatch, capsys):
+    # an override passes the seed key's check, as a seed in a config file does
+    def no_compute(*args, **kwargs):
+        raise AssertionError("simulated before the seed was checked")
+
+    monkeypatch.setattr("parahom.environments.langevin_simulate", no_compute)
+    monkeypatch.setattr("parahom.field_theory.langevin_path", no_compute)
+    if env is None:
+        monkeypatch.delenv("PARAHOM_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PARAHOM_SEED", env)
+    assert main([kind, *flag, "--out", str(tmp_path / "o")]) == 2
+    assert "seed: invalid value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "kind, n_samples",
     [("correlate", 1), ("poincare", 1), ("avg-greens", 1), ("thm13", 1), ("poincare", 39)],

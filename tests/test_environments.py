@@ -2,9 +2,12 @@
 
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from parahom import (
@@ -17,6 +20,7 @@ from parahom import (
     constant_coefficients,
     langevin_simulate,
 )
+from parahom import environments
 from parahom.environments import (
     _map_chunks_on_cores,
     _map_on_cores,
@@ -67,6 +71,23 @@ def test_langevin_zero_noise_decay_of_constant_field():
     assert len(path) == 100
 
 
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+       n_sites=st.integers(1, 5), n_steps=st.integers(0, 9),
+       block_floats=st.integers(1, 40), dt=st.floats(1e-3, 1.0))
+def test_each_brownian_row_is_its_own_generators_stream(seeds, n_sites, n_steps,
+                                                         block_floats, dt):
+    # row r is sqrt(dt) times the normals of generator r in step order,
+    # whatever the other rows and whatever size of block they are drawn in
+    with mock.patch.object(environments, "_NOISE_FLOATS", block_floats):
+        rows = [dB.copy() for dB in brownian_increments(
+            [np.random.default_rng(s) for s in seeds], dt, n_sites, n_steps)]
+    rows = np.array(rows).reshape(n_steps, len(seeds), n_sites)
+    for r, s in enumerate(seeds):
+        alone = np.sqrt(dt) * np.random.default_rng(s).standard_normal((n_steps, n_sites))
+        assert np.array_equal(rows[:, r], alone)
+
+
 def test_langevin_streamed_and_predrawn_increments_agree():
     cube = PeriodicCube(2, 4)
     V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
@@ -76,8 +97,10 @@ def test_langevin_streamed_and_predrawn_increments_agree():
     def path(phi, increments):
         return np.array(list(langevin_path(V, m, cube, dt, phi, increments)))
 
-    base = path(phi0, brownian_increments(np.random.default_rng(7), dt, phi0.shape, n))
-    drawn = np.sqrt(dt) * np.random.default_rng(7).standard_normal((n,) + phi0.shape)
+    rngs = [np.random.default_rng(7 + r) for r in range(3)]
+    base = path(phi0, brownian_increments(rngs, dt, cube.n_sites, n))
+    drawn = np.sqrt(dt) * np.stack([np.random.default_rng(7 + r).standard_normal(
+        (n, cube.n_sites)) for r in range(3)], axis=1)
     assert np.array_equal(path(phi0, drawn), base)
     # a zero bump replays the base path exactly; a nonzero one moves it
     # only from the bumped step on
@@ -88,10 +111,11 @@ def test_langevin_streamed_and_predrawn_increments_agree():
     moved = path(phi0, bumped)
     assert np.array_equal(moved[:12], base[:12])
     assert not np.array_equal(moved[12:], base[12:])
-    # langevin_simulate runs this stepper on streamed draws from phi = 0
+    # langevin_simulate runs this stepper from phi = 0 on one stream,
+    # default_rng(seed), drawn one step of all the sites after another
     traj = langevin_simulate(V, m, cube, dt, n - 5, burn_in=5, seed=7)
-    rng = np.random.default_rng(7)
-    full = path(phi0[0], brownian_increments(rng, dt, cube.n_sites, n))
+    full = path(phi0[0], np.sqrt(dt) * np.random.default_rng(7).standard_normal(
+        (n, cube.n_sites)))
     assert np.array_equal(traj.values, full[4:])
 
 

@@ -24,8 +24,8 @@ from parahom import (
 )
 from parahom import field_theory
 from parahom.environments import (
+    _map_chunks_on_cores,
     _map_on_cores,
-    brownian_increments,
     hessian_coefficients,
     langevin_path,
     sample_environment,
@@ -92,49 +92,50 @@ def test_correlation_identity_quadratic_pathwise():
         assert abs(out["difference"][p]) <= 3.5 * out["sigma"][p] + 1e-4
 
 
-def gathered_pathwise_sides(V, m, cube, x_list, n_samples, dt, seed, anchors,
-                            batch=None):
+def path_noise(seed, n_paths, n_steps, n_sites, dt):
+    """The documented noise of paths 0..n_paths-1, shape (n_steps, n_paths,
+    n_sites): path p's increments are sqrt(dt) times the normals of
+    ``default_rng(SeedSequence(seed).spawn(n)[p])``, in step order."""
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    return np.sqrt(dt) * np.stack([np.random.default_rng(child).standard_normal(
+        (n_steps, n_sites)) for child in children], axis=1)
+
+
+def gathered_pathwise_sides(V, m, cube, x_list, n_samples, dt, seed, anchors):
     """Per-path (lhs, rhs) of the pathwise estimator, one path per row, with
     the right side gathered pair by pair at every step:
-    rhs = sum_i dt sum_x u_i^s(x) u_i^a(x), averaged over anchors.  The
-    paths run in batches of ``batch`` (all at once when None), drawing the
-    noise in the check's order."""
+    rhs = sum_i dt sum_x u_i^s(x) u_i^a(x), averaged over anchors.  All the
+    paths run at once, each on its own documented noise stream."""
     burn_in = int(np.ceil(10.0 / (m * m * dt)))
     n_win = int(np.ceil(-np.log(1e-6) / (m * m) / dt))
     pairs = [(cube.site_index(cube.site_coords(a) + np.asarray(x)), a)
              for a in anchors for x in x_list]
     s_sites, a_sites = (np.array(p) for p in zip(*pairs))
-    rng = np.random.default_rng(seed)
 
     def anchor_mean(per_pair):
         return per_pair.reshape(-1, len(anchors), len(x_list)).mean(axis=1)
 
-    def batch_sides(b):
-        phi = np.zeros((b, cube.n_sites))
-        a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
-        noise = brownian_increments(rng, dt, phi.shape, burn_in + n_win)
-        for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
-            if k >= burn_in:
-                a_store[k - burn_in] = hessian_coefficients(V, cube, phi)[:, None]
-            phi = phi_next
-        lhs = anchor_mean(phi[:, s_sites] * phi[:, a_sites])
-        u_s = np.zeros((b, len(pairs), cube.n_sites))
-        u_a = np.zeros_like(u_s)
-        u_s[:, np.arange(len(pairs)), s_sites] = 1.0
-        u_a[:, np.arange(len(pairs)), a_sites] = 1.0
-        rho = 1.0 - m * m * dt / 2.0
-        rhs = dt * (u_s * u_a).sum(axis=-1)
-        for i in range(n_win - 1, 0, -1):
-            for u in (u_s, u_a):
-                u -= dt / (2.0 * rho) * div_a_grad(cube, a_store[i], u)
-                u *= rho
-            rhs += dt * (u_s * u_a).sum(axis=-1)
-        return lhs, anchor_mean(rhs)
-
-    batch = batch or n_samples
-    sides = [batch_sides(min(batch, n_samples - done))
-             for done in range(0, n_samples, batch)]
-    return tuple(np.vstack(side) for side in zip(*sides))
+    b = n_samples
+    phi = np.zeros((b, cube.n_sites))
+    a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
+    noise = path_noise(seed, b, burn_in + n_win, cube.n_sites, dt)
+    for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
+        if k >= burn_in:
+            a_store[k - burn_in] = hessian_coefficients(V, cube, phi)[:, None]
+        phi = phi_next
+    lhs = anchor_mean(phi[:, s_sites] * phi[:, a_sites])
+    u_s = np.zeros((b, len(pairs), cube.n_sites))
+    u_a = np.zeros_like(u_s)
+    u_s[:, np.arange(len(pairs)), s_sites] = 1.0
+    u_a[:, np.arange(len(pairs)), a_sites] = 1.0
+    rho = 1.0 - m * m * dt / 2.0
+    rhs = dt * (u_s * u_a).sum(axis=-1)
+    for i in range(n_win - 1, 0, -1):
+        for u in (u_s, u_a):
+            u -= dt / (2.0 * rho) * div_a_grad(cube, a_store[i], u)
+            u *= rho
+        rhs += dt * (u_s * u_a).sum(axis=-1)
+    return lhs, anchor_mean(rhs)
 
 
 def assert_check_matches_the_gather(V, cube, x_list, anchors, n_samples, dt, seed,
@@ -142,7 +143,7 @@ def assert_check_matches_the_gather(V, cube, x_list, anchors, n_samples, dt, see
     out = correlation_identity_check(V, 1.0, cube, x_list, n_samples, dt, seed=seed,
                                      anchors=anchors, batch=batch)
     lhs, rhs = gathered_pathwise_sides(V, 1.0, cube, x_list, n_samples, dt, seed,
-                                       anchors, batch)
+                                       anchors)
     assert out["lhs"] == pytest.approx(lhs.mean(axis=0), rel=1e-12)
     assert out["rhs"] == pytest.approx(rhs.mean(axis=0), rel=1e-12)
     diff = lhs - rhs
@@ -189,7 +190,7 @@ def test_constant_hessian_rhs_is_the_one_path_value(d, half_L, data, V):
     dt, n = 0.1, 4
     out = correlation_identity_check(V, 1.0, cube, x_list, n, dt, seed=3,
                                      anchors=anchors, batch=3)
-    lhs, rhs = gathered_pathwise_sides(V, 1.0, cube, x_list, n, dt, 3, anchors, 3)
+    lhs, rhs = gathered_pathwise_sides(V, 1.0, cube, x_list, n, dt, 3, anchors)
     assert (rhs == rhs[0]).all()
     _, one = gathered_pathwise_sides(V, 1.0, cube, x_list, 1, dt, 0, anchors)
     assert same_bits(rhs[:1], one)
@@ -220,25 +221,55 @@ def _correlation_on_8_sites(V, n_samples, batch):
                                       0.05, seed=23, anchors=[1, 4], batch=batch)
 
 
+_BATCHES = (1, 3, 7, 50)  # one path per batch, ranges cut inside a batch, one batch
+
+
 @pytest.mark.parametrize("V", [PotentialSpec("dipole", c=1.0, a_dip=0.4),
                                PotentialSpec("quadratic", c=1.0)],
                          ids=["dipole", "quadratic"])
 @pytest.mark.parametrize("n_samples, batch", [(7, 3), (7, 2), (2, 50)])
 def test_correlation_check_is_the_same_on_one_core_and_two(two_cores, monkeypatch, V,
                                                            n_samples, batch):
-    # two cores take paths [0, n/2) and [n/2, n): the worker redraws the
-    # stream up to its range and keeps its rows, across batch boundaries
-    # (7, 3), inside a batch (7, 2) and inside the one batch (2, 50)
+    # two cores take paths [0, n/2) and [n/2, n), each drawing only its own
+    # paths' streams; one core runs them all, and neither the split nor the
+    # batch moves a bit
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     two = _correlation_on_8_sites(V, n_samples, batch)
     assert len(forks) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one = _correlation_on_8_sites(V, n_samples, batch)
+    for other in _BATCHES:
+        one = _correlation_on_8_sites(V, n_samples, other)
+        for key in one:
+            assert np.array_equal(one[key], two[key]), (other, key)
     assert len(forks) == 1
-    for key in one:
-        assert np.array_equal(one[key], two[key]), key
+
+
+def _correlation_rows(monkeypatch, V, n_samples, batch):
+    """The per-path (lhs, rhs) rows of a one-core run, read from its map."""
+    parts = []
+
+    def spy(fn, items):
+        parts.extend(_map_chunks_on_cores(fn, items))
+        return parts
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        patch.setattr(field_theory, "_map_chunks_on_cores", spy)
+        _correlation_on_8_sites(V, n_samples, batch)
+    (lhs, rhs), = parts
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("V", [PotentialSpec("dipole", c=1.0, a_dip=0.4),
+                               PotentialSpec("quadratic", c=1.0)],
+                         ids=["dipole", "quadratic"])
+def test_correlation_rows_of_a_prefix_are_those_of_a_shorter_run(monkeypatch, V):
+    lhs, rhs = _correlation_rows(monkeypatch, V, 7, 3)
+    for k, batch in ((2, 50), (4, 3), (5, 1)):
+        lhs_k, rhs_k = _correlation_rows(monkeypatch, V, k, batch)
+        assert same_bits(lhs[:k], lhs_k) and same_bits(rhs[:k], rhs_k), k
 
 
 def test_correlation_check_inside_a_map_forks_no_worker(two_cores, monkeypatch):
@@ -499,3 +530,42 @@ def test_poincare_variance_guards():
     for n_steps in (0, -1):
         with pytest.raises(ConfigError, match="n_steps"):
             poincare_variance_check(V, 1.0, cube, 0.05, n_steps, F, 40)
+
+
+def _poincare_on_8_sites(n_samples, batch, functional=None):
+    functional = functional or field_theory.TERMINAL_FUNCTIONALS["tanh-sum"]
+    return poincare_variance_check(PotentialSpec("dipole", c=1.0, a_dip=0.3), 1.0,
+                                   PeriodicCube(1, 8), 0.05, 10, functional, n_samples,
+                                   seed=11, batch=batch)
+
+
+def test_poincare_check_is_the_same_for_any_batch_on_one_core_and_two(two_cores,
+                                                                      monkeypatch):
+    # path p draws its own stream, so the batch moves no bit; the paths run
+    # in the calling process on any number of cores
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    two = [_poincare_on_8_sites(41, batch) for batch in _BATCHES]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = _poincare_on_8_sites(41, 3)
+    assert not forks
+    for batch, out in zip(_BATCHES, two):
+        for key in one:
+            assert np.array_equal(one[key], out[key]), (batch, key)
+
+
+def _terminal_fields(n_samples, batch):
+    """The terminal fields phi(., T) of a Poincare run, one path per row."""
+    seen = []
+    sin_sum = field_theory.TERMINAL_FUNCTIONALS["sin-sum"]
+    record = TerminalFunctional(
+        value=lambda phi: seen.append(phi.copy()) or sin_sum.value(phi), grad=sin_sum.grad)
+    _poincare_on_8_sites(n_samples, batch, record)
+    return np.vstack(seen)
+
+
+def test_poincare_paths_of_a_prefix_are_those_of_a_shorter_run():
+    full = _terminal_fields(45, 7)
+    for k, batch in ((40, 50), (41, 1)):
+        assert same_bits(full[:k], _terminal_fields(k, batch)), k
