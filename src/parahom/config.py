@@ -10,6 +10,7 @@ of ``xi`` by ``d``); unknown keys and invalid values raise
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -17,6 +18,14 @@ from .errors import ConfigError
 
 def _positive(x):
     return x > 0
+
+
+def _finite_positive(x):
+    return math.isfinite(x) and x > 0
+
+
+def _finite_all(xs):
+    return all(math.isfinite(x) for x in xs)
 
 
 def _even_positive(x):
@@ -28,8 +37,8 @@ def _dim(x):
 
 
 def _distinct_positive(n):
-    """Check: at least n distinct values, all positive."""
-    return lambda xs: len(set(xs)) >= n and min(xs) > 0
+    """Check: at least n distinct values, all finite and positive."""
+    return lambda xs: len(set(xs)) >= n and min(xs) > 0 and _finite_all(xs)
 
 
 @dataclass
@@ -52,7 +61,7 @@ def _float_list(s):
 
 _D = Key(int, 1, _dim, "spatial dimension in {1,2,3}")
 _SEED = Key(int, 0, lambda x: x >= 0, "non-negative master seed")
-_ETAS_WHY = "at least 3 distinct positive values"
+_ETAS_WHY = "at least 3 distinct finite positive values"
 
 _ENV_KEYS = {
     "d": _D,
@@ -68,8 +77,8 @@ _ENV_KEYS = {
 # the cell problems: environments of n_steps steps, solved at (xi, eta)
 _CELL_KEYS = {**_ENV_KEYS, "n_steps": Key(int, 8, _positive)}
 _XI_ETA = {
-    "xi": Key(_float_list, [0.0]),
-    "eta": Key(float, 0.01, _positive, "positive regularization"),
+    "xi": Key(_float_list, [0.0], _finite_all, "finite values"),
+    "eta": Key(float, 0.01, _finite_positive, "finite positive regularization"),
 }
 _N_ENV = Key(int, 4, _positive)
 

@@ -12,7 +12,8 @@ one guard of the integrator's stability window; every entry point that
 steps the dynamics calls it before the first step.  ``_map_on_cores``
 maps a function over independent environments (seeds) on every core, and
 ``_map_chunks_on_cores`` maps one over contiguous chunks of items (the
-paths of a correlation check).
+paths of a correlation check); ``_free_cores`` is the number of cores
+either map, or a solve's threads, may spread work over.
 """
 
 from __future__ import annotations
@@ -33,9 +34,20 @@ from .parabolic import CoefficientField
 _SIGKILL = 9  # os.kill's signal number; the signal module is not loaded
 _inside_map = False  # True while a map over chunks runs its function
 _NOISE_FLOATS = 1 << 15  # brownian_increments' block buffer: 256 KB of float64
+_NOISE_MIN_DRAW = 640  # normals a row draws per block at least, past 256 KB if need be
 
 
 # -- process-parallel map --------------------------------------------------------
+
+
+def _free_cores() -> int:
+    """The cores this process may spread work over: those it may run on
+    (``os.sched_getaffinity``), but 1 where that is unknown or inside the
+    mapped function of a map over chunks, whose processes already fill
+    the cores."""
+    if _inside_map or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _map_on_cores(fn, items) -> list:
@@ -50,21 +62,19 @@ def _map_chunks_on_cores(fn, items) -> list:
     """``[fn(chunk) for chunk in chunks]`` in order, computed on every core,
     where the chunks cut the items into contiguous, non-empty lists.
 
-    There is one chunk per core this process may run on
-    (``os.sched_getaffinity``) and at most one per item; no items make no
-    chunks.  The parent computes the first chunk itself; each other chunk
-    runs in an ``os.fork`` child that pickles its result, or the exception
-    it raised, back through a pipe.  ``fn`` and the items reach the
-    children by fork, not by pickling, so closures work.  With one core or
-    one item, without ``os.fork``, or inside the mapped function of another
-    call (in the parent or a worker) all the items are one chunk, computed
-    in the calling process, so it never runs more processes than cores.
+    There is one chunk per free core (``_free_cores``) and at most one per
+    item; no items make no chunks.  The parent computes the first chunk
+    itself; each other chunk runs in an ``os.fork`` child that pickles its
+    result, or the exception it raised, back through a pipe.  ``fn`` and
+    the items reach the children by fork, not by pickling, so closures
+    work.  With one core or one item, without ``os.fork``, or inside the
+    mapped function of another call (in the parent or a worker) all the
+    items are one chunk, computed in the calling process, so it never runs
+    more processes than cores.
     """
     global _inside_map
     items = list(items)
-    n_chunks = 1
-    if not _inside_map and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n_chunks = min(len(os.sched_getaffinity(0)), len(items))
+    n_chunks = min(_free_cores(), len(items)) if hasattr(os, "fork") else 1
     if n_chunks <= 1:
         return [fn(items)] if items else []
     ends = [len(items) * k // n_chunks for k in range(n_chunks + 1)]
@@ -269,10 +279,16 @@ def check_langevin_window(V: PotentialSpec, m: float, cube: PeriodicCube,
 def brownian_increments(rngs: list, dt: float, n_sites: int, n_steps: int):
     """Stream of n_steps Brownian increments of shape (len(rngs), n_sites):
     row r is sqrt(dt) times the normals of ``rngs[r]`` in step order, drawn
-    a block of steps at a time into one buffer of about 256 KB at most.
-    Each yielded array is a view of it, overwritten by the next block."""
+    a block of steps at a time into one buffer.  A block holds the steps
+    that fit about 256 KB, but at least enough for each row's generator
+    call to draw ``_NOISE_MIN_DRAW`` normals: many rows of few sites (the
+    paths of a correlation check) would otherwise make one short call per
+    row every few steps.  Each yielded array is a view of the buffer,
+    overwritten by the next block."""
     scale = np.sqrt(dt)
-    block = max(1, min(n_steps, _NOISE_FLOATS // (len(rngs) * n_sites)))
+    fit = _NOISE_FLOATS // (len(rngs) * n_sites)
+    floor = -(-_NOISE_MIN_DRAW // n_sites)  # ceil(_NOISE_MIN_DRAW / n_sites)
+    block = max(1, min(n_steps, max(fit, floor)))
     buf = np.empty((len(rngs), block, n_sites))
     for start in range(0, n_steps, block):
         k = min(block, n_steps - start)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrityError, SolverError
-from .environments import PotentialSpec, _map_on_cores, sample_environment
+from .environments import PotentialSpec, _free_cores, _map_on_cores, sample_environment
 from .lattice import PeriodicCube, _phases, heat_kernel_1d, hom_gaussian_kernel
 from .parabolic import (CoefficientField, _point_source, _stencil_work, div_a_grad,
                         solve_forward)
@@ -156,11 +156,24 @@ class CorrectorField:
         return {"lhs": lhs, "rhs": rhs, "passes": bool(lhs <= rhs * (1 + 1e-10))}
 
 
-def _component_norms(w: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each component of a (nt, d, n) field.  Written
+def _component_norms(w: np.ndarray, rows: bool) -> np.ndarray:
+    """Euclidean norm of each component of a (nt, k, n) field.  Written
     out rather than np.linalg.norm, which goes through BLAS and keeps a
-    second BLAS thread spinning for no gain at these sizes."""
-    return np.sqrt(np.sum(np.abs(w) ** 2, axis=(0, 2)))
+    second BLAS thread spinning for no gain at these sizes.  With ``rows``
+    each time row is summed on its own and the rows are added in time
+    order, which is the order numpy takes for k >= 2, so a block of
+    components cut from such a field gets the sums the whole field would;
+    without it the sum is numpy's over both axes at once."""
+    sq = np.abs(w) ** 2
+    if rows:
+        return np.sqrt(np.cumsum(sq.sum(axis=2), axis=0)[-1])
+    return np.sqrt(np.sum(sq, axis=(0, 2)))
+
+
+# the fewest unknowns (k nt n, over the k swept components) at which two
+# threads beat one: below it the lock handoffs between the threads' numpy
+# calls cost more than the overlap saves (2 cores, see CHANGES.md)
+_SPLIT_MIN_UNKNOWNS = 24576
 
 
 def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
@@ -177,7 +190,8 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     arithmetic and the corrector is real.  The iteration stops at relative
     residual 1e-12, or after the sweeps that rate needs to gain 14 digits
     plus 10; a final residual above 1e-8 max(1, |f|), or one that is not
-    finite, raises SolverError.
+    finite, raises SolverError.  A non-finite or non-positive ``eta`` and
+    a non-finite ``xi`` raise ConfigError.
 
     A sweep makes no field-sized temporaries beyond the FFT pair and the
     divergence's term: the residual runs through ``parabolic.div_a_grad``
@@ -197,13 +211,27 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     block and ``residual`` is its largest relative residual; with no
     component left both are 0.  The rate and the sweep limit still come
     from the whole field.
+
+    For the same reason the k >= 2 swept components split into two
+    contiguous blocks, the first of ceil(k/2) components, whose sweeps run
+    at once: the second block's on a helper thread started for this solve
+    and joined before it returns on every path, an exception there
+    re-raised here.  The threads meet once per sweep, so the stopping test
+    still reads the largest relative residual over all components, and
+    the iterations, iterates and residual are those of the one-block
+    sweep.  The solve splits only where it pays: with two or more free
+    cores (``environments._free_cores``, so never inside a map's worker)
+    and at least ``_SPLIT_MIN_UNKNOWNS`` unknowns in the swept components
+    (a d = 3 cell of L = 8 and 17 levels has 3 x 8704).
     """
-    if eta <= 0:
-        raise ConfigError(f"eta must be > 0, got {eta}")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be finite and > 0, got {eta}")
     cube, nt, d = a.cube, a.n_times, a.cube.d
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (cube.d,):
         raise ConfigError(f"xi must have {cube.d} components")
+    if not np.all(np.isfinite(xi)):
+        raise ConfigError(f"xi must be finite, got {xi.tolist()}")
     lam_s, Lam_s = float(a.values.min()), float(a.values.max())
     rate = (Lam_s - lam_s) / (Lam_s + lam_s)
     max_iter = 10 + int(np.ceil(np.log(1e-14) / np.log(max(rate, 1e-14))))
@@ -218,44 +246,64 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     if not active.any():
         return CorrectorField(cube, xi, eta, values, 0, 0.0)
     f = np.compress(active, f, axis=1)  # C order, unlike f[:, active]: the same sums
+    k = f.shape[1]
     _, denom = _symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
     forward, inverse, denom = _spectral(cube, np.isrealobj(f), denom[:, None])
+    split = k >= 2 and _free_cores() >= 2 and f.size >= _SPLIT_MIN_UNKNOWNS
+    blocks = np.split(f, [(k + 1) // 2], axis=1) if split else [f]
 
-    # the residual's buffers: the stencil's gradient (nt, d_k, d_j, n) and
-    # output, which also holds the time difference and r, and A u
-    work = _stencil_work(cube, coeff, f)
-    r_buf, au = work[1], np.empty_like(f)
+    def sweeper(f):
+        """The iterate u of the components ``f``, zero so far, and a call
+        that makes one sweep on it and returns the norms of its new
+        residual."""
+        # the residual's buffers: the stencil's gradient (nt, k, d_j, n) and
+        # output, which also holds the time difference and r, and A u
+        f = np.ascontiguousarray(f)
+        work = _stencil_work(cube, coeff, f)
+        r_buf, au = work[1], np.empty_like(f)
+        u, r = np.zeros_like(f), f
 
-    def residual(u):
-        """r = f - A u with A u = eta u + (u - u_prev)/dt + dxi* a dxi u,
-        summed in that order."""
-        np.multiply(u, eta, out=au)
-        np.subtract(u[1:], u[:-1], out=r_buf[1:])  # the periodic backward difference
-        np.subtract(u[0], u[-1], out=r_buf[0])
-        np.divide(r_buf, a.dt, out=r_buf)
-        np.add(au, r_buf, out=au)
-        np.add(au, div_a_grad(cube, coeff, u, work, xi), out=au)
-        return np.subtract(f, au, out=r_buf)
+        def sweep():
+            """u += M^{-1} r, then r = f - A u with A u = eta u + (u - u_prev)/dt
+            + dxi* a dxi u, summed in that order."""
+            nonlocal u, r
+            w_hat = forward(r)
+            w_hat /= denom
+            u += inverse(w_hat)
+            np.multiply(u, eta, out=au)
+            np.subtract(u[1:], u[:-1], out=r_buf[1:])  # the periodic backward difference
+            np.subtract(u[0], u[-1], out=r_buf[0])
+            np.divide(r_buf, a.dt, out=r_buf)
+            np.add(au, r_buf, out=au)
+            np.add(au, div_a_grad(cube, coeff, u, work, xi), out=au)
+            r = np.subtract(f, au, out=r_buf)
+            return _component_norms(r, rows=k > 1)
 
-    f_norm = _component_norms(f)
+        return u, sweep
+
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    iterates, sweeps = zip(*(sweeper(block) for block in blocks))
+    f_norm = _component_norms(f, rows=k > 1)
     scale = np.where(f_norm > 0, f_norm, 1.0)
-    u = np.zeros_like(f)
-    r, r_norm = f, f_norm
+    r_norm = f_norm
     iterations = 0
-    while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
-        w_hat = forward(r)
-        w_hat /= denom
-        u += inverse(w_hat)
-        r = residual(u)
-        r_norm = _component_norms(r)
-        iterations += 1
+    # the helper thread starts at the first submit, so one block starts
+    # none; it runs in the caller's context, np.errstate included
+    context = contextvars.copy_context()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
+            pending = [helper.submit(context.run, sweep) for sweep in sweeps[1:]]
+            r_norm = np.concatenate([sweeps[0]()] + [p.result() for p in pending])
+            iterations += 1
     rel = float((r_norm / scale).max())
     if not np.all(r_norm <= 1e-8 * np.maximum(1.0, f_norm)):
         raise SolverError(
             f"corrector solve stopped after {iterations} iterations at "
             f"relative residual {rel:.3e}"
         )
-    values[:, active] = u
+    values[:, active] = np.concatenate(iterates, axis=1)
     return CorrectorField(cube, xi, eta, values, iterations, rel)
 
 

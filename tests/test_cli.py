@@ -200,10 +200,18 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     ("thm13", "t_indices = 20,20,30,45\n"),
     ("thm13", "t_indices = 0,20,30,45\n"),
     ("avg-greens", "t_indices = -1,10\n"),
+    # the corrector's keys must be finite: the solver ends inf or nan at residual nan
+    ("corrector", "eta = inf\n"),
+    ("corrector", "xi = nan\n"),
+    ("corrector", "xi = inf\n"),
+    ("qmatrix", "d = 2\nL = 4\nxi = 0.5,-inf\n"),
+    ("ahom", "etas = 0.1,0.01,inf\n"),
+    ("thm13", "etas = 0.13,0.013,nan\n"),
 ], ids=["x_site", "y_site", "anchors", "source_site", "xi", "malliavin_window",
         "etas_too_few", "etas_duplicate", "etas_negative", "thm13_etas_too_few",
         "thm13_t_indices_too_few", "thm13_t_indices_duplicate",
-        "thm13_t_indices_zero", "avg_greens_negative_t_index"])
+        "thm13_t_indices_zero", "avg_greens_negative_t_index", "eta_inf", "xi_nan",
+        "xi_inf", "qmatrix_xi_minus_inf", "etas_inf", "thm13_etas_nan"])
 def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
                                                       monkeypatch, capsys):
     def no_compute(*args, **kwargs):

@@ -74,15 +74,31 @@ def test_langevin_zero_noise_decay_of_constant_field():
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
        n_sites=st.integers(1, 5), n_steps=st.integers(0, 9),
-       block_floats=st.integers(1, 40), dt=st.floats(1e-3, 1.0))
+       block_floats=st.integers(1, 40), min_draw=st.integers(1, 20),
+       dt=st.floats(1e-3, 1.0))
 def test_each_brownian_row_is_its_own_generators_stream(seeds, n_sites, n_steps,
-                                                         block_floats, dt):
+                                                         block_floats, min_draw, dt):
     # row r is sqrt(dt) times the normals of generator r in step order,
     # whatever the other rows and whatever size of block they are drawn in
-    with mock.patch.object(environments, "_NOISE_FLOATS", block_floats):
+    with mock.patch.object(environments, "_NOISE_FLOATS", block_floats), \
+            mock.patch.object(environments, "_NOISE_MIN_DRAW", min_draw):
         rows = [dB.copy() for dB in brownian_increments(
             [np.random.default_rng(s) for s in seeds], dt, n_sites, n_steps)]
     rows = np.array(rows).reshape(n_steps, len(seeds), n_sites)
+    for r, s in enumerate(seeds):
+        alone = np.sqrt(dt) * np.random.default_rng(s).standard_normal((n_steps, n_sites))
+        assert np.array_equal(rows[:, r], alone)
+
+
+def test_brownian_rows_at_the_real_block_size_are_their_generators_streams():
+    # criterion 9's batches: 200 rows of 16 sites fit 10 steps in 256 KB, and
+    # the floor of 640 normals a draw raises that to 40, so 50 steps take two
+    n_rows, n_sites, n_steps, dt = 200, 16, 50, 0.02
+    assert environments._NOISE_FLOATS // (n_rows * n_sites) == 10
+    assert environments._NOISE_MIN_DRAW // n_sites == 40
+    seeds = np.random.SeedSequence(9).spawn(n_rows)
+    rows = np.array([dB.copy() for dB in brownian_increments(
+        [np.random.default_rng(s) for s in seeds], dt, n_sites, n_steps)])
     for r, s in enumerate(seeds):
         alone = np.sqrt(dt) * np.random.default_rng(s).standard_normal((n_steps, n_sites))
         assert np.array_equal(rows[:, r], alone)

@@ -1,6 +1,8 @@
 """Corrector, effective-coefficient, T-operator, and rate-fit tests."""
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from parahom import (
     t_operator_apply,
 )
 from parahom import homogenize
+from parahom.environments import _map_chunks_on_cores
 from parahom.homogenize import q_matrix_single, sample_norm
 from test_lattice import same_bits
 
@@ -266,7 +269,9 @@ def allocating_corrector_solve(a, xi, eta):
               + cube.div(coeff * cube.grad(u, xi=xi), xi=xi))
         return f - au
 
-    norms = homogenize._component_norms
+    def norms(w):
+        return np.sqrt(np.sum(np.abs(w) ** 2, axis=(0, 2)))
+
     f_norm = norms(f)
     scale = np.where(f_norm > 0, f_norm, 1.0)
     u, r, r_norm, iterations = np.zeros_like(f), f, f_norm, 0
@@ -341,6 +346,123 @@ def test_laminate_corrector_transforms_one_component(monkeypatch):
     assert set(components) == {1}
 
 
+def solve_recording_threads(a, xi, eta, cores, min_unknowns):
+    """corrector_solve with ``cores`` free cores and the given split
+    minimum, and the set of threads that computed residual norms."""
+    norms, threads = homogenize._component_norms, set()
+
+    def recording_norms(w, rows):
+        threads.add(threading.get_ident())
+        return norms(w, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homogenize, "_component_norms", recording_norms)
+        patch.setattr(homogenize, "_free_cores", lambda: cores)
+        patch.setattr(homogenize, "_SPLIT_MIN_UNKNOWNS", min_unknowns)
+        return corrector_solve(a, xi, eta), threads
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    L=st.sampled_from([2, 4, 6]),
+    nt=st.sampled_from([1, 2, 3, 5]),
+    swept=st.lists(st.booleans(), min_size=3, max_size=3),
+    in_time=st.booleans(),
+    complex_xi=st.booleans(),
+    log_eta=st.floats(-3.0, 0.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(d=3, L=4, nt=3, swept=[True] * 3, in_time=True, complex_xi=False, log_eta=-2.0,
+         seed=1)
+@example(d=2, L=4, nt=5, swept=[True] * 3, in_time=True, complex_xi=True, log_eta=-1.0,
+         seed=2)
+def test_corrector_split_over_two_threads_is_bit_identical(d, L, nt, swept, in_time,
+                                                          complex_xi, log_eta, seed):
+    # component k is swept when a_k varies along x_k; the others are layered
+    swept = swept[:d]
+    assume(sum(swept) >= 2)
+    depends = [[j != k or swept[k] for j in range(d)] for k in range(d)]
+    a = layered_field(d, L, nt, depends, in_time, False, seed)
+    xi = np.random.default_rng([seed, 2]).uniform(-np.pi, np.pi, d) * complex_xi
+    xi[~np.array(swept)] = 0.0
+    eta = 10.0**log_eta
+    one, one_threads = solve_recording_threads(a, xi, eta, 1, 0)
+    two, two_threads = solve_recording_threads(a, xi, eta, 2, 0)
+    assert len(one_threads) == 1 and len(two_threads) == 2
+    assert two.values.dtype == one.values.dtype
+    assert np.array_equal(two.values, one.values)
+    assert two.iterations == one.iterations and two.residual == one.residual
+
+
+@pytest.mark.parametrize("xi", [[0.0] * 3, [0.4, -1.1, 0.3]])
+def test_corrector_splits_a_d3_cell_of_17_levels_at_the_measured_minimum(xi):
+    # the ahom-d3 cell, 3 x 8704 unknowns: two threads at the private minimum
+    minimum = homogenize._SPLIT_MIN_UNKNOWNS
+    a = random_field(3, 8, 17, 0.7, 1.3, dt=0.1, seed=5)
+    one, _ = solve_recording_threads(a, xi, 0.013, 1, minimum)
+    two, threads = solve_recording_threads(a, xi, 0.013, 2, minimum)
+    assert len(threads) == 2
+    assert np.array_equal(two.values, one.values)
+    assert two.iterations == one.iterations and two.residual == one.residual
+    # a d = 2 cell of 9 levels on L = 8, like the small-lattice cells, stays on one
+    small = random_field(2, 8, 9, 0.7, 1.3, dt=0.1, seed=5)
+    _, threads = solve_recording_threads(small, [0.3, 0.2], 0.013, 2, minimum)
+    assert len(threads) == 1
+
+
+def test_corrector_split_keeps_its_bits_under_rapid_thread_switching():
+    # the threads share only read-only inputs; switching every microsecond
+    # must not change a bit of any iterate
+    a = random_field(3, 4, 5, 0.5, 2.0, dt=0.1, seed=8)
+    one, _ = solve_recording_threads(a, [0.3, 0.0, -0.2], 0.05, 1, 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            two, threads = solve_recording_threads(a, [0.3, 0.0, -0.2], 0.05, 2, 0)
+            assert len(threads) == 2 and np.array_equal(two.values, one.values)
+            assert two.iterations == one.iterations and two.residual == one.residual
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_corrector_helper_error_reaches_the_caller_and_the_thread_is_joined(monkeypatch):
+    norms, caller = homogenize._component_norms, threading.get_ident()
+
+    def failing_in_the_helper(w, rows):
+        if threading.get_ident() != caller:
+            raise SolverError("the helper's block diverged")
+        return norms(w, rows)
+
+    monkeypatch.setattr(homogenize, "_component_norms", failing_in_the_helper)
+    monkeypatch.setattr(homogenize, "_free_cores", lambda: 2)
+    monkeypatch.setattr(homogenize, "_SPLIT_MIN_UNKNOWNS", 0)
+    before = threading.active_count()
+    with pytest.raises(SolverError, match="helper's block diverged"):
+        corrector_solve(random_field(3, 4, 3, 0.5, 2.0, seed=3), [0.0] * 3, eta=0.1)
+    assert threading.active_count() == before
+
+
+def _no_thread(self):
+    raise AssertionError("a thread was started")
+
+
+def test_corrector_starts_no_thread_on_one_core_or_in_a_map(two_cores, monkeypatch):
+    a = random_field(2, 4, 3, 0.5, 2.0, seed=4)
+    monkeypatch.setattr(homogenize, "_SPLIT_MIN_UNKNOWNS", 0)
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
+    with pytest.raises(AssertionError, match="a thread was started"):
+        corrector_solve(a, [0.0, 0.0], eta=0.1)  # two cores: the split starts one
+    # the map's parent chunk and its forked worker run their solves on one thread
+    iterations = _map_chunks_on_cores(
+        lambda chunk: [corrector_solve(b, [0.0, 0.0], eta=0.1).iterations for b in chunk],
+        [a, a])
+    assert iterations[0] == iterations[1] and iterations[0][0] > 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert corrector_solve(a, [0.0, 0.0], eta=0.1).iterations == iterations[0][0]
+
+
 def test_corrector_solver_error_reports_statistics(monkeypatch):
     # a preconditioner scaled far too small makes the iteration diverge
     symbol = homogenize._symbol
@@ -375,6 +497,10 @@ def test_corrector_guards():
         corrector_solve(a, [0.0], eta=0.0)
     with pytest.raises(ConfigError):
         corrector_solve(a, [0.0, 0.0], eta=0.1)
+    # not finite: refused before the sweeps, which would end at residual nan
+    for xi, eta in [([0.0], np.inf), ([0.0], np.nan), ([np.nan], 0.1), ([-np.inf], 0.1)]:
+        with pytest.raises(ConfigError, match="finite"):
+            corrector_solve(a, xi, eta=eta)
 
 
 # -- q matrix and a_hom ------------------------------------------------------------
