@@ -126,7 +126,7 @@ SCHEMAS = {
         **_ENV_KEYS,
         "n_samples": _n_samples(2000),
         "x_max": Key(int, 2, lambda x: x >= 0),
-        "anchors": Key(_int_list, [0]),
+        "anchors": Key(_int_list, [0], bool, "non-empty list of anchor sites"),
     },
     "thm13": {
         **_ENV_KEYS,

@@ -12,15 +12,19 @@ one guard of the integrator's stability window; every entry point that
 steps the dynamics calls it before the first step.  ``_map_on_cores``
 maps a function over independent environments (seeds) on every core, and
 ``_map_chunks_on_cores`` maps one over contiguous chunks of items (the
-paths of a correlation check); ``_free_cores`` is the number of cores
-either map, or a solve's threads, may spread work over.
+paths of the correlation and variance checks, through
+``field_theory._run_paths``); ``_free_cores`` is the number of cores
+either map, or a solve's threads, may spread work over.  ``_step_count``
+guards every step count derived from the mass and the step.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import pickle
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -269,11 +273,32 @@ def check_langevin_window(V: PotentialSpec, m: float, cube: PeriodicCube,
         )
     if not (np.isfinite(dt) and dt > 0):
         raise ConfigError(f"dt={dt}: the step must be finite and positive")
-    max_dt = min(1.0 / (2.0 * cube.d * V.window.Lam), 1.0 / (m * m))
+    mass_dt = 1.0 / (m * m) if m * m else math.inf  # m^2 may underflow to 0
+    max_dt = min(1.0 / (2.0 * cube.d * V.window.Lam), mass_dt)
     if dt > max_dt * (1 + 1e-12):
         raise ConfigError(
             f"dt={dt} exceeds the stability window min(1/(2 d Lam), 1/m^2)={max_dt}"
         )
+
+
+def _step_count(span: float, *divisors: float) -> int:
+    """ceil(span / divisors[0] / divisors[1] / ...), the steps of a stretch
+    of the dynamics set by the mass m and the step dt: ConfigError naming
+    them where the count is not finite (a divisor such as m^2 dt underflows
+    to 0) or exceeds sys.maxsize, which no loop or array can reach."""
+    steps = float(span)
+    for divisor in divisors:
+        steps = steps / float(divisor) if divisor else math.inf
+    if not steps <= sys.maxsize:
+        raise ConfigError(f"m, dt: the mass and step set a stretch of {steps:.3g} "
+                          f"steps, more than a run can take ({sys.maxsize})")
+    return math.ceil(steps)
+
+
+def _burn_in(m: float, dt: float) -> int:
+    """The default burn-in 10/(m^2 dt) of a path from 0, a spectral-gap
+    heuristic."""
+    return _step_count(10.0, m * m * dt)
 
 
 def brownian_increments(rngs: list, dt: float, n_sites: int, n_steps: int):
@@ -334,7 +359,7 @@ def langevin_simulate(
     """
     check_langevin_window(V, m, cube, dt)
     if burn_in is None:
-        burn_in = int(np.ceil(10.0 / (m * m * dt)))
+        burn_in = _burn_in(m, dt)
     if burn_in < 0:
         raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
     rngs = [np.random.default_rng(seed)]

@@ -25,8 +25,10 @@ import numpy as np
 
 from .environments import (
     PotentialSpec,
+    _burn_in,
     _map_chunks_on_cores,
     _map_on_cores,
+    _step_count,
     brownian_increments,
     check_langevin_window,
     hessian_coefficients,
@@ -47,6 +49,41 @@ def massive_lattice_greens(cube: PeriodicCube, m: float, x) -> float:
     (c = 1); the quadratic-potential stationary covariance."""
     kernel = np.fft.ifftn(1.0 / (cube.laplacian_symbol() + m * m))
     return float(kernel[tuple(np.asarray(x, dtype=int) % cube.L)].real)
+
+
+# -- independent paths ----------------------------------------------------------
+
+
+def _run_paths(body, n_samples: int, batch: int, seed: int, dt: float, n_sites: int,
+               n_steps: int) -> tuple:
+    """The per-path rows of ``n_samples`` independent Langevin paths,
+    stacked in path order: ``body(noise, b)`` steps b paths on ``noise``,
+    n_steps increments of shape (b, n_sites), and returns a tuple of arrays
+    with one row per path.
+
+    Path p steps on its own noise stream, the normals of
+    ``default_rng(SeedSequence(seed).spawn(n)[p])`` in step order.  The
+    paths are cut into contiguous ranges, one per core
+    (``environments._map_chunks_on_cores``; inside another map, one range
+    in the calling process), each run in batches of ``batch``.  Where the
+    body's arithmetic acts on each row alone, the rows are the same for
+    any ``batch``, core count and prefix of ``n_samples``.
+    """
+    if batch < 1:  # the loop would raise or run no path
+        raise ConfigError(f"batch: need at least 1 path per batch, got {batch}")
+
+    def rows(paths):
+        parts = []
+        for start in range(0, len(paths), batch):
+            own = paths[start:start + batch]
+            rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
+                    for p in own]
+            parts.append(body(brownian_increments(rngs, dt, n_sites, n_steps), len(own)))
+        return parts
+
+    parts = [part for chunk in _map_chunks_on_cores(rows, range(n_samples))
+             for part in chunk]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # -- correlation identity -------------------------------------------------------
@@ -79,36 +116,31 @@ def correlation_identity_check(
     the potential's window collapses, a = c on every path, and one
     propagation serves them all.
 
-    Path p steps on its own noise stream, the normals of
-    ``default_rng(SeedSequence(seed).spawn(n)[p])`` in step order.  The
-    paths are cut into contiguous ranges, one per core
-    (``environments._map_chunks_on_cores``; inside another map, one range
-    in the calling process), each run in batches of ``batch``.  Every row's
-    arithmetic acts on that row alone, so the output is the same for any
-    ``batch``, core count and prefix of ``n_samples``.
+    The paths run through ``_run_paths``, so the output is the same for
+    any ``batch``, core count and prefix of ``n_samples``.
 
     Differences are paired per sample; sigma is the standard error of
     the paired mean, so ``n_samples`` must be at least 2.  ``z_max`` is the
     largest |difference| / sigma over the offsets, with sigma floored at
-    1e-300.  Each offset in ``x_list`` has ``cube.d`` coordinates.
+    1e-300.  ``x_list`` and ``anchors`` must not be empty, and each offset
+    in ``x_list`` has ``cube.d`` coordinates.
     """
     check_langevin_window(V, m, cube, dt)
     if n_samples < 2:
         raise ConfigError(f"n_samples: need at least 2 for sigma, got {n_samples}")
-    _check_batch(batch)
-    burn_in = int(np.ceil(10.0 / (m * m * dt)))
+    burn_in = _burn_in(m, dt)
     x_list = [np.asarray(x, dtype=int) for x in x_list]
-    if any(x.shape != (cube.d,) for x in x_list):
-        raise ConfigError(f"x_list: each offset needs {cube.d} coordinates, got "
-                          f"{[x.tolist() for x in x_list]}")
+    if not x_list or any(x.shape != (cube.d,) for x in x_list):
+        raise ConfigError(f"x_list: need at least one offset of {cube.d} coordinates, "
+                          f"got {[x.tolist() for x in x_list]}")
     # the two damped propagators jointly decay like e^{-m^2 tau}
-    t_star = -np.log(1e-6) / (m * m)
-    n_win = int(np.ceil(t_star / dt))
+    n_win = _step_count(-np.log(1e-6), m * m, dt)
     if anchors is None:
         anchors = [cube.site_index(np.zeros(cube.d, dtype=int))]
     anchors = list(anchors)
-    if not all(0 <= site < cube.n_sites for site in anchors):
-        raise ConfigError(f"anchors: sites must lie in [0, {cube.n_sites})")
+    if not anchors or not all(0 <= site < cube.n_sites for site in anchors):
+        raise ConfigError(f"anchors: need at least one site, each in "
+                          f"[0, {cube.n_sites}), got {anchors}")
     n_anchors, n_x = len(anchors), len(x_list)
     # all delta sources needed, the anchors first and then their x-shifts;
     # pair p = (anchor, x) in anchor-major order reads sources s_pos[p] and
@@ -150,38 +182,28 @@ def correlation_identity_check(
         a_c = np.full((cube.d, cube.n_sites), V.c, dtype=np.float32)
         rhs_c = pathwise_rhs(lambda i: a_c, 1)
 
-    def rows(paths):
-        """(lhs, rhs) of the paths in ``paths``, in batches of ``batch``, each
-        path stepping on its own noise stream."""
-        lhs, rhs = [], []
-        for start in range(0, len(paths), batch):
-            own = paths[start:start + batch]
-            b = len(own)
-            noise = brownian_increments(_path_streams(seed, own), dt, cube.n_sites,
-                                        burn_in + n_win)
-            # a stationary stretch: burn_in steps from 0, then the window,
-            # whose coefficients are kept (the batch axis broadcasts over
-            # sources)
-            phi = np.zeros((b, cube.n_sites))
-            if not constant:
-                a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
-                a_work = np.empty((b, cube.d, cube.n_sites))
-            for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
-                if k >= burn_in and not constant:
-                    hessian_coefficients(V, cube, phi, a_work)
-                    a_store[k - burn_in] = a_work[:, None]
-                phi = phi_next
-            # left side at the terminal level
-            lhs.append(anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]]))
-            # the constant rows as a C-order copy: a broadcast view would
-            # stack to F order and change how the sample mean sums
-            rhs.append(np.repeat(rhs_c, b, axis=0) if constant
-                       else pathwise_rhs(a_store.__getitem__, b))
-        return np.vstack(lhs), np.vstack(rhs)
+    def body(noise, b):
+        """(lhs, rhs) of b paths stepping on ``noise``: a stationary stretch,
+        burn_in steps from 0 and then the window, whose coefficients are
+        kept (the batch axis broadcasts over sources)."""
+        phi = np.zeros((b, cube.n_sites))
+        if not constant:
+            a_store = np.empty((n_win, b, 1, cube.d, cube.n_sites), dtype=np.float32)
+            a_work = np.empty((b, cube.d, cube.n_sites))
+        for k, phi_next in enumerate(langevin_path(V, m, cube, dt, phi, noise)):
+            if k >= burn_in and not constant:
+                hessian_coefficients(V, cube, phi, a_work)
+                a_store[k - burn_in] = a_work[:, None]
+            phi = phi_next
+        # left side at the terminal level; the constant rows as a C-order
+        # copy: a broadcast view would stack to F order and change how the
+        # sample mean sums
+        return (anchor_mean(phi[:, sites[s_pos]] * phi[:, sites[a_pos]]),
+                np.repeat(rhs_c, b, axis=0) if constant
+                else pathwise_rhs(a_store.__getitem__, b))
 
-    parts = _map_chunks_on_cores(rows, range(n_samples))
-    lhs_all = np.vstack([lhs for lhs, _ in parts])
-    rhs_all = np.vstack([rhs for _, rhs in parts])
+    lhs_all, rhs_all = _run_paths(body, n_samples, batch, seed, dt, cube.n_sites,
+                                  burn_in + n_win)
     diff = lhs_all - rhs_all
     sigma = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
     difference = diff.mean(axis=0)
@@ -193,18 +215,6 @@ def correlation_identity_check(
         "z_max": float(np.max(np.abs(difference) / np.maximum(sigma, 1e-300))),
         "n_samples": diff.shape[0],
     }
-
-
-def _path_streams(seed: int, paths) -> list:
-    """Path p's generator, ``default_rng(SeedSequence(seed).spawn(n)[p])``."""
-    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
-            for p in paths]
-
-
-def _check_batch(batch: int) -> None:
-    """The paths per batch: below 1 the batch loops would raise or run no path."""
-    if batch < 1:
-        raise ConfigError(f"batch: need at least 1 path per batch, got {batch}")
 
 
 def _index_of(pool: list, item) -> int:
@@ -244,7 +254,7 @@ _PROBES = ((0, 1), (-1, 1), (0, 2), (-1, 2), (-2, 2), (0, 3), (-1, 3), (-2, 3), 
 def _damping(m: float, dt: float) -> tuple[int, float]:
     """Steps of the damped time sum, cut where the weight left is 1e-5, and
     its factor per step rho = e^{-m^2 dt}."""
-    return int(np.ceil(-np.log(1e-5) / (m * m) / dt)), np.exp(-m * m * dt)
+    return _step_count(-np.log(1e-5), m * m, dt), np.exp(-m * m * dt)
 
 
 def first_difference_row(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
@@ -418,9 +428,9 @@ def poincare_variance_check(
     damped backward equation (coefficients V''(grad phi) along the same
     trajectory); the bound holds with constant 1.  The ratios of 20
     groups of samples give the sigma of the reported ratio, so each group
-    needs two samples: n_samples >= 40.  Path p steps on its own noise
-    stream, as in ``correlation_identity_check``, so the output does not
-    depend on ``batch``; the paths run in the calling process.
+    needs two samples: n_samples >= 40.  The paths run through
+    ``_run_paths``, so the output does not depend on ``batch`` or the
+    core count.
     """
     check_langevin_window(V, m, cube, dt)
     if n_steps < 1:
@@ -428,19 +438,16 @@ def poincare_variance_check(
     if n_samples < 40:
         raise ConfigError("n_samples: need at least 40, two in each of the 20 groups "
                           f"that give sigma, got {n_samples}")
-    _check_batch(batch)
     rho = float(np.exp(-m * m * dt / 2.0))
-    g_vals = np.empty(0)
-    d_norms = np.empty(0)
-    for done in range(0, n_samples, batch):
-        own = range(done, min(done + batch, n_samples))
-        b = len(own)
+
+    def body(noise, b):
+        """(G, ||DG||^2) of b paths stepping on ``noise``."""
         traj = np.zeros((n_steps + 1, b, cube.n_sites))
-        noise = brownian_increments(_path_streams(seed, own), dt, cube.n_sites, n_steps)
         for i, phi in enumerate(langevin_path(V, m, cube, dt, traj[0], noise), 1):
             traj[i] = phi
         phi = traj[-1]
-        g_vals = np.concatenate([g_vals, np.asarray(functional.value(phi))])
+        # a copy: a view of the trajectory would keep it alive with the row
+        g = np.array(functional.value(phi), dtype=float)
         # backward damped evolution of the terminal gradient
         w = np.asarray(functional.grad(phi), dtype=float)
         # the increment of step i feeds through the Jacobians of steps
@@ -450,7 +457,9 @@ def poincare_variance_check(
         coeff = lambda i: hessian_coefficients(V, cube, traj[i], a_work)
         for _, w in _sweep(cube, coeff, w, range(n_steps - 1, 0, -1), dt / 2.0, rho):
             norm2 += dt * (w**2).sum(axis=-1)
-        d_norms = np.concatenate([d_norms, norm2])
+        return g, norm2
+
+    g_vals, d_norms = _run_paths(body, n_samples, batch, seed, dt, cube.n_sites, n_steps)
     variance = float(g_vals.var(ddof=1))
     bound = float(d_norms.mean())
     ratio = variance / bound if bound > 0 else 0.0

@@ -188,6 +188,8 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     ("malliavin", "L = 8\nx_site = 9999\n"),
     ("malliavin", "L = 8\ny_site = 9999\n"),
     ("correlate", "L = 8\nanchors = 9999\n"),
+    ("correlate", "anchors = \n"),
+    ("correlate", "anchors = ,\n"),
     ("greens", "L = 8\nsource_site = 9999\n"),
     ("corrector", "d = 2\nL = 4\nxi = 0.5\n"),
     # 1/m^2 = 1/9 < dt: outside the Langevin stability window
@@ -207,9 +209,9 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     ("qmatrix", "d = 2\nL = 4\nxi = 0.5,-inf\n"),
     ("ahom", "etas = 0.1,0.01,inf\n"),
     ("thm13", "etas = 0.13,0.013,nan\n"),
-], ids=["x_site", "y_site", "anchors", "source_site", "xi", "malliavin_window",
-        "etas_too_few", "etas_duplicate", "etas_negative", "thm13_etas_too_few",
-        "thm13_t_indices_too_few", "thm13_t_indices_duplicate",
+], ids=["x_site", "y_site", "anchors", "anchors_empty", "anchors_comma", "source_site",
+        "xi", "malliavin_window", "etas_too_few", "etas_duplicate", "etas_negative",
+        "thm13_etas_too_few", "thm13_t_indices_too_few", "thm13_t_indices_duplicate",
         "thm13_t_indices_zero", "avg_greens_negative_t_index", "eta_inf", "xi_nan",
         "xi_inf", "qmatrix_xi_minus_inf", "etas_inf", "thm13_etas_nan"])
 def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
@@ -223,6 +225,27 @@ def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     key = text.splitlines()[-1].split(" = ")[0]
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("greens", "m = 1e-200\n"),
+    ("correlate", "m = 1e-200\n"),
+    ("thm13", "m = 1e-200\n"),
+    ("greens", "dt = 1e-300\n"),
+    ("correlate", "dt = 1e-300\n"),
+], ids=["greens_m", "correlate_m", "thm13_m", "greens_dt", "correlate_dt"])
+def test_exit_code_2_on_a_derived_step_count_beyond_reach_before_a_step(
+        kind, text, tmp_path, monkeypatch, capsys):
+    # m^2 underflows to 0 at m = 1e-200, and dt = 1e-300 asks for 1e301
+    # burn-in steps: the count is refused, naming m and dt, before a step
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the step count was checked")
+
+    monkeypatch.setattr("parahom.environments.langevin_path", no_step)
+    monkeypatch.setattr("parahom.field_theory.langevin_path", no_step)
+    cfg = _write(tmp_path, text)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "m, dt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, flag, env", [

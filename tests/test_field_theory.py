@@ -24,7 +24,6 @@ from parahom import (
 )
 from parahom import field_theory
 from parahom.environments import (
-    _map_chunks_on_cores,
     _map_on_cores,
     hessian_coefficients,
     langevin_path,
@@ -216,6 +215,21 @@ def test_correlation_offsets_need_d_coordinates(d, x):
         correlation_identity_check(V, 1.0, PeriodicCube(d, 4), [[0] * d, x], 10, 0.05)
 
 
+@pytest.mark.parametrize("x_list, anchors, key",
+                         [([], [0], "x_list"), ([[0]], [], "anchors")],
+                         ids=["no-offset", "no-anchor"])
+def test_correlation_check_needs_an_offset_and_an_anchor_before_any_path(
+        x_list, anchors, key, monkeypatch):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a path was sampled")
+
+    monkeypatch.setattr(field_theory, "brownian_increments", no_paths)
+    V = PotentialSpec("quadratic", c=1.0)
+    with pytest.raises(ConfigError, match=key):
+        correlation_identity_check(V, 1.0, PeriodicCube(1, 8), x_list, 10, 0.05,
+                                   anchors=anchors)
+
+
 def _correlation_on_8_sites(V, n_samples, batch):
     return correlation_identity_check(V, 1.0, PeriodicCube(1, 8), [[0], [2]], n_samples,
                                       0.05, seed=23, anchors=[1, 4], batch=batch)
@@ -224,65 +238,88 @@ def _correlation_on_8_sites(V, n_samples, batch):
 _BATCHES = (1, 3, 7, 50)  # one path per batch, ranges cut inside a batch, one batch
 
 
+def assert_the_same_on_one_core_and_two(monkeypatch, run, two_core_batches):
+    """``run(batch)`` on two cores forks one worker per call, and on one
+    core none; every output is the same bits for any batch and core count.
+    Two cores take paths [0, n/2) and [n/2, n), each drawing only its own
+    paths' streams; one core runs them all."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    two = [run(batch) for batch in two_core_batches]
+    assert len(forks) == len(two)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for other in _BATCHES:
+        one = run(other)
+        for batch, out in zip(two_core_batches, two):
+            for key in one:
+                assert np.array_equal(one[key], out[key]), (batch, other, key)
+    assert len(forks) == len(two)
+
+
 @pytest.mark.parametrize("V", [PotentialSpec("dipole", c=1.0, a_dip=0.4),
                                PotentialSpec("quadratic", c=1.0)],
                          ids=["dipole", "quadratic"])
 @pytest.mark.parametrize("n_samples, batch", [(7, 3), (7, 2), (2, 50)])
 def test_correlation_check_is_the_same_on_one_core_and_two(two_cores, monkeypatch, V,
                                                            n_samples, batch):
-    # two cores take paths [0, n/2) and [n/2, n), each drawing only its own
-    # paths' streams; one core runs them all, and neither the split nor the
-    # batch moves a bit
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    two = _correlation_on_8_sites(V, n_samples, batch)
-    assert len(forks) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    for other in _BATCHES:
-        one = _correlation_on_8_sites(V, n_samples, other)
-        for key in one:
-            assert np.array_equal(one[key], two[key]), (other, key)
-    assert len(forks) == 1
+    assert_the_same_on_one_core_and_two(
+        monkeypatch, lambda other: _correlation_on_8_sites(V, n_samples, other), [batch])
 
 
-def _correlation_rows(monkeypatch, V, n_samples, batch):
-    """The per-path (lhs, rhs) rows of a one-core run, read from its map."""
-    parts = []
+def path_rows(monkeypatch, run, n_samples, batch):
+    """The per-path rows that ``_run_paths`` stacks for ``run(n_samples,
+    batch)`` on one core."""
+    rows = []
+    run_paths = field_theory._run_paths
 
-    def spy(fn, items):
-        parts.extend(_map_chunks_on_cores(fn, items))
-        return parts
+    def spy(*args):
+        rows.append(run_paths(*args))
+        return rows[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        patch.setattr(field_theory, "_map_chunks_on_cores", spy)
-        _correlation_on_8_sites(V, n_samples, batch)
-    (lhs, rhs), = parts
-    return lhs, rhs
+        patch.setattr(field_theory, "_run_paths", spy)
+        run(n_samples, batch)
+    (columns,) = rows
+    return columns
+
+
+def assert_prefix_rows_are_those_of_shorter_runs(monkeypatch, run, n_samples, batch,
+                                                 shorter):
+    full = path_rows(monkeypatch, run, n_samples, batch)
+    for k, other in shorter:
+        for column, column_k in zip(full, path_rows(monkeypatch, run, k, other)):
+            assert same_bits(column[:k], column_k), (k, other)
 
 
 @pytest.mark.parametrize("V", [PotentialSpec("dipole", c=1.0, a_dip=0.4),
                                PotentialSpec("quadratic", c=1.0)],
                          ids=["dipole", "quadratic"])
 def test_correlation_rows_of_a_prefix_are_those_of_a_shorter_run(monkeypatch, V):
-    lhs, rhs = _correlation_rows(monkeypatch, V, 7, 3)
-    for k, batch in ((2, 50), (4, 3), (5, 1)):
-        lhs_k, rhs_k = _correlation_rows(monkeypatch, V, k, batch)
-        assert same_bits(lhs[:k], lhs_k) and same_bits(rhs[:k], rhs_k), k
+    # per path (lhs, rhs)
+    assert_prefix_rows_are_those_of_shorter_runs(
+        monkeypatch, functools.partial(_correlation_on_8_sites, V), 7, 3,
+        ((2, 50), (4, 3), (5, 1)))
 
 
-def test_correlation_check_inside_a_map_forks_no_worker(two_cores, monkeypatch):
-    V = PotentialSpec("dipole", c=1.0, a_dip=0.4)
-    alone = _correlation_on_8_sites(V, 7, 3)
+def assert_no_worker_inside_a_map(monkeypatch, run):
+    """``run()`` inside the function of a two-core map, in the parent's
+    chunk and in the worker's, forks nothing and gives its output alone."""
+    alone = run()
 
-    def fn(_):  # in the parent's chunk and in the worker's
+    def fn(_):
         monkeypatch.setattr(os, "fork", _no_fork)  # after the outer fork
-        return _correlation_on_8_sites(V, 7, 3)
+        return run()
 
     for inside in _map_on_cores(fn, [0, 1]):
         for key in alone:
             assert np.array_equal(inside[key], alone[key]), key
+
+
+def test_correlation_check_inside_a_map_forks_no_worker(two_cores, monkeypatch):
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.4)
+    assert_no_worker_inside_a_map(monkeypatch, lambda: _correlation_on_8_sites(V, 7, 3))
 
 
 @pytest.mark.parametrize("batch", [0, -1])
@@ -462,6 +499,28 @@ def test_every_langevin_entry_point_checks_the_window_before_a_step(m, dt,
             call()
 
 
+@pytest.mark.parametrize("m, dt", [(1e-200, 0.05), (1.0, 1e-300)],
+                         ids=["m^2-underflows", "tiny-step"])
+def test_every_derived_step_count_beyond_reach_is_refused_before_a_step(m, dt,
+                                                                        monkeypatch):
+    # the burn-in 10/(m^2 dt) is inf at m = 1e-200 (m^2 is 0) and 1e301 at
+    # dt = 1e-300; so are the correlation window and 13(b)'s damped time sum
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the step count was checked")
+
+    monkeypatch.setattr("parahom.field_theory.langevin_path", no_step)
+    monkeypatch.setattr("parahom.environments.langevin_path", no_step)
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
+    calls = [
+        lambda: correlation_identity_check(V, m, PeriodicCube(1, 8), [[0]], 10, dt),
+        lambda: langevin_simulate(V, m, PeriodicCube(1, 8), dt, 10),
+        lambda: first_difference_row(V, m, PeriodicCube(2, 8), dt, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="m, dt"):
+            call()
+
+
 # -- variance inequality -------------------------------------------------------------------
 
 
@@ -541,31 +600,17 @@ def _poincare_on_8_sites(n_samples, batch, functional=None):
 
 def test_poincare_check_is_the_same_for_any_batch_on_one_core_and_two(two_cores,
                                                                       monkeypatch):
-    # path p draws its own stream, so the batch moves no bit; the paths run
-    # in the calling process on any number of cores
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    two = [_poincare_on_8_sites(41, batch) for batch in _BATCHES]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    one = _poincare_on_8_sites(41, 3)
-    assert not forks
-    for batch, out in zip(_BATCHES, two):
-        for key in one:
-            assert np.array_equal(one[key], out[key]), (batch, key)
+    assert_the_same_on_one_core_and_two(
+        monkeypatch, functools.partial(_poincare_on_8_sites, 41), _BATCHES)
 
 
-def _terminal_fields(n_samples, batch):
-    """The terminal fields phi(., T) of a Poincare run, one path per row."""
-    seen = []
-    sin_sum = field_theory.TERMINAL_FUNCTIONALS["sin-sum"]
-    record = TerminalFunctional(
-        value=lambda phi: seen.append(phi.copy()) or sin_sum.value(phi), grad=sin_sum.grad)
-    _poincare_on_8_sites(n_samples, batch, record)
-    return np.vstack(seen)
+def test_poincare_paths_of_a_prefix_are_those_of_a_shorter_run(monkeypatch):
+    # per path (G, ||DG||^2) of G = sum sin phi(., T)
+    run = functools.partial(_poincare_on_8_sites,
+                            functional=field_theory.TERMINAL_FUNCTIONALS["sin-sum"])
+    assert_prefix_rows_are_those_of_shorter_runs(monkeypatch, run, 45, 7,
+                                                 ((40, 50), (41, 1)))
 
 
-def test_poincare_paths_of_a_prefix_are_those_of_a_shorter_run():
-    full = _terminal_fields(45, 7)
-    for k, batch in ((40, 50), (41, 1)):
-        assert same_bits(full[:k], _terminal_fields(k, batch)), k
+def test_poincare_check_inside_a_map_forks_no_worker(two_cores, monkeypatch):
+    assert_no_worker_inside_a_map(monkeypatch, lambda: _poincare_on_8_sites(41, 7))
