@@ -20,14 +20,6 @@ def _positive(x):
     return x > 0
 
 
-def _finite_positive(x):
-    return math.isfinite(x) and x > 0
-
-
-def _finite_all(xs):
-    return all(math.isfinite(x) for x in xs)
-
-
 def _even_positive(x):
     return x > 0 and x % 2 == 0
 
@@ -37,8 +29,8 @@ def _dim(x):
 
 
 def _distinct_positive(n):
-    """Check: at least n distinct values, all finite and positive."""
-    return lambda xs: len(set(xs)) >= n and min(xs) > 0 and _finite_all(xs)
+    """Check: at least n distinct values, all positive."""
+    return lambda xs: len(set(xs)) >= n and min(xs) > 0
 
 
 @dataclass
@@ -55,30 +47,39 @@ def _int_list(s):
     return [int(p) for p in str(s).split(",") if p.strip() != ""]
 
 
+def _float(s):
+    """A finite float: NaN and +-inf are refused for every float key, and
+    elementwise for every list of floats."""
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(s)
+    return x
+
+
 def _float_list(s):
-    return [float(p) for p in str(s).split(",") if p.strip() != ""]
+    return [_float(p) for p in str(s).split(",") if p.strip() != ""]
 
 
 _D = Key(int, 1, _dim, "spatial dimension in {1,2,3}")
 _SEED = Key(int, 0, lambda x: x >= 0, "non-negative master seed")
-_ETAS_WHY = "at least 3 distinct finite positive values"
+_ETAS_WHY = "at least 3 distinct positive values"
 
 _ENV_KEYS = {
     "d": _D,
     "L": Key(int, 16, _even_positive, "even positive side length"),
-    "dt": Key(float, 0.05, _positive, "positive time step"),
-    "m": Key(float, 1.0, _positive, "positive mass"),
+    "dt": Key(_float, 0.05, _positive, "positive time step"),
+    "m": Key(_float, 1.0, _positive, "positive mass"),
     "potential": Key(str, "dipole", lambda s: s in ("quadratic", "dipole"),
                      "'quadratic' or 'dipole'"),
-    "c": Key(float, 1.0, _positive, "positive quadratic curvature"),
-    "a_dip": Key(float, 0.3, lambda x: 0 <= x < 1, "dipole amplitude in [0,1)"),
+    "c": Key(_float, 1.0, _positive, "positive quadratic curvature"),
+    "a_dip": Key(_float, 0.3, lambda x: 0 <= x < 1, "dipole amplitude in [0,1)"),
     "seed": _SEED,
 }
 # the cell problems: environments of n_steps steps, solved at (xi, eta)
 _CELL_KEYS = {**_ENV_KEYS, "n_steps": Key(int, 8, _positive)}
 _XI_ETA = {
-    "xi": Key(_float_list, [0.0], _finite_all, "finite values"),
-    "eta": Key(float, 0.01, _finite_positive, "finite positive regularization"),
+    "xi": Key(_float_list, [0.0]),
+    "eta": Key(_float, 0.01, _positive, "positive regularization"),
 }
 _N_ENV = Key(int, 4, _positive)
 
@@ -92,7 +93,7 @@ SCHEMAS = {
     "heat-kernel": {
         "d": _D,
         "radius": Key(int, 40, _positive, "positive truncation radius"),
-        "t": Key(float, 1.0, lambda x: x >= 0, "non-negative time"),
+        "t": Key(_float, 1.0, lambda x: x >= 0, "non-negative time"),
         "seed": _SEED,
     },
     "sample-env": {**_ENV_KEYS, "n_steps": Key(int, 20, _positive)},
@@ -139,12 +140,12 @@ SCHEMAS = {
     "malliavin": {
         **_ENV_KEYS,
         # the identity holds to O(dt): 1e-3 meets the 1e-3 verdict
-        "dt": Key(float, 1e-3, _positive, "positive time step"),
+        "dt": Key(_float, 1e-3, _positive, "positive time step"),
         "y_site": Key(int, 1, lambda x: x >= 0),
         "s_index": Key(int, 50, lambda x: x >= 0),
         "x_site": Key(int, 0, lambda x: x >= 0),
         "t_index": Key(int, 100, _positive),
-        "delta": Key(float, 1e-5, lambda x: 1e-7 <= x <= 1e-3,
+        "delta": Key(_float, 1e-5, lambda x: 1e-7 <= x <= 1e-3,
                      "perturbation in [1e-7, 1e-3]"),
     },
     "poincare": {
@@ -231,7 +232,8 @@ def resolve_config(kind, raw, seed_override=None) -> ExperimentConfig:
             try:
                 val = key.parse(raw[name])
             except (TypeError, ValueError):
-                raise ConfigError(f"{name}: cannot parse {raw[name]!r}") from None
+                why = " (floats must be finite)" if key.parse in (_float, _float_list) else ""
+                raise ConfigError(f"{name}: cannot parse {raw[name]!r}{why}") from None
         elif key.default is not None:
             val = key.default
         else:

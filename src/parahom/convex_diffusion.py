@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .environments import _stderr
 from .errors import ConfigError
 
 # -- potentials -----------------------------------------------------------------
@@ -135,9 +136,9 @@ def exact_gaussian_path(A, b, dt: float, increments: np.ndarray, phi0=None) -> n
 def _batch_sigma(x: np.ndarray) -> np.ndarray:
     """Standard error of the time average of ``x`` along axis 0: the
     spread of the means of 20 consecutive batches (``np.array_split``)
-    over sqrt(20), which stays honest when successive steps correlate."""
-    means = np.stack([batch.mean(axis=0) for batch in np.array_split(x, 20)])
-    return means.std(axis=0, ddof=1) / np.sqrt(20)
+    over sqrt(20) (``environments._stderr`` of the batch means), which
+    stays honest when successive steps correlate."""
+    return _stderr(np.stack([batch.mean(axis=0) for batch in np.array_split(x, 20)]))
 
 
 def stationary_moments_check(A, b, lags, dt: float, n_keep: int, seed: int = 0) -> dict:

@@ -15,7 +15,8 @@ maps a function over independent environments (seeds) on every core, and
 paths of the correlation and variance checks, through
 ``field_theory._run_paths``); ``_free_cores`` is the number of cores
 either map, or a solve's threads, may spread work over.  ``_step_count``
-guards every step count derived from the mass and the step.
+guards every step count derived from the mass and the step.  ``_stderr``
+is the one standard error of a Monte Carlo mean in the package.
 """
 
 from __future__ import annotations
@@ -151,6 +152,19 @@ def _fork_worker(fn, chunk) -> tuple[int, int]:
         status = 0
     finally:
         os._exit(status)
+
+
+# -- Monte Carlo error bars ------------------------------------------------------
+
+
+def _stderr(x) -> np.ndarray:
+    """Standard error of the mean of ``x`` over axis 0: the sample standard
+    deviation (``ddof=1``) over sqrt(n), and float zeros of one sample's
+    shape for fewer than two samples."""
+    x = np.asarray(x)
+    if len(x) < 2:
+        return np.zeros(x.shape[1:])
+    return x.std(axis=0, ddof=1) / np.sqrt(len(x))
 
 
 # -- potentials --------------------------------------------------------------

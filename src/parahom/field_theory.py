@@ -29,6 +29,7 @@ from .environments import (
     _map_chunks_on_cores,
     _map_on_cores,
     _step_count,
+    _stderr,
     brownian_increments,
     check_langevin_window,
     hessian_coefficients,
@@ -205,7 +206,7 @@ def correlation_identity_check(
     lhs_all, rhs_all = _run_paths(body, n_samples, batch, seed, dt, cube.n_sites,
                                   burn_in + n_win)
     diff = lhs_all - rhs_all
-    sigma = diff.std(axis=0, ddof=1) / np.sqrt(diff.shape[0])
+    sigma = _stderr(diff)
     difference = diff.mean(axis=0)
     return {
         "lhs": lhs_all.mean(axis=0),
@@ -316,7 +317,7 @@ def first_difference_excess(V: PotentialSpec, m: float, cube: PeriodicCube,
     first = np.array(_map_on_cores(functools.partial(first_difference_row, V, m, cube, dt),
                                    range(seed, seed + n_env)))
     d1 = np.abs(first.mean(axis=0) - first_difference_reference(cube, m, dt, c_hom))
-    s1 = first.std(axis=0, ddof=1) / np.sqrt(n_env)
+    s1 = _stderr(first)
     radii = np.array([float(np.hypot(*v)) for v in _PROBES])
     return {"first": first, **_decay_excess(d1, radii, base_exponent=1.0, sigma=s1)}
 
@@ -463,15 +464,9 @@ def poincare_variance_check(
     variance = float(g_vals.var(ddof=1))
     bound = float(d_norms.mean())
     ratio = variance / bound if bound > 0 else 0.0
-    # sigma of the ratio from group-wise recomputation
-    groups = np.array_split(np.arange(n_samples), 20)
-    ratios = []
-    for idx in groups:
-        v = g_vals[idx].var(ddof=1)
-        bnd = d_norms[idx].mean()
-        if bnd > 0:
-            ratios.append(v / bnd)
-    sigma = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios))) if len(ratios) > 1 else 0.0
+    # sigma of the ratio from its recomputation on 20 groups of paths
+    groups = zip(np.array_split(g_vals, 20), np.array_split(d_norms, 20))
+    sigma = float(_stderr([g.var(ddof=1) / n.mean() for g, n in groups if n.mean() > 0]))
     return {
         "variance": variance,
         "derivative_bound": bound,

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrityError, SolverError
-from .environments import PotentialSpec, _free_cores, _map_on_cores, sample_environment
+from .environments import (PotentialSpec, _free_cores, _map_on_cores, _stderr,
+                           sample_environment)
 from .lattice import PeriodicCube, _phases, heat_kernel_1d, hom_gaussian_kernel
 from .parabolic import (CoefficientField, _point_source, _stencil_work, div_a_grad,
                         solve_forward)
@@ -330,23 +331,14 @@ def q_matrix_single(corr: CorrectorField, a: CoefficientField) -> np.ndarray:
     return base + corr_term
 
 
-def _q_estimate(per_sample: list) -> QMatrix:
-    """Mean of per-sample q matrices, with per-entry standard errors
-    sqrt(sum |q - mean|^2 / (n - 1)) / sqrt(n) (zero for a single sample)."""
-    qs = np.stack(per_sample)
-    mean = qs.mean(axis=0)
-    if len(qs) > 1:
-        stderr = qs.std(axis=0, ddof=1) / np.sqrt(len(qs))
-    else:
-        stderr = np.zeros_like(mean, dtype=float)
-    return QMatrix(mean, stderr)
-
-
 def q_matrix(pairs: list) -> QMatrix:
-    """Average q over independent (corrector, coefficient sample) pairs."""
+    """Average q over independent (corrector, coefficient sample) pairs,
+    with the per-entry standard errors of ``environments._stderr`` (zero
+    for a single pair)."""
     if not pairs:
         raise ConfigError("need at least one (corrector, sample) pair")
-    return _q_estimate([q_matrix_single(c, a) for c, a in pairs])
+    qs = np.stack([q_matrix_single(c, a) for c, a in pairs])
+    return QMatrix(qs.mean(axis=0), _stderr(qs))
 
 
 # -- the shift operator T and the Neumann series --------------------------------
@@ -486,14 +478,15 @@ def avg_greens_mc(
 
     ``sampler(seed) -> CoefficientField`` draws one environment; each
     sample evolves a delta through the forward equation and the values at
-    ``t_indices`` are averaged.  Returns mean and per-point standard
-    error, shapes (len(t_indices), n_sites).  Time indices must be
-    non-negative: a negative one would silently wrap to a late level.
+    ``t_indices`` are averaged.  Returns the mean and the per-point
+    standard error (``environments._stderr``), shapes (len(t_indices),
+    n_sites).  Time indices must be non-negative: a negative one would
+    silently wrap to a late level.
 
     The samples run on every core (``environments._map_on_cores``; the
     sampler reaches the worker processes by fork, so a closure serves) and
-    are summed in sample order, so the output does not depend on the
-    number of cores.
+    are stacked in sample order, n_samples x len(t_indices) x n_sites
+    floats, so the output does not depend on the number of cores.
     """
     t_indices = _check_mc_inputs(t_indices, n_samples)
     delta = _point_source(cube, source_site)
@@ -502,16 +495,8 @@ def avg_greens_mc(
     def sample(child):
         return solve_forward(sampler(child), delta, t_max)[t_indices]
 
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-    acc = np.zeros((t_indices.size, cube.n_sites))
-    acc2 = np.zeros_like(acc)
-    for vals in _map_on_cores(sample, children):
-        acc += vals
-        acc2 += vals**2
-    mean = acc / n_samples
-    var = np.maximum(acc2 / n_samples - mean**2, 0.0)
-    stderr = np.sqrt(var / (n_samples - 1))
-    return {"t_indices": t_indices, "mean": mean, "stderr": stderr,
+    vals = np.array(_map_on_cores(sample, np.random.SeedSequence(seed).spawn(n_samples)))
+    return {"t_indices": t_indices, "mean": vals.mean(axis=0), "stderr": _stderr(vals),
             "n_samples": n_samples}
 
 
@@ -628,12 +613,16 @@ def rate_fit(
     the eps values, strictly decreasing).
     mode 'greens-decay': values ~ C scale^{-(d+alpha)/2} against the
     scale (Lam t + 1), so alpha_hat = -2 slope - d; requires ``d``.
-    Nonpositive values are dropped with a warning recorded.
+    Every scale and value must be finite; nonpositive values are then
+    dropped with a warning recorded.
     """
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
     if scales.size != values.size or scales.size < 4:
         raise ConfigError("need >= 4 matched (scale, value) pairs")
+    if not (np.isfinite(scales).all() and np.isfinite(values).all()):
+        raise ConfigError(f"scales, values: need finite numbers, got {scales.tolist()} "
+                          f"and {values.tolist()}")
     if mode not in ("epsilon", "greens-decay"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "greens-decay" and d is None:

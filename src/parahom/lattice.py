@@ -183,8 +183,8 @@ def heat_kernel_1d(x: np.ndarray, t: float) -> np.ndarray:
     """
     from scipy import special
 
-    if t < 0:
-        raise ConfigError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ConfigError(f"time must be finite and >= 0, got {t}")
     x = np.asarray(x)
     if t == 0.0:
         return (x == 0).astype(float)
@@ -214,8 +214,8 @@ def heat_kernel_solver(d: int, radius: int, t: float) -> np.ndarray:
     from scipy.sparse import diags, kronsum
     from scipy.sparse.linalg import expm_multiply
 
-    if t < 0:
-        raise ConfigError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ConfigError(f"time must be finite and >= 0, got {t}")
     side = 2 * radius + 1
     shape = (side,) * d
     delta = np.zeros(side**d)

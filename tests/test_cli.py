@@ -9,8 +9,10 @@ import pytest
 
 from parahom import ConfigError, heat_kernel_1d
 from parahom.cli import main, run, verify_suite
+from parahom import config
 from parahom.config import (
     KINDS,
+    SCHEMAS,
     ExperimentConfig,
     fmt17,
     load_config,
@@ -225,6 +227,33 @@ def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     key = text.splitlines()[-1].split(" = ")[0]
     assert key in capsys.readouterr().err
+
+
+def test_exit_code_2_on_every_float_key_that_is_not_finite_before_compute(
+        tmp_path, monkeypatch, capsys):
+    # every float key of every kind, and one entry of every float list;
+    # run() is stubbed, so no runner is reached whatever the outcome
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    monkeypatch.setattr("parahom.cli.run", no_run)
+    required = {"scales": "1,0.5,0.25,0.125", "values": "1,0.3,0.1,0.03"}
+    checked = set()
+    for kind, schema in SCHEMAS.items():
+        for name, key in schema.items():
+            if key.parse not in (config._float, config._float_list):
+                continue
+            for bad in ("nan", "inf", "-inf"):
+                raw = {k: v for k, v in required.items() if k in schema}
+                raw[name] = f"0.5,{bad}" if key.parse is config._float_list else bad
+                cfg = _write(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+                assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, \
+                    (kind, name, bad)
+                assert capsys.readouterr().err.startswith(f"config error: {name}: "), \
+                    (kind, name, bad)
+            checked.add((kind, name))
+    assert {("heat-kernel", "t"), ("sample-env", "c"), ("corrector", "xi"),
+            ("malliavin", "delta"), ("thm13", "etas"), ("rate-fit", "values")} <= checked
 
 
 @pytest.mark.parametrize("kind, text", [

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from parahom import (
     ConfigError,
@@ -14,6 +15,7 @@ from parahom import (
     stationary_moments_check,
 )
 from parahom.convex_diffusion import _batch_sigma, finite_dimensional_suite
+from test_environments import assert_sigma_matches_spread
 
 
 def fd_hessian(W, p, h=1e-5):
@@ -128,6 +130,27 @@ def test_stationary_covariance_scalar():
     assert lag1["oracle"][0, 0] == pytest.approx(0.5 * np.exp(-1.0))
     assert lag0["passes"] and lag1["passes"], out
     assert abs(lag0["cov_hat"][0, 0] - 0.5) < 0.05
+
+
+def test_batch_sigma_covers_the_time_average_of_a_stationary_ar1_path():
+    # 100 independent coordinates of the quadratic diffusion with A = I at
+    # criterion 12's dt = 0.1 and 20000 levels: each is the AR(1) path
+    # x' = rho x + sqrt(dt) N(0, 1), rho = 1 - dt/2, started in its stationary
+    # law N(0, s2), s2 = dt / (1 - rho^2), so the time average of N levels
+    # has the exact variance (s2 / N^2) (N + 2 sum_k (N - k) rho^k)
+    k, dt, n = 100, 0.1, 20000
+    rho = 1.0 - dt / 2.0
+    s2 = dt / (1.0 - rho**2)
+    phi0 = np.sqrt(s2) * np.random.default_rng(3).standard_normal(k)
+    vals = convex_diffusion_simulate(quadratic_potential(np.eye(k)), dt,
+                                     noise(k, dt, n - 1, 4), phi0=phi0)
+    lags = np.arange(1, n)
+    exact = s2 / n**2 * (n + 2.0 * np.sum((n - lags) * rho**lags))
+    sigmas = _batch_sigma(vals)
+    # each sigma^2 has 19 degrees of freedom (20 batch means)
+    lo, hi = stats.chi2.ppf([1e-4, 1.0 - 1e-4], 19 * k) / (19 * k)
+    assert lo <= np.mean(sigmas**2) / exact <= hi
+    assert_sigma_matches_spread(vals.mean(axis=0)[:, None], sigmas[:, None])
 
 
 # -- Feynman--Kac estimator -------------------------------------------------------------

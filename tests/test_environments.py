@@ -24,6 +24,7 @@ from parahom import environments
 from parahom.environments import (
     _map_chunks_on_cores,
     _map_on_cores,
+    _stderr,
     brownian_increments,
     langevin_drift,
     langevin_path,
@@ -383,3 +384,34 @@ def test_map_chunks_on_cores_calls_fn_once_per_contiguous_chunk(two_cores):
     assert out == [([0, 1], True), ([2, 3, 4], False)]
     assert _map_chunks_on_cores(lambda chunk: chunk, [4]) == [[4]]
     assert _map_chunks_on_cores(lambda chunk: chunk, []) == []  # no empty chunk
+
+
+# -- Monte Carlo error bars -----------------------------------------------------------------
+
+
+def assert_sigma_matches_spread(estimates, sigmas, tail=1e-4):
+    """Coverage of a reported standard error: over K independent seeds, the
+    sample variance of each entry's estimate over the mean of its squared
+    sigma lies within the ``tail`` and ``1 - tail`` quantiles of
+    chi^2_{K-1} / (K - 1), the ratio's law when sigma is right and the
+    estimates are normal.  Returns the ratios."""
+    estimates, sigmas = np.asarray(estimates), np.asarray(sigmas)
+    k = len(estimates)
+    ratio = estimates.var(axis=0, ddof=1) / (sigmas**2).mean(axis=0)
+    lo, hi = stats.chi2.ppf([tail, 1.0 - tail], k - 1) / (k - 1)
+    assert np.all((lo <= ratio) & (ratio <= hi)), (ratio, lo, hi)
+    return ratio
+
+
+def test_stderr_is_the_sample_standard_deviation_over_sqrt_n():
+    # 1, 2, 4, 5 have mean 3 and sample variance 10/3
+    x = np.array([1.0, 2.0, 4.0, 5.0])
+    assert _stderr(x) == pytest.approx(np.sqrt(10.0 / 3.0 / 4.0), rel=1e-15)
+    # per entry over axis 0, the same as each column alone
+    rows = np.random.default_rng(0).standard_normal((7, 2, 3))
+    assert np.array_equal(_stderr(rows)[1, 2], _stderr(rows[:, 1, 2]))
+    # fewer than two samples: float zeros of one sample's shape
+    for few in (rows[:1], rows[:0], np.ones((1, 2), dtype=complex)):
+        zero = _stderr(few)
+        assert zero.dtype == np.float64 and zero.shape == few.shape[1:] and not zero.any()
+    assert _stderr([]).shape == ()

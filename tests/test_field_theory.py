@@ -35,7 +35,7 @@ from parahom.field_theory import (
     first_difference_row,
 )
 from parahom.parabolic import _sweep, div_a_grad
-from test_environments import _no_fork
+from test_environments import _no_fork, assert_sigma_matches_spread
 from test_lattice import same_bits
 
 
@@ -340,6 +340,16 @@ def test_a_batch_below_one_raises_before_any_path(monkeypatch, batch):
                                 batch=batch)
 
 
+def test_correlation_sigma_covers_the_spread_over_independent_seeds():
+    # 60 checks of 20 paths each, on independent seeds: the paired
+    # differences of a dipole, whose right side varies from path to path
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
+    outs = [correlation_identity_check(V, 2.0, PeriodicCube(1, 4), [[0], [1]], 20, 0.1,
+                                       seed=k, batch=20) for k in range(60)]
+    assert_sigma_matches_spread([o["difference"] for o in outs],
+                                [o["sigma"] for o in outs])
+
+
 # -- decay-rate extraction -------------------------------------------------------------
 
 
@@ -427,6 +437,23 @@ def test_first_difference_excess_fits_the_rows_of_consecutive_seeds():
     assert same_bits(out["first"], np.array(rows))
     assert out["excluded"] + len(out["report"].scales) == 9
     assert np.isfinite(out["excess"])
+
+
+def test_first_difference_sigma_covers_the_spread_over_independent_seeds(monkeypatch):
+    # the sigma of the mean row that decides which probes are noise, from 30
+    # calls of 4 environments each on disjoint seeds
+    sigmas = []
+    decay_excess = field_theory._decay_excess
+
+    def spy(*args, sigma, **kwargs):
+        sigmas.append(sigma)
+        return decay_excess(*args, sigma=sigma, **kwargs)
+
+    monkeypatch.setattr(field_theory, "_decay_excess", spy)
+    V, cube = PotentialSpec("dipole", c=1.0, a_dip=0.7), PeriodicCube(2, 8)
+    means = [first_difference_excess(V, 2.0, cube, 0.1, 2.0, 4, seed=100 + 4 * k)
+             ["first"].mean(axis=0) for k in range(30)]
+    assert_sigma_matches_spread(means, sigmas)
 
 
 # -- Malliavin finite difference ---------------------------------------------------------
@@ -570,6 +597,16 @@ def test_poincare_variance_nonlinear_dipole():
     )
     out = poincare_variance_check(V, 1.0, cube, 0.05, 120, tanh_sum, 4000, seed=8)
     assert out["passes"], out
+
+
+def test_poincare_sigma_covers_the_spread_over_independent_seeds():
+    # 60 checks of 200 paths each on independent seeds: sigma, from the
+    # ratios of 20 groups, against the spread of the whole-sample ratio
+    V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
+    outs = [poincare_variance_check(V, 1.0, PeriodicCube(1, 4), 0.05, 20,
+                                    field_theory.TERMINAL_FUNCTIONALS["tanh-sum"], 200,
+                                    seed=k) for k in range(60)]
+    assert_sigma_matches_spread([o["ratio"] for o in outs], [o["sigma"] for o in outs])
 
 
 def test_poincare_variance_guards():

@@ -29,6 +29,7 @@ from parahom import (
 )
 from parahom import homogenize
 from parahom.environments import _map_chunks_on_cores
+from test_environments import assert_sigma_matches_spread
 from parahom.homogenize import q_matrix_single, sample_norm
 from test_lattice import same_bits
 
@@ -517,15 +518,25 @@ def test_q_matrix_aggregation():
     assert q.stderr[0, 0] > 0
 
 
-def test_q_stderr_is_the_standard_error_of_the_mean():
+def test_q_stderr_is_the_standard_error_of_the_mean(monkeypatch):
     # entries 1, 2, 4 and 1+i, 1-i, 3: both have sample variance
     # sum |q - mean|^2 / (n - 1) = 7/3, so the standard error is sqrt(7)/3
     qs = [np.array([[1.0, 1 + 1j]]), np.array([[2.0, 1 - 1j]]),
           np.array([[4.0, 3.0 + 0j]])]
-    est = homogenize._q_estimate(qs)
+    monkeypatch.setattr(homogenize, "q_matrix_single", lambda k, a: qs[k])
+    est = q_matrix([(k, None) for k in range(3)])
     assert np.abs(est.value - [[7 / 3, 5 / 3]]).max() <= 1e-15
     assert np.abs(est.stderr - np.sqrt(7.0) / 3.0).max() <= 1e-15
-    assert same_bits(homogenize._q_estimate(qs[:1]).stderr, np.zeros((1, 2)))
+    assert same_bits(q_matrix([(0, None)]).stderr, np.zeros((1, 2)))
+
+
+def test_q_stderr_covers_the_spread_over_independent_cells():
+    # 60 estimates of q, each over 4 i.i.d. random_field cells
+    qs = [q_matrix([(corrector_solve(a, [0.0], eta=0.1), a)
+                    for a in (random_field(1, 8, 3, 0.5, 1.5, seed=4 * k + j)
+                              for j in range(4))])
+          for k in range(60)]
+    assert_sigma_matches_spread([q.value.real for q in qs], [q.stderr for q in qs])
 
 
 def test_a_hom_extract_constant_exact():
@@ -763,6 +774,19 @@ def test_avg_kernel_excess_checks_its_inputs_before_the_cells(monkeypatch, n_sam
                                      t_indices, n_samples)
 
 
+def test_avg_greens_stderr_covers_the_spread_over_independent_seeds():
+    # 60 means of 8 environments each; by t = 4 every site of the L = 8
+    # ring is reached, so no sigma is 0
+    cube = PeriodicCube(1, 8)
+
+    def sampler(seed_seq):
+        vals = np.random.default_rng(seed_seq).uniform(0.5, 1.5, size=(6, 1, 8))
+        return CoefficientField(cube, 0.05, vals, EllipticityPair(0.5, 1.5))
+
+    outs = [avg_greens_mc(sampler, cube, 0, [4, 6], 8, seed=k) for k in range(60)]
+    assert_sigma_matches_spread([o["mean"] for o in outs], [o["stderr"] for o in outs])
+
+
 def test_avg_greens_mass_and_symmetry():
     cube = PeriodicCube(1, 12)
     dt = 0.05
@@ -804,6 +828,20 @@ def test_rate_fit_exact_power_law():
     assert rep.alpha_hat == pytest.approx(0.5, abs=1e-6)
     assert rep.slope_stderr < 1e-12  # an exact power law leaves no residual
     assert rep.warning == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["scales", "values"])
+def test_rate_fit_refuses_a_scale_or_value_that_is_not_finite(where, bad):
+    # refused before the nonpositive values are dropped: unguarded, an
+    # infinite value gave a NaN slope with no warning, a NaN value was
+    # dropped as nonpositive, and a scale that was not finite raised
+    # LinAlgError
+    data = {"scales": np.array([1.0, 0.5, 0.25, 0.125, 0.0625]),
+            "values": np.array([1.0, 0.26, 0.06, 0.015, 0.004])}
+    data[where][2] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        rate_fit(data["scales"], data["values"], mode="epsilon")
 
 
 def test_rate_fit_greens_decay_mode():

@@ -369,6 +369,16 @@ def test_heat_kernel_rejects_negative_time():
         heat_kernel_1d(np.array([0]), -1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_heat_kernel_rejects_a_time_that_is_not_finite(t):
+    # unguarded, t = inf made the solver's expm_multiply fail on a NaN step
+    # count, and t = nan slipped past the sign check into a NaN kernel
+    for kernel in (lambda: heat_kernel_1d(np.array([0]), t),
+                   lambda: heat_kernel_solver(1, 3, t)):
+        with pytest.raises(ConfigError, match="finite"):
+            kernel()
+
+
 def test_heat_kernel_mass_conservation():
     for d, radius in [(1, 60), (2, 40)]:
         for t in (0.5, 2.0, 10.0):
