@@ -1,9 +1,10 @@
 """Acceptance checks: one function per verdict, shared by the test suite
 and the command-line ``verify`` runner.
 
-Each ``criterion_N`` returns a dict with keys ``id``, ``title``, ``passed``,
-``detail`` and ``seconds``.  The checks are deterministic: every random
-draw is seeded.
+Each ``criterion_N`` returns ``(title, passed, detail)``; ``run_criterion``
+times the call and builds the record, a dict with keys ``id``, ``title``,
+``passed``, ``detail`` and ``seconds``, and ``verdict_line`` formats it.
+The checks are deterministic: every random draw is seeded.
 
 The experiment kinds of ``parahom.cli`` run the same pipelines through the
 same functions; the kind table in README.md maps each kind to its criteria.
@@ -53,19 +54,8 @@ FAST_CRITERIA = (1, 2, 4, 5, 6, 7, 8, 10)
 ALL_CRITERIA = tuple(range(1, 14))
 
 
-def _result(cid, title, passed, detail, t0):
-    return {
-        "id": cid,
-        "title": title,
-        "passed": bool(passed),
-        "detail": detail,
-        "seconds": round(time.time() - t0, 2),
-    }
-
-
 def criterion_1():
     """Heat-kernel solver vs. Bessel-product closed form."""
-    t0 = time.time()
     sup_err = 0.0
     mass_dev = 0.0
     for d, radius in [(1, 60), (2, 30)]:
@@ -82,12 +72,11 @@ def criterion_1():
             )
     passed = sup_err < 1e-10 and mass_dev < 1e-10
     detail = f"sup|solver-oracle|={sup_err:.2e} (tol 1e-10), |mass-1|={mass_dev:.2e}"
-    return _result(1, "heat-kernel Bessel oracle", passed, detail, t0)
+    return "heat-kernel Bessel oracle", passed, detail
 
 
 def criterion_2():
     """Green's-matrix row and source sums equal one on dipole environments."""
-    t0 = time.time()
     V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
     worst = 0.0
     for k in range(20):
@@ -97,12 +86,11 @@ def criterion_2():
         worst = max(worst, float(np.abs(mats.sum(axis=2) - 1.0).max()))
     passed = worst < 1e-8
     detail = f"max sum-rule deviation {worst:.2e} over 20 environments (tol 1e-8)"
-    return _result(2, "Green's function sum rules", passed, detail, t0)
+    return "Green's function sum rules", passed, detail
 
 
 def criterion_3():
     """Gaussian-envelope constant stabilizes under sample doubling."""
-    t0 = time.time()
     rng = np.random.default_rng(3)
     V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
     tables = []
@@ -114,12 +102,11 @@ def criterion_3():
         f"C(50)={fit['C_half']:.4f}, C(100)={fit['C_hat']:.4f}, "
         f"growth={fit['growth']:+.2%} (tol +10%)"
     )
-    return _result(3, "Gaussian envelope stability", fit["passes"], detail, t0)
+    return "Gaussian envelope stability", fit["passes"], detail
 
 
 def criterion_4():
     """Damped-resolvent norm bound on random (environment, forcing) pairs."""
-    t0 = time.time()
     rng = np.random.default_rng(4)
     violations = 0
     worst_ratio = 0.0
@@ -141,12 +128,11 @@ def criterion_4():
             violations += 1
     passed = violations == 0
     detail = f"0 violations required; got {violations}, worst ratio {worst_ratio:.3f}"
-    return _result(4, "damped resolvent bound", passed, detail, t0)
+    return "damped resolvent bound", passed, detail
 
 
 def criterion_5():
     """Perturbation-series term ratios and geometric partial-sum residuals."""
-    t0 = time.time()
     rng = np.random.default_rng(5)
     window = EllipticityPair(0.5, 1.5)
     worst_term_ratio = 0.0
@@ -173,7 +159,7 @@ def criterion_5():
         f"term ratio {worst_term_ratio:.3f}, residual ratio "
         f"{worst_resid_ratio:.3f} (bound {bound:.3f})"
     )
-    return _result(5, "perturbation series decay", passed, detail, t0)
+    return "perturbation series decay", passed, detail
 
 
 # criteria 6 and 7's 1D two-phase medium a in {1, 4}: a_hom = 1.6, the harmonic mean
@@ -183,7 +169,6 @@ _TWO_PHASE = CoefficientField(PeriodicCube(1, 32), 0.1,
 
 def criterion_6():
     """Cell-problem oracle: harmonic mean for a 1D two-phase medium."""
-    t0 = time.time()
     out = a_hom_ladder([_TWO_PHASE], [1e-1, 1e-2, 1e-3])
     err = abs(out["a_hom"][0, 0] - 1.6)
     cube2 = PeriodicCube(2, 6)
@@ -195,12 +180,11 @@ def criterion_6():
         f"two-phase a_hom={out['a_hom'][0, 0]:.5f} vs 1.6 (err {err:.1e}, "
         f"tol 1.6e-2); constant-a error {const_err:.1e} (tol 1e-12)"
     )
-    return _result(6, "cell-problem oracle", passed, detail, t0)
+    return "cell-problem oracle", passed, detail
 
 
 def criterion_7():
     """Series and corrector q agree; averaging operator is a contraction."""
-    t0 = time.time()
     a = _TWO_PHASE
     eta = 0.01
     q_corr = q_matrix_single(corrector_solve(a, [0.0], eta=eta), a)
@@ -227,12 +211,11 @@ def criterion_7():
         f"time-dependent {diff_time:.1e} (tol 1e-6); worst contraction "
         f"ratio {worst:.6f}"
     )
-    return _result(7, "method equivalence and contraction", passed, detail, t0)
+    return "method equivalence and contraction", passed, detail
 
 
 def criterion_8():
     """Fourier-Laplace closed form vs. direct time quadrature."""
-    t0 = time.time()
     worst = 0.0
     for d, a_diag in [(1, [1.0]), (1, [0.7]), (2, [1.3, 0.8]), (2, [1.0, 1.0])]:
         for xi in ([0.5] * d, [1.2] * d, [2.0] * d):
@@ -242,12 +225,11 @@ def criterion_8():
                 worst = max(worst, abs(lhs - rhs))
     passed = worst < 1e-8
     detail = f"max |quadrature - formula| = {worst:.2e} over grid (tol 1e-8)"
-    return _result(8, "Fourier-Laplace consistency", passed, detail, t0)
+    return "Fourier-Laplace consistency", passed, detail
 
 
 def criterion_9():
     """Space-time correlation identity: quadratic oracle and dipole check."""
-    t0 = time.time()
     exact = abs(massive_lattice_greens(PeriodicCube(1, 64), 1.0, [0]) - 5**-0.5)
     cube = PeriodicCube(1, 16)
     Vq = PotentialSpec("quadratic", c=1.0)
@@ -273,12 +255,11 @@ def criterion_9():
         f"deterministic oracle err {exact:.1e} (tol 1e-4); quadratic sides "
         f"within {worst_q:.2f}x of 3 sigma; dipole max|z|={z_max:.2f} (tol 3)"
     )
-    return _result(9, "correlation identity", passed, detail, t0)
+    return "correlation identity", passed, detail
 
 
 def criterion_10():
     """Pathwise noise-sensitivity identity via finite differences."""
-    t0 = time.time()
     cube = PeriodicCube(1, 8)
     V = PotentialSpec("dipole", c=1.0, a_dip=0.3)
     errs = []
@@ -293,12 +274,11 @@ def criterion_10():
         f"rel err {errs[0]:.2e} at dt=1e-3 (tol 1e-3); {errs[1]:.2e} at "
         f"dt=5e-4 (ratio {errs[1] / errs[0]:.2f}, must halve within 0.65)"
     )
-    return _result(10, "noise-sensitivity identity", passed, detail, t0)
+    return "noise-sensitivity identity", passed, detail
 
 
 def criterion_11():
     """Variance bounded by the expected squared pathwise derivative."""
-    t0 = time.time()
     cube = PeriodicCube(1, 8)
     Vq = PotentialSpec("quadratic", c=1.0)
     Vd = PotentialSpec("dipole", c=1.0, a_dip=0.3)
@@ -313,12 +293,11 @@ def criterion_11():
         ratios.append(f"{F.name}: {out['ratio']:.3f}")
         ok = ok and out["passes"]
     detail = "variance/bound ratios (tol 1 + 3 sigma): " + ", ".join(ratios)
-    return _result(11, "variance inequality", ok, detail, t0)
+    return "variance inequality", ok, detail
 
 
 def criterion_12():
     """Finite-dimensional diffusion: moments, integrator, estimator, probe."""
-    t0 = time.time()
     out, verdicts = finite_dimensional_suite(12)
     errs = out["integrator_errors"]
     detail = (
@@ -328,13 +307,11 @@ def criterion_12():
         f"3 sigma {out['fk_tolerance']:.4f}; probe eigenvalues "
         f"{out['min_eigenvalue_quadratic']:.3f} / {out['min_eigenvalue']:.3f}"
     )
-    return _result(12, "finite-dimensional diffusion suite", all(verdicts.values()),
-                   detail, t0)
+    return "finite-dimensional diffusion suite", all(verdicts.values()), detail
 
 
 def criterion_13():
     """Decay-rate measurements beyond the leading homogenized kernel."""
-    t0 = time.time()
     # -- part (a): d=3 environment-averaged kernel vs. Gaussian profile ----
     V3 = PotentialSpec("dipole", c=1.0, a_dip=0.3)
     rep_a = avg_kernel_excess(V3, 1.0, PeriodicCube(3, 16), 0.1, [0.13, 0.013, 0.0013],
@@ -357,7 +334,7 @@ def criterion_13():
         f"excess {out_b['excess']:.2f} (lower {out_b['excess_lower']:.2f}, "
         f"{out_b['excluded']} of {out_b['first'].shape[1]} probes excluded)"
     )
-    return _result(13, "decay-rate measurements", passed, detail, t0)
+    return "decay-rate measurements", passed, detail
 
 
 _CRITERIA = {
@@ -369,7 +346,20 @@ _CRITERIA = {
 
 
 def run_criterion(cid):
-    return _CRITERIA[cid]()
+    """Run criterion ``cid`` and time it: the record with keys ``id``,
+    ``title``, ``passed``, ``detail`` and ``seconds``."""
+    t0 = time.time()
+    title, passed, detail = _CRITERIA[cid]()
+    return {"id": cid, "title": title, "passed": bool(passed), "detail": detail,
+            "seconds": round(time.time() - t0, 2)}
+
+
+def verdict_line(res):
+    """The one line that ``parahom verify`` and the test gate print for a
+    criterion record."""
+    verdict = "PASS" if res["passed"] else "FAIL"
+    return (f"criterion {res['id']:2d} [{verdict}] {res['title']} "
+            f"({res['seconds']}s): {res['detail']}")
 
 
 def run_criteria(tier="fast"):

@@ -325,9 +325,7 @@ def verify_suite(tier="fast", stream=None):
     results = acceptance.run_criteria(tier)
     ok = True
     for res in results:
-        verdict = "PASS" if res["passed"] else "FAIL"
-        stream.write(f"criterion {res['id']:2d} [{verdict}] {res['title']} "
-                     f"({res['seconds']}s): {res['detail']}\n")
+        stream.write(acceptance.verdict_line(res) + "\n")
         ok = ok and res["passed"]
     stream.write(f"{'all criteria pass' if ok else 'FAILURES present'} "
                  f"(tier={tier})\n")

@@ -3,9 +3,9 @@
 Config files are diff-friendly text: one ``key = value`` pair per line,
 ``#`` comments, no nesting.  List-valued keys use comma separation.
 Every key is schema-checked before any compute, and then the keys that
-bound each other (``source_site`` by the lattice size ``L**d``, the length
-of ``xi`` by ``d``); unknown keys and invalid values raise
-:class:`ConfigError` naming the field.
+bound each other (``source_site`` by the lattice size ``L**d``, ``x_max``
+by ``L // 2``, the length of ``xi`` by ``d``); unknown keys and invalid
+values raise :class:`ConfigError` naming the field.
 """
 
 import hashlib
@@ -245,6 +245,9 @@ def resolve_config(kind, raw, seed_override=None) -> ExperimentConfig:
     # keys checked against each other once each is valid on its own
     if "source_site" in params and params["source_site"] >= params["L"] ** params["d"]:
         raise ConfigError("source_site: outside the lattice")
+    if "x_max" in params and params["x_max"] > params["L"] // 2:
+        # an offset beyond half the side repeats a site of the torus
+        raise ConfigError(f"x_max: beyond half the side, L // 2 = {params['L'] // 2}")
     if "xi" in params and len(params["xi"]) != params["d"]:
         raise ConfigError(f"xi: expected {params['d']} components, got {len(params['xi'])}")
     return ExperimentConfig(kind, params)

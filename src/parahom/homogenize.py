@@ -57,31 +57,21 @@ from .parabolic import (CoefficientField, _point_source, _stencil_work, div_a_gr
 # -- twisted shift calculus on a periodic sample ------------------------------
 
 
-def twisted_shift_symbols(cube: PeriodicCube, xi) -> np.ndarray:
-    """Fourier symbols d_j(k) = e^{-i xi_j + 2 pi i k_j / L} - 1 of the
-    twisted differences, shape (d,) + cube.shape."""
+def _symbol(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, Lam: float):
+    """Symbols of the twisted differences, d_j(k) = e^{-i xi_j + 2 pi i k_j / L}
+    - 1 with shape (d,) + cube.shape, and of (eta + D_t) + Lam dxi* dxi,
+    eta + tau_l + Lam |d(k)|^2 with shape (nt,) + cube.shape, where
+    tau_l = (1 - e^{-2 pi i l / nt}) / dt is the periodic backward time
+    difference's.  Re tau_l >= 0, so the real part is >= eta > 0."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     phase = np.exp(2j * np.pi * np.fft.fftfreq(cube.L))
-    out = np.empty((cube.d,) + cube.shape, dtype=complex)
+    dsym = np.empty((cube.d,) + cube.shape, dtype=complex)
     for j in range(cube.d):
         shape = [1] * cube.d
         shape[j] = cube.L
-        out[j] = np.exp(-1j * xi[j]) * phase.reshape(shape) - 1.0
-    return out
-
-
-def time_symbols(n_times: int, dt: float) -> np.ndarray:
-    """Symbols (1 - e^{-2 pi i l / nt}) / dt of the periodic backward time
-    difference; real part >= 0."""
-    return (1.0 - np.exp(-2j * np.pi * np.fft.fftfreq(n_times))) / dt
-
-
-def _symbol(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, Lam: float):
-    """Twisted difference symbols d_j(k), shape (d,) + cube.shape, and the
-    symbol eta + tau_l + Lam |d(k)|^2 of (eta + D_t) + Lam dxi* dxi,
-    shape (nt,) + cube.shape.  Its real part is >= eta > 0."""
-    dsym = twisted_shift_symbols(cube, xi)
-    tau = time_symbols(nt, dt).reshape((nt,) + (1,) * cube.d)
+        dsym[j] = np.exp(-1j * xi[j]) * phase.reshape(shape) - 1.0
+    tau = (1.0 - np.exp(-2j * np.pi * np.fft.fftfreq(nt))) / dt
+    tau = tau.reshape((nt,) + (1,) * cube.d)
     return dsym, eta + tau + Lam * (np.abs(dsym) ** 2).sum(axis=0)
 
 
@@ -113,6 +103,11 @@ def _spectral(cube: PeriodicCube, real: bool, *symbols):
 def _sample_mean(w: np.ndarray) -> np.ndarray:
     """Space-time mean over the last axis (sites) and axis 0 (time)."""
     return w.mean(axis=(0, -1))
+
+
+def _project_mean_zero(w: np.ndarray) -> np.ndarray:
+    """P: each component of a (nt, k, n) field less its space-time mean."""
+    return w - w.mean(axis=(0, 2), keepdims=True)
 
 
 # -- corrector ----------------------------------------------------------------
@@ -239,8 +234,7 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     coeff = a.values[:, None]  # (nt, 1, d_j, n), against gradients (nt, d_k, d_j, n)
 
     # component k of the right side is -D_k^H a_k: the divergence of a_k e_k
-    f = -cube.div(coeff * np.eye(d)[None, :, :, None], xi=xi)
-    f -= f.mean(axis=(0, 2), keepdims=True)
+    f = _project_mean_zero(-cube.div(coeff * np.eye(d)[None, :, :, None], xi=xi))
     # a zero right side has the solution zero: sweep the others only
     active = f.any(axis=(0, 2))
     values = np.zeros_like(f)
@@ -373,10 +367,6 @@ def t_operator_apply(
 def sample_norm(w: np.ndarray) -> float:
     """Root mean square over time, components, and sites."""
     return float(np.sqrt(np.mean(np.abs(w) ** 2)))
-
-
-def _project_mean_zero(w: np.ndarray) -> np.ndarray:
-    return w - w.mean(axis=(0, 2), keepdims=True)
 
 
 def neumann_series_q(a: CoefficientField, xi, eta: float,
@@ -610,11 +600,12 @@ def rate_fit(
     """Fit a power law values ~ C * scales^slope.
 
     mode 'epsilon': values ~ C eps^alpha, alpha_hat = slope (scales are
-    the eps values, strictly decreasing).
+    the eps values, or radii, in any order).
     mode 'greens-decay': values ~ C scale^{-(d+alpha)/2} against the
     scale (Lam t + 1), so alpha_hat = -2 slope - d; requires ``d``.
-    Every scale and value must be finite; nonpositive values are then
-    dropped with a warning recorded.
+    Every scale and value must be finite and every scale positive;
+    nonpositive values are then dropped with a warning recorded, and the
+    pairs kept must span at least two distinct scales.
     """
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -623,6 +614,8 @@ def rate_fit(
     if not (np.isfinite(scales).all() and np.isfinite(values).all()):
         raise ConfigError(f"scales, values: need finite numbers, got {scales.tolist()} "
                           f"and {values.tolist()}")
+    if not (scales > 0).all():
+        raise ConfigError(f"scales: need positive numbers, got {scales.tolist()}")
     if mode not in ("epsilon", "greens-decay"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "greens-decay" and d is None:
@@ -635,6 +628,9 @@ def rate_fit(
         if scales.size < 4:
             raise ConfigError("fewer than 4 positive differences remain")
     x = np.log(scales)
+    # two distinct logs, which is what keeps sxx below from being 0
+    if np.unique(x).size < 2:
+        raise ConfigError(f"scales: need at least 2 distinct scales, got {scales.tolist()}")
     y = np.log(values)
     A = np.stack([x, np.ones_like(x)], axis=1)
     coef = np.linalg.lstsq(A, y, rcond=None)[0]
@@ -643,7 +639,7 @@ def rate_fit(
     dof = max(x.size - 2, 1)
     sigma2 = float(resid @ resid) / dof
     sxx = float(((x - x.mean()) ** 2).sum())
-    slope_stderr = float(np.sqrt(sigma2 / sxx)) if sxx > 0 else np.inf
+    slope_stderr = float(np.sqrt(sigma2 / sxx))
     if mode == "epsilon":
         alpha = slope
     else:

@@ -17,11 +17,7 @@ FULL_TIER = os.environ.get("PARAHOM_TIER", "fast") == "full"
 
 
 def _report(res):
-    verdict = "PASS" if res["passed"] else "FAIL"
-    print(
-        f"\nACCEPTANCE {res['id']:2d} [{verdict}] {res['title']}: "
-        f"{res['detail']} ({res['seconds']}s)"
-    )
+    print("\n" + acceptance.verdict_line(res))
     assert res["passed"], f"criterion {res['id']}: {res['detail']}"
 
 
@@ -56,7 +52,7 @@ def test_criterion_13_verdict_from_its_pipeline_outputs(monkeypatch, lower_b, pa
     monkeypatch.setattr(acceptance, "_map_on_cores", lambda fn, items: ["cell"])
     monkeypatch.setattr(acceptance, "a_hom_ladder", ladder)
     monkeypatch.setattr(acceptance, "first_difference_excess", excess_b)
-    res = acceptance.criterion_13()
+    res = acceptance.run_criterion(13)
     assert seen == {"cells": ["cell"], "c_hom": 1.25}
     assert res["passed"] is passed
     assert res["detail"] == (

@@ -211,11 +211,20 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     ("qmatrix", "d = 2\nL = 4\nxi = 0.5,-inf\n"),
     ("ahom", "etas = 0.1,0.01,inf\n"),
     ("thm13", "etas = 0.13,0.013,nan\n"),
+    # a scale of zero or below has no logarithm; one scale leaves no slope
+    ("rate-fit", "values = 1,0.26,0.0624,0.0158\nscales = 0,1,2,3\n"),
+    ("rate-fit", "values = 1,0.26,0.0624,0.0158\nscales = -1,-2,-3,-4\n"),
+    ("rate-fit", "values = 1,0.26,0.0624,0.0158\nscales = 1,1,1,1\n"),
+    # offsets beyond L // 2 = 8 repeat sites of the torus
+    ("correlate", "x_max = 9\n"),
+    ("avg-greens", "x_max = 9\n"),
 ], ids=["x_site", "y_site", "anchors", "anchors_empty", "anchors_comma", "source_site",
         "xi", "malliavin_window", "etas_too_few", "etas_duplicate", "etas_negative",
         "thm13_etas_too_few", "thm13_t_indices_too_few", "thm13_t_indices_duplicate",
         "thm13_t_indices_zero", "avg_greens_negative_t_index", "eta_inf", "xi_nan",
-        "xi_inf", "qmatrix_xi_minus_inf", "etas_inf", "thm13_etas_nan"])
+        "xi_inf", "qmatrix_xi_minus_inf", "etas_inf", "thm13_etas_nan",
+        "rate_fit_zero_scale", "rate_fit_negative_scales", "rate_fit_one_scale",
+        "correlate_x_max", "avg_greens_x_max"])
 def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
                                                       monkeypatch, capsys):
     def no_compute(*args, **kwargs):

@@ -91,16 +91,24 @@ def dense_time_difference(nt, n, dt):
     return np.kron(C / dt, np.eye(n))
 
 
-def dense_corrector_q(a, xi, eta):
-    """q(xi, eta) from a dense solve of
-    (eta + D_t) Phi_k + sum_j D_j^H a_j D_j Phi_k = -P D_k^H a_k."""
-    cube, nt, n, d = a.cube, a.n_times, a.cube.n_sites, a.cube.d
+def dense_twisted_operator(a, xi, eta):
+    """A_xi = (eta + D_t) + sum_j D_j^H a_j D_j as a dense matrix on
+    time-major space-time vectors, from the coordinate-built differences."""
+    cube, nt, n = a.cube, a.n_times, a.cube.n_sites
     D = dense_differences(cube, xi)
     op = (eta * np.eye(nt * n) + dense_time_difference(nt, n, a.dt)).astype(complex)
     for i in range(nt):
         block = slice(i * n, (i + 1) * n)
         op[block, block] += sum(D[j].conj().T @ (a.values[i, j][:, None] * D[j])
-                                for j in range(d))
+                                for j in range(cube.d))
+    return op
+
+
+def dense_corrector_q(a, xi, eta):
+    """q(xi, eta) from a dense solve of A_xi Phi_k = -P D_k^H a_k."""
+    cube, nt, n, d = a.cube, a.n_times, a.cube.n_sites, a.cube.d
+    D = dense_differences(cube, xi)
+    op = dense_twisted_operator(a, xi, eta)
     q = np.diag(a.values.mean(axis=(0, 2))).astype(complex)
     for k in range(d):
         rhs = np.concatenate([-(D[k].conj().T @ a.values[i, k]) for i in range(nt)])
@@ -690,17 +698,6 @@ def test_neumann_series_matches_corrector_in_two_dimensions():
     assert np.abs(q_series - q_corr).max() < 1e-12
 
 
-def dense_twisted_operator(a, xi, eta):
-    """A_xi = (eta + D_t) + dxi* a dxi as a dense matrix on time-major
-    space-time vectors, column by column from ``cube.grad``/``div``."""
-    cube, nt, n = a.cube, a.n_times, a.cube.n_sites
-    units = np.eye(nt * n, dtype=complex).reshape(nt * n, nt, n)
-    flux = cube.grad(units, xi=xi) * a.values
-    cols = (eta * units + (units - np.roll(units, 1, axis=1)) / a.dt
-            + cube.div(flux, xi=xi))
-    return cols.reshape(nt * n, nt * n).T
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     d=st.sampled_from([1, 2, 3]),
@@ -842,6 +839,20 @@ def test_rate_fit_refuses_a_scale_or_value_that_is_not_finite(where, bad):
     data[where][2] = bad
     with pytest.raises(ConfigError, match="finite"):
         rate_fit(data["scales"], data["values"], mode="epsilon")
+
+
+@pytest.mark.parametrize("scales, values", [
+    ([0.0, 1.0, 2.0, 3.0], [1.0, 0.26, 0.0624, 0.0158]),
+    ([-1.0, -2.0, -3.0, -4.0], [1.0, 0.26, 0.0624, 0.0158]),
+    ([1.0, 1.0, 1.0, 1.0], [1.0, 0.26, 0.0624, 0.0158]),
+    # two scales, but the one value at scale 1 is dropped as nonpositive
+    ([1.0, 2.0, 2.0, 2.0, 2.0], [-1.0, 0.26, 0.0624, 0.0158, 0.004]),
+])
+def test_rate_fit_refuses_a_nonpositive_scale_or_a_single_scale(scales, values):
+    # unguarded, a scale <= 0 raised LinAlgError, and a single scale gave
+    # an infinite slope_stderr
+    with pytest.raises(ConfigError, match="scales"):
+        rate_fit(np.array(scales), np.array(values), mode="epsilon")
 
 
 def test_rate_fit_greens_decay_mode():
