@@ -291,10 +291,12 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir):
-    """Execute an experiment, write artifacts + manifest, return the manifest."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute an experiment, write artifacts + manifest, return the manifest.
+    ``out_dir`` is made only once the runner has returned, so a config the
+    runner refuses leaves no directory behind."""
     t0 = time.time()
     payload, verdicts = _RUNNERS[config.kind](config.params)
+    os.makedirs(out_dir, exist_ok=True)
     if isinstance(payload, dict):
         artifact = f"{config.kind}.json"
         dump_json({"config": config.as_jsonable(), **payload},

@@ -14,7 +14,7 @@ maps a function over independent environments (seeds) on every core, and
 ``_map_chunks_on_cores`` maps one over contiguous chunks of items (the
 paths of the correlation and variance checks, through
 ``field_theory._run_paths``); ``_free_cores`` is the number of cores
-either map, or a solve's threads, may spread work over.  ``_step_count``
+either map may spread work over.  ``_step_count``
 guards every step count derived from the mass and the step.  ``_stderr``
 is the one standard error of a Monte Carlo mean in the package.
 """

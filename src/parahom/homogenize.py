@@ -14,16 +14,21 @@ Neumann series in the contrast b = I - a/Lam with the explicit shift
 operator T_{xi,eta}, extrapolates a_hom = lim_{eta->0} q(0, eta), and
 fits empirical homogenization rates.
 
-Both constructions rest on one engine, the exact space-time Fourier
-symbol of the constant-coefficient operator (eta + D_t) + c dxi* dxi.
-T_{xi,eta} divides by it with c = Lam; the corrector is solved
-matrix-free by a Richardson iteration preconditioned with it at the
-midpoint c = (lam + Lam)/2, whose error map is T b with the contrast
-b = 1 - a/c, so it converges at the rate (Lam - lam)/(Lam + lam).
+Both constructions rest on one engine, the exact inverse of the
+constant-coefficient operator M = (eta + D_t) + c dxi* dxi
+(``_preconditioner``).  Along each space axis it uses an eigenbasis of
+D_j^H D_j, applied as a matrix product, and per spatial mode it solves
+the periodic backward-difference system in time exactly, by one
+recursion over the levels.  T_{xi,eta} applies it with c = Lam; the
+corrector is solved matrix-free by a Richardson iteration preconditioned
+with it at the midpoint c = (lam + Lam)/2, whose error map is T b with
+the contrast b = 1 - a/c, so it converges at the rate
+(Lam - lam)/(Lam + lam).  Everything runs on the calling thread.
 
 At xi = 0 every twisted difference is real, so the stencils, the
-corrector and T run in real arithmetic with a half-spectrum real FFT;
-at xi != 0 they run in complex arithmetic.  The switch is
+corrector and T run in real arithmetic, with the real cos/sin
+eigenbasis; at xi != 0 they run in complex arithmetic, with the unitary
+DFT along each axis whose xi_j is not 0.  The switch is
 ``lattice._phases``, whose factors are the real 1.0 at xi = 0; the
 stencils are ``PeriodicCube.grad``/``div`` called with ``xi``.
 
@@ -47,9 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrityError, SolverError
-from .environments import (PotentialSpec, _free_cores, _map_on_cores, _stderr,
-                           sample_environment)
-from .lattice import PeriodicCube, _phases, heat_kernel_1d, hom_gaussian_kernel
+from .environments import PotentialSpec, _map_on_cores, _stderr, sample_environment
+from .lattice import PeriodicCube, heat_kernel_1d, hom_gaussian_kernel
 from .parabolic import (CoefficientField, _point_source, _stencil_work, div_a_grad,
                         solve_forward)
 
@@ -57,47 +61,69 @@ from .parabolic import (CoefficientField, _point_source, _stencil_work, div_a_gr
 # -- twisted shift calculus on a periodic sample ------------------------------
 
 
-def _symbol(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, Lam: float):
-    """Symbols of the twisted differences, d_j(k) = e^{-i xi_j + 2 pi i k_j / L}
-    - 1 with shape (d,) + cube.shape, and of (eta + D_t) + Lam dxi* dxi,
-    eta + tau_l + Lam |d(k)|^2 with shape (nt,) + cube.shape, where
-    tau_l = (1 - e^{-2 pi i l / nt}) / dt is the periodic backward time
-    difference's.  Re tau_l >= 0, so the real part is >= eta > 0."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    phase = np.exp(2j * np.pi * np.fft.fftfreq(cube.L))
-    dsym = np.empty((cube.d,) + cube.shape, dtype=complex)
-    for j in range(cube.d):
-        shape = [1] * cube.d
-        shape[j] = cube.L
-        dsym[j] = np.exp(-1j * xi[j]) * phase.reshape(shape) - 1.0
-    tau = (1.0 - np.exp(-2j * np.pi * np.fft.fftfreq(nt))) / dt
-    tau = tau.reshape((nt,) + (1,) * cube.d)
-    return dsym, eta + tau + Lam * (np.abs(dsym) ** 2).sum(axis=0)
+def _eigenbasis(L: int, xi_j: float):
+    """An orthonormal eigenbasis of the circulant D_j^H D_j on one axis of
+    length L, as the columns of an (L, L) matrix, and its eigenvalues.  At
+    xi_j = 0 the real basis 1, sqrt 2 cos, sqrt 2 sin and (-1)^x, over
+    sqrt L, with eigenvalues 2 - 2 cos(2 pi k / L); otherwise the unitary
+    DFT, with eigenvalues |e^{-i xi_j + 2 pi i k / L} - 1|^2."""
+    x = np.arange(L)
+    if xi_j == 0.0:
+        k = np.arange(1, L // 2)
+        angle = 2.0 * np.pi * np.outer(x, k) / L
+        basis = np.concatenate([np.ones((L, 1)), np.sqrt(2.0) * np.cos(angle),
+                                np.sqrt(2.0) * np.sin(angle), (-1.0) ** x[:, None]], axis=1)
+        freq = np.concatenate([[0], k, k, [L // 2]])
+        return basis / np.sqrt(L), 2.0 - 2.0 * np.cos(2.0 * np.pi * freq / L)
+    basis = np.exp(2j * np.pi * np.outer(x, x) / L) / np.sqrt(L)
+    return basis, np.abs(np.exp(-1j * xi_j + 2j * np.pi * x / L) - 1.0) ** 2
 
 
-def _spectral(cube: PeriodicCube, real: bool, *symbols):
-    """The space-time transform pair of (nt, components, n) fields and the
-    given symbols on its spectrum.  A real pair keeps the half spectrum of
-    the last space axis, which the Hermitian symmetry of real fields and
-    of the xi = 0 symbols makes complete."""
-    from scipy import fft
+def _preconditioner(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, c: float):
+    """apply(r) = M^{-1} r for M = (eta + D_t) + c dxi* dxi on (nt, k, n)
+    fields, with D_t the periodic backward time difference.
 
-    axes = (0,) + tuple(range(2, 2 + cube.d))  # time and space, not components
-    if real:
-        half = cube.L // 2 + 1
-        symbols = [s[..., :half] for s in symbols]
+    Each space axis j goes into the eigenbasis B_j of D_j^H D_j
+    (``_eigenbasis``) by one matrix product, the last axis as one
+    (., L) @ (L, L) product.  Per spatial mode, with mu the sum of its
+    eigenvalues and gam = 1/(1 + dt (eta + c mu)), the periodic system
+    (eta + c mu) x_i + (x_i - x_{i-1})/dt = r_i is then solved exactly:
+    y_i = gam (dt r_i + y_{i-1}) from y_{-1} = 0, and
+    x_i = y_i + gam^{i+1} y_{nt-1} / (1 - gam^nt).  The products with B_j
+    bring x back.  Real fields stay real at xi = 0."""
+    L, d = cube.L, cube.d
+    bases, mu = [], np.zeros(())
+    for xi_j in np.atleast_1d(np.asarray(xi, dtype=float)):
+        basis, lam = _eigenbasis(L, xi_j)
+        bases.append(basis)
+        mu = np.add.outer(mu, lam)
+    s = dt * (eta + c * mu.reshape(-1))
+    gam = 1.0 / (1.0 + s)
+    # gam^{i+1} / (1 - gam^nt), the second through expm1: 1 - gam**nt loses
+    # digits when dt eta is small
+    log = np.log1p(s)
+    wrap = (np.exp(-np.arange(1, nt + 1)[:, None] * log) / -np.expm1(-nt * log))[:, None]
+    forward = [basis.conj().T for basis in bases]  # coefficients B^H r, scaled by dt
+    forward[0] = dt * forward[0]
 
-    def forward(w):
-        w = w.reshape(w.shape[:2] + cube.shape)
-        return fft.rfftn(w, axes=axes) if real else fft.fftn(w, axes=axes)
+    def transform(w, mats):
+        """w with each space axis j multiplied by mats[j] from the left."""
+        shape = w.shape
+        w = w.reshape(-1, L) @ mats[-1].T
+        for j in range(d - 1):
+            w = np.matmul(mats[j], w.reshape(-1, L, L ** (d - 1 - j)))
+        return w.reshape(shape)
 
-    def inverse(w_hat):
-        nt = w_hat.shape[0]
-        w = (fft.irfftn(w_hat, s=(nt,) + cube.shape, axes=axes) if real
-             else fft.ifftn(w_hat, axes=axes))
-        return w.reshape(w.shape[:2] + (cube.n_sites,))
+    def apply(r):
+        w = transform(r, forward)
+        w[0] *= gam
+        for i in range(1, nt):
+            w[i] += w[i - 1]
+            w[i] *= gam
+        w += wrap * w[-1]
+        return transform(w, bases)
 
-    return forward, inverse, *symbols
+    return apply
 
 
 def _sample_mean(w: np.ndarray) -> np.ndarray:
@@ -152,24 +178,11 @@ class CorrectorField:
         return {"lhs": lhs, "rhs": rhs, "passes": bool(lhs <= rhs * (1 + 1e-10))}
 
 
-def _component_norms(w: np.ndarray, rows: bool) -> np.ndarray:
+def _component_norms(w: np.ndarray) -> np.ndarray:
     """Euclidean norm of each component of a (nt, k, n) field.  Written
     out rather than np.linalg.norm, which goes through BLAS and keeps a
-    second BLAS thread spinning for no gain at these sizes.  With ``rows``
-    each time row is summed on its own and the rows are added in time
-    order, which is the order numpy takes for k >= 2, so a block of
-    components cut from such a field gets the sums the whole field would;
-    without it the sum is numpy's over both axes at once."""
-    sq = np.abs(w) ** 2
-    if rows:
-        return np.sqrt(np.cumsum(sq.sum(axis=2), axis=0)[-1])
-    return np.sqrt(np.sum(sq, axis=(0, 2)))
-
-
-# the fewest unknowns (k nt n, over the k swept components) at which two
-# threads beat one: below it the lock handoffs between the threads' numpy
-# calls cost more than the overlap saves (2 cores, see CHANGES.md)
-_SPLIT_MIN_UNKNOWNS = 24576
+    second BLAS thread spinning for no gain at these sizes."""
+    return np.sqrt(np.sum(np.abs(w) ** 2, axis=(0, 2)))
 
 
 def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
@@ -177,10 +190,10 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
 
     Preconditioned Richardson iteration u <- u + M^{-1} (f - A u), with
     A = (eta + D_t) + dxi* a dxi applied by stencils and the
-    constant-coefficient operator M = (eta + D_t) + c dxi* dxi inverted by
-    one space-time FFT, at the midpoint c = (lam_s + Lam_s)/2 of the range
-    [lam_s, Lam_s] of the sample's values.  The error map acts on
-    gradients as T_{xi,eta} b with the contrast b = 1 - a/c, and
+    constant-coefficient operator M = (eta + D_t) + c dxi* dxi inverted
+    exactly by ``_preconditioner``, at the midpoint c = (lam_s + Lam_s)/2
+    of the range [lam_s, Lam_s] of the sample's values.  The error map acts
+    on gradients as T_{xi,eta} b with the contrast b = 1 - a/c, and
     |b| <= (Lam_s - lam_s)/(Lam_s + lam_s), so every sweep shrinks the
     error by at least that rate.  At xi = 0 the solve runs in real
     arithmetic and the corrector is real.  The iteration stops at relative
@@ -189,12 +202,10 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     finite, raises SolverError.  A non-finite or non-positive ``eta`` and
     a non-finite ``xi`` raise ConfigError.
 
-    A sweep makes no field-sized temporaries beyond the FFT pair and the
-    divergence's term: the residual runs through ``parabolic.div_a_grad``
-    in buffers made once per solve (its gradient, scaled by ``a`` in
-    place, and its output, which then holds r; and A u), and the spectrum
-    is divided in place.  It sums A u in the order written above, so the
-    iterates do not depend on the buffering.
+    The residual runs through ``parabolic.div_a_grad`` in buffers made
+    once per solve (its gradient, scaled by ``a`` in place, and its
+    output, which then holds r; and A u).  It sums A u in the order
+    written above, so the iterates do not depend on the buffering.
 
     The right side f = -P D_k^H a_k is projected to mean zero, which is
     what makes Phi = 0 the solution for constant coefficients at every xi
@@ -202,23 +213,11 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     projected right side is zero (a_k independent of x_k at xi_k = 0, as
     in a layered cell) has Phi_k = 0 and is not swept: the iteration runs
     on the other components only, whose iterates are bit for bit those of
-    a sweep over all of them, since the transforms and stencils act on
-    each component alone.  ``iterations`` counts the sweeps of that
-    block and ``residual`` is its largest relative residual; with no
+    a sweep over all of them, since the preconditioner and the stencils
+    act on each component alone.  ``iterations`` counts the sweeps of
+    that block and ``residual`` is its largest relative residual; with no
     component left both are 0.  The rate and the sweep limit still come
-    from the whole field.
-
-    For the same reason the k >= 2 swept components split into two
-    contiguous blocks, the first of ceil(k/2) components, whose sweeps run
-    at once: the second block's on a helper thread started for this solve
-    and joined before it returns on every path, an exception there
-    re-raised here.  The threads meet once per sweep, so the stopping test
-    still reads the largest relative residual over all components, and
-    the iterations, iterates and residual are those of the one-block
-    sweep.  The solve splits only where it pays: with two or more free
-    cores (``environments._free_cores``, so never inside a map's worker)
-    and at least ``_SPLIT_MIN_UNKNOWNS`` unknowns in the swept components
-    (a d = 3 cell of L = 8 and 17 levels has 3 x 8704).
+    from the whole field.  The solve runs on the calling thread.
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ConfigError(f"eta must be finite and > 0, got {eta}")
@@ -241,64 +240,36 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     if not active.any():
         return CorrectorField(cube, xi, eta, values, 0, 0.0)
     f = np.compress(active, f, axis=1)  # C order, unlike f[:, active]: the same sums
-    k = f.shape[1]
-    _, denom = _symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
-    forward, inverse, denom = _spectral(cube, np.isrealobj(f), denom[:, None])
-    split = k >= 2 and _free_cores() >= 2 and f.size >= _SPLIT_MIN_UNKNOWNS
-    blocks = np.split(f, [(k + 1) // 2], axis=1) if split else [f]
-
-    def sweeper(f):
-        """The iterate u of the components ``f``, zero so far, and a call
-        that makes one sweep on it and returns the norms of its new
-        residual."""
-        # the residual's buffers: the stencil's gradient (nt, k, d_j, n) and
-        # output, which also holds the time difference and r, and A u
-        f = np.ascontiguousarray(f)
-        work = _stencil_work(cube, coeff, f)
-        r_buf, au = work[1], np.empty_like(f)
-        u, r = np.zeros_like(f), f
-
-        def sweep():
-            """u += M^{-1} r, then r = f - A u with A u = eta u + (u - u_prev)/dt
-            + dxi* a dxi u, summed in that order."""
-            nonlocal u, r
-            w_hat = forward(r)
-            w_hat /= denom
-            u += inverse(w_hat)
-            np.multiply(u, eta, out=au)
-            np.subtract(u[1:], u[:-1], out=r_buf[1:])  # the periodic backward difference
-            np.subtract(u[0], u[-1], out=r_buf[0])
-            np.divide(r_buf, a.dt, out=r_buf)
-            np.add(au, r_buf, out=au)
-            np.add(au, div_a_grad(cube, coeff, u, work, xi), out=au)
-            r = np.subtract(f, au, out=r_buf)
-            return _component_norms(r, rows=k > 1)
-
-        return u, sweep
-
-    import contextvars
-    from concurrent.futures import ThreadPoolExecutor
-
-    iterates, sweeps = zip(*(sweeper(block) for block in blocks))
-    f_norm = _component_norms(f, rows=k > 1)
+    apply = _preconditioner(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
+    # the residual's buffers: the stencil's gradient (nt, k, d_j, n) and
+    # output, which also holds the time difference and r, and A u
+    work = _stencil_work(cube, coeff, f)
+    r_buf, au = work[1], np.empty_like(f)
+    u, r = np.zeros_like(f), f
+    f_norm = _component_norms(f)
     scale = np.where(f_norm > 0, f_norm, 1.0)
     r_norm = f_norm
     iterations = 0
-    # the helper thread starts at the first submit, so one block starts
-    # none; it runs in the caller's context, np.errstate included
-    context = contextvars.copy_context()
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
-            pending = [helper.submit(context.run, sweep) for sweep in sweeps[1:]]
-            r_norm = np.concatenate([sweeps[0]()] + [p.result() for p in pending])
-            iterations += 1
+    while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
+        # u += M^{-1} r, then r = f - A u with A u = eta u + (u - u_prev)/dt
+        # + dxi* a dxi u, summed in that order
+        u += apply(r)
+        np.multiply(u, eta, out=au)
+        np.subtract(u[1:], u[:-1], out=r_buf[1:])  # the periodic backward difference
+        np.subtract(u[0], u[-1], out=r_buf[0])
+        np.divide(r_buf, a.dt, out=r_buf)
+        np.add(au, r_buf, out=au)
+        np.add(au, div_a_grad(cube, coeff, u, work, xi), out=au)
+        r = np.subtract(f, au, out=r_buf)
+        r_norm = _component_norms(r)
+        iterations += 1
     rel = float((r_norm / scale).max())
     if not np.all(r_norm <= 1e-8 * np.maximum(1.0, f_norm)):
         raise SolverError(
             f"corrector solve stopped after {iterations} iterations at "
             f"relative residual {rel:.3e}"
         )
-    values[:, active] = np.concatenate(iterates, axis=1)
+    values[:, active] = u
     return CorrectorField(cube, xi, eta, values, iterations, rel)
 
 
@@ -349,19 +320,16 @@ def t_operator_apply(
     """Apply T_{xi,eta} g = dxi psi where psi solves
     (1/Lam)(eta + D_t) psi + dxi* dxi psi = dxi* g on the periodic sample.
 
-    ``g`` has shape (nt, d, n).  psi is found by dividing by the exact
-    space-time symbol, the one that preconditions ``corrector_solve``:
-    psi_hat = Lam d^* g_hat / (eta + tau + Lam |d|^2).  Per Fourier mode
-    the norm of T is |d|^2 / ||d|^2 + (eta + tau)/Lam| < 1, so T is a
-    contraction for real xi and eta > 0.  Real ``g`` at xi = 0 gives a
-    real result; otherwise the result is complex.
+    ``g`` has shape (nt, d, n).  psi = Lam M^{-1} dxi* g with the
+    preconditioner of ``corrector_solve`` at c = Lam.  Per space-time
+    Fourier mode the norm of T is |d|^2 / ||d|^2 + (eta + tau)/Lam| < 1,
+    with d the symbol of dxi and tau that of D_t, whose real part is
+    >= 0; so T is a contraction for real xi and eta > 0.  Real ``g`` at
+    xi = 0 gives a real result; otherwise the result is complex.
     """
-    g = np.asarray(g)
-    g = g.astype(np.result_type(g, _phases(xi), float), copy=False)
-    dsym, denom = _symbol(cube, xi, g.shape[0], dt, eta, Lam)
-    forward, inverse, dsym, denom = _spectral(cube, np.isrealobj(g), dsym, denom)
-    psi_hat = Lam * (np.conj(dsym) * forward(g)).sum(axis=1) / denom
-    return inverse(dsym * psi_hat[:, None])
+    rhs = cube.div(g, xi=xi)[:, None]  # (nt, 1, n)
+    psi = Lam * _preconditioner(cube, xi, rhs.shape[0], dt, eta, Lam)(rhs)
+    return cube.grad(psi[:, 0], xi=xi)
 
 
 def sample_norm(w: np.ndarray) -> float:

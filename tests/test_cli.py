@@ -236,6 +236,19 @@ def test_exit_code_2_on_bad_site_or_xi_before_compute(kind, text, tmp_path,
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     key = text.splitlines()[-1].split(" = ")[0]
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_directory_is_made_only_after_the_runner_returns(tmp_path, capsys):
+    # rate-fit refuses a zero scale inside its runner, after resolve_config
+    bad = _write(tmp_path, "values = 1,0.26,0.0624,0.0158\nscales = 0,1,2,3\n")
+    assert main(["rate-fit", "--config", bad, "--out", str(tmp_path / "bad")]) == 2
+    assert "scales" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    good = _write(tmp_path, "values = 1,0.26,0.0624,0.0158\nscales = 1,0.5,0.25,0.125\n")
+    assert main(["rate-fit", "--config", good, "--out", str(tmp_path / "good")]) == 0
+    assert (tmp_path / "good" / "manifest.json").exists()
+    assert (tmp_path / "good" / "rate-fit.json").exists()
 
 
 def test_exit_code_2_on_every_float_key_that_is_not_finite_before_compute(

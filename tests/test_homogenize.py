@@ -1,7 +1,6 @@
 """Corrector, effective-coefficient, T-operator, and rate-fit tests."""
 
 import os
-import sys
 import threading
 
 import numpy as np
@@ -177,6 +176,54 @@ def test_twisted_stencils_into_out_match_the_allocating_forms(d, L, batch, compl
         cube.div(buf[..., 1:, :], out=buf[..., 1, :], xi=xi)
 
 
+def symbol_division(cube, xi, nt, dt, eta, c, r):
+    """M^{-1} r for M = (eta + D_t) + c dxi* dxi by numpy.fft: division by
+    the space-time symbol eta + tau_l + c sum_j |d_j(k)|^2, with
+    d_j(k) = e^{-i xi_j + 2 pi i k_j / L} - 1 and the periodic backward
+    difference's tau_l = (1 - e^{-2 pi i l / nt}) / dt."""
+    mu = np.zeros(())
+    for xi_j in xi:
+        d_j = np.exp(-1j * xi_j + 2j * np.pi * np.fft.fftfreq(cube.L)) - 1.0
+        mu = np.add.outer(mu, np.abs(d_j) ** 2)
+    tau = (1.0 - np.exp(-2j * np.pi * np.fft.fftfreq(nt))) / dt
+    symbol = eta + tau.reshape((nt,) + (1,) * cube.d) + c * mu
+    axes = (0,) + tuple(range(2, 2 + cube.d))
+    w = np.fft.fftn(r.reshape(r.shape[:2] + cube.shape), axes=axes)
+    return np.fft.ifftn(w / symbol[:, None], axes=axes).reshape(r.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    L=st.sampled_from([2, 4, 6, 8]),
+    nt=st.sampled_from([1, 2, 5, 17]),
+    k=st.sampled_from([1, 3]),
+    xi_zero=st.lists(st.booleans(), min_size=3, max_size=3),
+    log_eta=st.floats(-3.0, 0.0),
+    c=st.floats(0.1, 5.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(d=3, L=8, nt=17, k=3, xi_zero=[True] * 3, log_eta=-3.0, c=1.0, seed=0)
+@example(d=1, L=2, nt=1, k=1, xi_zero=[False] * 3, log_eta=0.0, c=0.5, seed=1)
+@example(d=2, L=2, nt=1, k=3, xi_zero=[True] * 3, log_eta=-3.0, c=2.0, seed=2)
+@example(d=3, L=4, nt=5, k=1, xi_zero=[False, True, False], log_eta=-2.0, c=1.0, seed=3)
+def test_preconditioner_matches_the_fourier_symbol_division(d, L, nt, k, xi_zero,
+                                                            log_eta, c, seed):
+    # each xi_j is 0 (the real eigenbasis) or random (the DFT)
+    rng = np.random.default_rng(seed)
+    cube = PeriodicCube(d, L)
+    xi = rng.uniform(-np.pi, np.pi, d) * ~np.array(xi_zero[:d])
+    r = rng.standard_normal((nt, k, cube.n_sites))
+    if xi.any():
+        r = r + 1j * rng.standard_normal(r.shape)
+    dt, eta = 0.1, 10.0**log_eta
+    x = homogenize._preconditioner(cube, xi, nt, dt, eta, c)(r)
+    expected = symbol_division(cube, xi, nt, dt, eta, c, r)
+    # real arithmetic at xi = 0
+    assert x.dtype == r.dtype and x.shape == r.shape
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 # -- corrector ------------------------------------------------------------------
 
 
@@ -270,8 +317,7 @@ def allocating_corrector_solve(a, xi, eta):
     coeff = a.values[:, None]
     f = -cube.div(coeff * np.eye(d)[None, :, :, None], xi=xi)
     f -= f.mean(axis=(0, 2), keepdims=True)
-    _, denom = homogenize._symbol(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
-    forward, inverse, denom = homogenize._spectral(cube, np.isrealobj(f), denom[:, None])
+    apply = homogenize._preconditioner(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
 
     def residual(u):
         au = (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
@@ -285,7 +331,7 @@ def allocating_corrector_solve(a, xi, eta):
     scale = np.where(f_norm > 0, f_norm, 1.0)
     u, r, r_norm, iterations = np.zeros_like(f), f, f_norm, 0
     while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
-        u += inverse(forward(r) / denom)
+        u += apply(r)
         r = residual(u)
         r_norm = norms(r)
         iterations += 1
@@ -340,117 +386,22 @@ def test_corrector_skips_the_components_with_a_zero_right_side(
 
 
 def test_laminate_corrector_transforms_one_component(monkeypatch):
-    from scipy import fft
+    preconditioner, components = homogenize._preconditioner, []
 
-    rfftn, components = fft.rfftn, []
+    def recording_preconditioner(*args):
+        apply = preconditioner(*args)
 
-    def recording_rfftn(w, *args, **kwargs):
-        components.append(w.shape[1])
-        return rfftn(w, *args, **kwargs)
+        def recording_apply(r):
+            components.append(r.shape[1])
+            return apply(r)
 
-    monkeypatch.setattr(fft, "rfftn", recording_rfftn)
+        return recording_apply
+
+    monkeypatch.setattr(homogenize, "_preconditioner", recording_preconditioner)
     a = layered_field(L=4, nt=3, **LAMINATE)
     corr = corrector_solve(a, [0.0] * 3, eta=0.01)
     assert corr.iterations > 0 and len(components) == corr.iterations
     assert set(components) == {1}
-
-
-def solve_recording_threads(a, xi, eta, cores, min_unknowns):
-    """corrector_solve with ``cores`` free cores and the given split
-    minimum, and the set of threads that computed residual norms."""
-    norms, threads = homogenize._component_norms, set()
-
-    def recording_norms(w, rows):
-        threads.add(threading.get_ident())
-        return norms(w, rows)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homogenize, "_component_norms", recording_norms)
-        patch.setattr(homogenize, "_free_cores", lambda: cores)
-        patch.setattr(homogenize, "_SPLIT_MIN_UNKNOWNS", min_unknowns)
-        return corrector_solve(a, xi, eta), threads
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    d=st.sampled_from([2, 3]),
-    L=st.sampled_from([2, 4, 6]),
-    nt=st.sampled_from([1, 2, 3, 5]),
-    swept=st.lists(st.booleans(), min_size=3, max_size=3),
-    in_time=st.booleans(),
-    complex_xi=st.booleans(),
-    log_eta=st.floats(-3.0, 0.0),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@example(d=3, L=4, nt=3, swept=[True] * 3, in_time=True, complex_xi=False, log_eta=-2.0,
-         seed=1)
-@example(d=2, L=4, nt=5, swept=[True] * 3, in_time=True, complex_xi=True, log_eta=-1.0,
-         seed=2)
-def test_corrector_split_over_two_threads_is_bit_identical(d, L, nt, swept, in_time,
-                                                          complex_xi, log_eta, seed):
-    # component k is swept when a_k varies along x_k; the others are layered
-    swept = swept[:d]
-    assume(sum(swept) >= 2)
-    depends = [[j != k or swept[k] for j in range(d)] for k in range(d)]
-    a = layered_field(d, L, nt, depends, in_time, False, seed)
-    xi = np.random.default_rng([seed, 2]).uniform(-np.pi, np.pi, d) * complex_xi
-    xi[~np.array(swept)] = 0.0
-    eta = 10.0**log_eta
-    one, one_threads = solve_recording_threads(a, xi, eta, 1, 0)
-    two, two_threads = solve_recording_threads(a, xi, eta, 2, 0)
-    assert len(one_threads) == 1 and len(two_threads) == 2
-    assert two.values.dtype == one.values.dtype
-    assert np.array_equal(two.values, one.values)
-    assert two.iterations == one.iterations and two.residual == one.residual
-
-
-@pytest.mark.parametrize("xi", [[0.0] * 3, [0.4, -1.1, 0.3]])
-def test_corrector_splits_a_d3_cell_of_17_levels_at_the_measured_minimum(xi):
-    # the ahom-d3 cell, 3 x 8704 unknowns: two threads at the private minimum
-    minimum = homogenize._SPLIT_MIN_UNKNOWNS
-    a = random_field(3, 8, 17, 0.7, 1.3, dt=0.1, seed=5)
-    one, _ = solve_recording_threads(a, xi, 0.013, 1, minimum)
-    two, threads = solve_recording_threads(a, xi, 0.013, 2, minimum)
-    assert len(threads) == 2
-    assert np.array_equal(two.values, one.values)
-    assert two.iterations == one.iterations and two.residual == one.residual
-    # a d = 2 cell of 9 levels on L = 8, like the small-lattice cells, stays on one
-    small = random_field(2, 8, 9, 0.7, 1.3, dt=0.1, seed=5)
-    _, threads = solve_recording_threads(small, [0.3, 0.2], 0.013, 2, minimum)
-    assert len(threads) == 1
-
-
-def test_corrector_split_keeps_its_bits_under_rapid_thread_switching():
-    # the threads share only read-only inputs; switching every microsecond
-    # must not change a bit of any iterate
-    a = random_field(3, 4, 5, 0.5, 2.0, dt=0.1, seed=8)
-    one, _ = solve_recording_threads(a, [0.3, 0.0, -0.2], 0.05, 1, 0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            two, threads = solve_recording_threads(a, [0.3, 0.0, -0.2], 0.05, 2, 0)
-            assert len(threads) == 2 and np.array_equal(two.values, one.values)
-            assert two.iterations == one.iterations and two.residual == one.residual
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_corrector_helper_error_reaches_the_caller_and_the_thread_is_joined(monkeypatch):
-    norms, caller = homogenize._component_norms, threading.get_ident()
-
-    def failing_in_the_helper(w, rows):
-        if threading.get_ident() != caller:
-            raise SolverError("the helper's block diverged")
-        return norms(w, rows)
-
-    monkeypatch.setattr(homogenize, "_component_norms", failing_in_the_helper)
-    monkeypatch.setattr(homogenize, "_free_cores", lambda: 2)
-    monkeypatch.setattr(homogenize, "_SPLIT_MIN_UNKNOWNS", 0)
-    before = threading.active_count()
-    with pytest.raises(SolverError, match="helper's block diverged"):
-        corrector_solve(random_field(3, 4, 3, 0.5, 2.0, seed=3), [0.0] * 3, eta=0.1)
-    assert threading.active_count() == before
 
 
 def _no_thread(self):
@@ -459,10 +410,10 @@ def _no_thread(self):
 
 def test_corrector_starts_no_thread_on_one_core_or_in_a_map(two_cores, monkeypatch):
     a = random_field(2, 4, 3, 0.5, 2.0, seed=4)
-    monkeypatch.setattr(homogenize, "_SPLIT_MIN_UNKNOWNS", 0)
     monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    with pytest.raises(AssertionError, match="a thread was started"):
-        corrector_solve(a, [0.0, 0.0], eta=0.1)  # two cores: the split starts one
+    # two free cores: the solve still runs on the calling thread alone
+    on_two = corrector_solve(a, [0.0, 0.0], eta=0.1)
+    assert on_two.iterations > 0
     # the map's parent chunk and its forked worker run their solves on one thread
     iterations = _map_chunks_on_cores(
         lambda chunk: [corrector_solve(b, [0.0, 0.0], eta=0.1).iterations for b in chunk],
@@ -470,31 +421,32 @@ def test_corrector_starts_no_thread_on_one_core_or_in_a_map(two_cores, monkeypat
     assert iterations[0] == iterations[1] and iterations[0][0] > 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert corrector_solve(a, [0.0, 0.0], eta=0.1).iterations == iterations[0][0]
+    assert iterations[0][0] == on_two.iterations
+
+
+def scaled_preconditioner(factor):
+    """homogenize._preconditioner with its output multiplied by ``factor``."""
+    preconditioner = homogenize._preconditioner
+
+    def scaled(*args):
+        apply = preconditioner(*args)
+        return lambda r: factor * apply(r)
+
+    return scaled
 
 
 def test_corrector_solver_error_reports_statistics(monkeypatch):
-    # a preconditioner scaled far too small makes the iteration diverge
-    symbol = homogenize._symbol
-
-    def bad_symbol(*args):
-        dsym, denom = symbol(*args)
-        return dsym, 0.1 * denom
-
-    monkeypatch.setattr(homogenize, "_symbol", bad_symbol)
+    # a preconditioner scaled ten times too large makes the iteration diverge
+    monkeypatch.setattr(homogenize, "_preconditioner", scaled_preconditioner(10.0))
     a = random_field(1, 8, 3, 0.5, 2.0, seed=1)
     with pytest.raises(SolverError, match=r"after \d+ iterations at relative residual"):
         corrector_solve(a, [0.3], eta=0.1)
 
 
 def test_corrector_non_finite_residual_raises(monkeypatch):
-    # a zero preconditioner symbol turns the iterate into NaN on the first sweep
-    symbol = homogenize._symbol
-
-    def zero_symbol(*args):
-        dsym, denom = symbol(*args)
-        return dsym, 0.0 * denom
-
-    monkeypatch.setattr(homogenize, "_symbol", zero_symbol)
+    # an infinite preconditioner (a zero symbol) turns the iterate into NaN
+    # on the first sweep
+    monkeypatch.setattr(homogenize, "_preconditioner", scaled_preconditioner(np.inf))
     a = random_field(1, 8, 3, 0.5, 2.0, seed=1)
     with np.errstate(all="ignore"), pytest.raises(SolverError, match="relative residual nan"):
         corrector_solve(a, [0.0], eta=0.1)
@@ -633,7 +585,7 @@ def test_t_operator_contraction(d, L, nt, dt, Lam, xi_zero, seed, n_draws):
         eta = 10.0 ** rng.uniform(-3, 0)
         out = t_operator_apply(cube, g, xi, eta, dt, Lam)
         assert out.dtype == (np.float64 if xi_zero else np.complex128)
-        assert sample_norm(out) <= sample_norm(g) * (1 + 1e-6)
+        assert sample_norm(out) <= sample_norm(g) * (1 + 1e-12)
 
 
 def test_t_operator_matches_dense_solve():
