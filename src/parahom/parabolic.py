@@ -201,7 +201,10 @@ def solve_forward(a: CoefficientField, h: np.ndarray, n_steps: int) -> np.ndarra
     Returns the trajectory with shape (n_steps + 1, ..., n_sites); ``h``
     may carry leading batch axes (paired with batch axes of ``a.values``
     if present).  The discrete L2 norm is non-increasing step to step.
+    An ``n_steps`` that is not a non-negative integer raises ConfigError.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise ConfigError(f"n_steps must be a non-negative integer, got {n_steps!r}")
     _check_dt(a)
     coeff = _slices(a.values, n_steps)
     h = np.asarray(h, dtype=float)

@@ -1,13 +1,19 @@
 """Command-line runner: schema validation, determinism, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parahom import ConfigError, heat_kernel_1d
+from parahom import homogenize
 from parahom.cli import main, run, verify_suite
 from parahom import config
 from parahom.config import (
@@ -341,6 +347,61 @@ def test_exit_code_2_on_one_sample_before_compute(kind, n_samples, tmp_path, mon
         assert main([kind, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "n_samples" in capsys.readouterr().err
+
+
+class Arrived(BaseException):
+    """Raised by a stubbed sampler or solver; not an Exception, so that
+    ``main`` does not turn it into exit 3."""
+
+
+def _arrive(*args, **kwargs):
+    raise Arrived
+
+
+def _fit_then_arrive(*args, **kwargs):
+    # the fit is cheap and holds rate-fit's own checks: run them, then stop
+    homogenize.rate_fit(*args, **kwargs)
+    raise Arrived
+
+
+# values no key takes in every kind: zero, negative, tiny, huge, and lists
+# of the wrong length (empty, two entries, five)
+BAD_VALUES = ["0", "-1", "1e-300", "1e300", "", "0.5,0.5", "1,2,3,4,5"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bad_values_exit_2_or_reach_a_stub_and_leave_no_out(kind, data):
+    # every sampler and solver raises Arrived: a config reaches one only
+    # when every check before compute passed it; nothing forks on one core
+    schema = SCHEMAS[kind]
+    raw = {k: v for k, v in {"scales": "1,0.5,0.25,0.125",
+                             "values": "1,0.3,0.1,0.03"}.items() if k in schema}
+    for name in data.draw(st.lists(st.sampled_from(sorted(schema)), min_size=1,
+                                   max_size=2, unique=True), label="keys"):
+        raw[name] = data.draw(st.sampled_from(BAD_VALUES), label=name)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        for target in ("parahom.environments.langevin_path",
+                       "parahom.field_theory.langevin_path",
+                       "parahom.cli.heat_kernel_table", "parahom.cli.heat_kernel_solver",
+                       "parahom.cli.finite_dimensional_suite",
+                       "parahom.cli.corrector_solve", "parahom.homogenize.corrector_solve"):
+            mp.setattr(target, _arrive)
+        mp.setattr("parahom.cli.rate_fit", _fit_then_arrive)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg, out = os.path.join(tmp, "config.txt"), os.path.join(tmp, "o")
+        with open(cfg, "w") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in raw.items()))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main([kind, "--config", cfg, "--out", out])
+        except Arrived:
+            code = None
+        assert code is None or (code == 2 and err.getvalue().startswith("config error: ")), \
+            (code, err.getvalue())
+        assert not os.path.exists(out)
 
 
 def test_exit_code_1_on_verdict_failure(tmp_path):

@@ -294,6 +294,9 @@ def test_energy_check_sums_over_directions():
 @example(d=1, L=6, nt=3, xi=[0.0, 0.0], log_eta=-3.0, lam=0.2, ratio=5.0, seed=3)
 @example(d=2, L=4, nt=2, xi=[0.0, 0.0], log_eta=-1.0, lam=0.5, ratio=3.0, seed=7)
 @example(d=2, L=6, nt=3, xi=[0.0, 1.1], log_eta=-2.0, lam=0.3, ratio=4.0, seed=11)
+# the contrast recurrence stops at 1e-12 where f - A u reads 1.0000138e-12
+@example(d=1, L=6, nt=2, xi=[1.5, 0.0], log_eta=-2.3125, lam=0.9375,
+         ratio=4.766204896425603, seed=2819)
 def test_corrector_matches_dense_solve(d, L, nt, xi, log_eta, lam, ratio, seed):
     a = random_field(d, L, nt, lam, lam * ratio, dt=0.1, seed=seed)
     xi, eta = np.array(xi[:d]), 10.0**log_eta
@@ -305,47 +308,150 @@ def test_corrector_matches_dense_solve(d, L, nt, xi, log_eta, lam, ratio, seed):
     assert np.abs(q_matrix_single(corr, a) - q_dense).max() <= 1e-10
 
 
+def corrector_right_side(a, xi):
+    """f = -P dxi* a e_k for each component k, shape (nt, d, n)."""
+    cube, d = a.cube, a.cube.d
+    f = -cube.div(a.values[:, None] * np.eye(d)[None, :, :, None], xi=xi)
+    return f - f.mean(axis=(0, 2), keepdims=True)
+
+
+def true_residual(a, xi, eta, u):
+    """f - A u with A u = eta u + (u - u_prev)/dt + dxi* (a dxi u), one
+    new array per term and np.roll for the time difference."""
+    cube = a.cube
+    return corrector_right_side(a, xi) - (
+        eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
+        + cube.div(a.values[:, None] * cube.grad(u, xi=xi), xi=xi))
+
+
+def component_norms(w):
+    return np.sqrt(np.sum(np.abs(w) ** 2, axis=(0, 2)))
+
+
+def relative_residual(a, xi, eta, values):
+    """max_k |f_k - A u_k| / |f_k| over the components with f_k != 0."""
+    xi = np.asarray(xi, dtype=float)
+    f_norm = component_norms(corrector_right_side(a, xi))
+    r_norm = component_norms(true_residual(a, xi, eta, values))
+    return float((r_norm / np.where(f_norm > 0, f_norm, 1.0)).max())
+
+
 def allocating_corrector_solve(a, xi, eta):
-    """(values, iterations) of the Richardson solve whose residual makes
-    a new array for every term: np.roll for the time difference, then
-    f - (eta u + (u - u_prev)/dt + dxi* (a dxi u))."""
-    cube, nt, d = a.cube, a.n_times, a.cube.d
+    """(values, iterations, residual) of the Richardson solve that makes a
+    new array for every term: w = M^{-1} r, u = u + w, and the next
+    residual dxi* ((c - a) dxi w); then the true residual f - A u, from
+    which the sweeps resume while it is above 1e-12.  A field whose
+    levels are all equal is solved on its first level and the solution
+    repeated."""
+    cube, nt = a.cube, a.n_times
+    if nt > 1 and np.all(a.values == a.values[0]):
+        values, iterations, residual = allocating_corrector_solve(
+            CoefficientField(cube, a.dt, a.values[:1], a.window), xi, eta)
+        return np.repeat(values, nt, axis=0), iterations, residual
     xi = np.asarray(xi, dtype=float)
     lam_s, Lam_s = float(a.values.min()), float(a.values.max())
     rate = (Lam_s - lam_s) / (Lam_s + lam_s)
     max_iter = 10 + int(np.ceil(np.log(1e-14) / np.log(max(rate, 1e-14))))
-    coeff = a.values[:, None]
-    f = -cube.div(coeff * np.eye(d)[None, :, :, None], xi=xi)
-    f -= f.mean(axis=(0, 2), keepdims=True)
-    apply = homogenize._preconditioner(cube, xi, nt, a.dt, eta, 0.5 * (lam_s + Lam_s))
-
-    def residual(u):
-        au = (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
-              + cube.div(coeff * cube.grad(u, xi=xi), xi=xi))
-        return f - au
-
-    def norms(w):
-        return np.sqrt(np.sum(np.abs(w) ** 2, axis=(0, 2)))
-
-    f_norm = norms(f)
+    c = 0.5 * (lam_s + Lam_s)
+    contrast = c - a.values[:, None]
+    f = corrector_right_side(a, xi)
+    apply = homogenize._preconditioner(cube, xi, nt, a.dt, eta, c)
+    f_norm = component_norms(f)
     scale = np.where(f_norm > 0, f_norm, 1.0)
     u, r, r_norm, iterations = np.zeros_like(f), f, f_norm, 0
-    while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
-        u += apply(r)
-        r = residual(u)
-        r_norm = norms(r)
-        iterations += 1
-    return u, iterations
+    while True:
+        while (r_norm / scale).max() > 1e-12 and iterations < max_iter:
+            w = apply(r)
+            u = u + w
+            r = cube.div(contrast * cube.grad(w, xi=xi), xi=xi)
+            r_norm = component_norms(r)
+            iterations += 1
+        r = true_residual(a, xi, eta, u)
+        r_norm = component_norms(r)
+        rel = float((r_norm / scale).max())
+        if not rel > 1e-12 or iterations >= max_iter:
+            return u, iterations, rel
 
 
 @pytest.mark.parametrize("xi", [[0.0, 0.0, 0.0], [0.7, 0.0, -0.3]])
 def test_corrector_pinned_to_the_allocating_residual(xi):
     a = random_field(3, 4, 5, 0.5, 2.0, dt=0.1, seed=31)
     corr = corrector_solve(a, xi, eta=0.0013)
-    values, iterations = allocating_corrector_solve(a, xi, 0.0013)
+    values, iterations, residual = allocating_corrector_solve(a, xi, 0.0013)
     assert corr.values.dtype == (np.complex128 if any(xi) else np.float64)
     assert corr.iterations == iterations
     assert same_bits(corr.values, values)
+    assert corr.residual == residual
+
+
+def spied_levels(monkeypatch):
+    """The level counts the corrector's preconditioner is built for, in
+    call order."""
+    preconditioner, levels = homogenize._preconditioner, []
+
+    def spy(cube, xi, nt, *args):
+        levels.append(nt)
+        return preconditioner(cube, xi, nt, *args)
+
+    monkeypatch.setattr(homogenize, "_preconditioner", spy)
+    return levels
+
+
+CELLS = dict(
+    d=st.sampled_from([1, 2, 3]),
+    L=st.sampled_from([2, 4]),
+    nt=st.integers(min_value=2, max_value=4),
+    complex_xi=st.booleans(),
+    log_eta=st.floats(-3.0, 0.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+
+
+def cell_xi(d, complex_xi, seed):
+    return np.random.default_rng([seed, 2]).uniform(-np.pi, np.pi, d) * complex_xi
+
+
+@settings(max_examples=30, deadline=None)
+@given(**CELLS)
+@example(d=3, L=4, nt=4, complex_xi=False, log_eta=-3.0, seed=5)
+@example(d=2, L=4, nt=3, complex_xi=True, log_eta=-1.0, seed=6)
+def test_corrector_of_a_time_constant_field_is_its_one_level_solve_repeated(
+        d, L, nt, complex_xi, log_eta, seed):
+    # D_t Phi = 0 for a time-constant Phi, and the periodic solution is unique
+    one = random_field(d, L, 1, 0.5, 2.0, dt=0.1, seed=seed)
+    a = CoefficientField(one.cube, one.dt, np.repeat(one.values, nt, axis=0), one.window)
+    xi, eta = cell_xi(d, complex_xi, seed), 10.0**log_eta
+    with pytest.MonkeyPatch.context() as mp:
+        levels = spied_levels(mp)
+        corr = corrector_solve(a, xi, eta)
+    ref = corrector_solve(one, xi, eta)
+    assert levels == [1]
+    assert np.array_equal(corr.values, np.repeat(ref.values, nt, axis=0))
+    assert corr.iterations == ref.iterations and corr.residual == ref.residual
+    assert np.abs(q_matrix_single(corr, a) - dense_corrector_q(a, xi, eta)).max() <= 1e-10
+    assert abs(corr.residual - relative_residual(a, xi, eta, corr.values)) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(**CELLS, level=st.integers(min_value=0, max_value=3), entry=st.integers(min_value=0),
+       value=st.floats(0.5, 2.0))
+@example(d=3, L=4, nt=4, complex_xi=False, log_eta=-3.0, seed=5, level=3, entry=7,
+         value=1.9)
+def test_corrector_of_a_field_with_one_changed_entry_solves_every_level(
+        d, L, nt, complex_xi, log_eta, seed, level, entry, value):
+    one = random_field(d, L, 1, 0.5, 2.0, dt=0.1, seed=seed)
+    vals = np.repeat(one.values, nt, axis=0)
+    k, site = np.unravel_index(entry % (d * one.cube.n_sites), (d, one.cube.n_sites))
+    assume(vals[level % nt, k, site] != value)
+    vals[level % nt, k, site] = value
+    a = CoefficientField(one.cube, one.dt, vals, one.window)
+    xi, eta = cell_xi(d, complex_xi, seed), 10.0**log_eta
+    with pytest.MonkeyPatch.context() as mp:
+        levels = spied_levels(mp)
+        corr = corrector_solve(a, xi, eta)
+    assert levels == [nt]
+    assert np.abs(q_matrix_single(corr, a) - dense_corrector_q(a, xi, eta)).max() <= 1e-10
+    assert abs(corr.residual - relative_residual(a, xi, eta, corr.values)) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -378,10 +484,12 @@ def test_corrector_skips_the_components_with_a_zero_right_side(
     xi[zero] = 0.0
     eta = 10.0**log_eta
     corr = corrector_solve(a, xi, eta)
-    values, iterations = allocating_corrector_solve(a, xi, eta)
+    values, iterations, residual = allocating_corrector_solve(a, xi, eta)
     assert np.all(corr.values[:, zero] == 0.0)
     assert same_bits(corr.values[:, rest], values[:, rest])
     assert corr.iterations == iterations
+    # the norms sum over fewer components here, in another order
+    assert abs(corr.residual - residual) <= 1e-14
     assert np.abs(q_matrix_single(corr, a) - dense_corrector_q(a, xi, eta)).max() <= 1e-10
 
 

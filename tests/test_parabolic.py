@@ -26,6 +26,8 @@ from parahom import (
     aronson_fit,
     avg_greens_mc,
 )
+from parahom import parabolic
+from test_lattice import same_bits
 
 
 def random_diagonal_field(cube, dt, n_times, lam, Lam, seed=0):
@@ -192,6 +194,26 @@ def test_forward_stability_guard():
         solve_forward(
             constant_coefficients(cube, 0.1, 1.0), np.full(cube.n_sites, np.nan), 1
         )
+
+
+@pytest.mark.parametrize("n_steps", [-1, -3, 2.5, 2.0, "2", None, True])
+def test_forward_refuses_a_step_count_that_is_not_a_non_negative_integer(n_steps,
+                                                                          monkeypatch):
+    # before the guard, -1 raised IndexError, -3 ValueError and 2.5 TypeError
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before n_steps was checked")
+
+    monkeypatch.setattr(parabolic, "_sweep", no_step)
+    a = constant_coefficients(PeriodicCube(1, 4), 0.1, 1.0)
+    with pytest.raises(ConfigError, match="n_steps"):
+        solve_forward(a, np.zeros(4), n_steps)
+
+
+def test_forward_takes_zero_steps_and_numpy_integers():
+    a = constant_coefficients(PeriodicCube(1, 4), 0.1, 1.0)
+    h = np.arange(4.0)
+    assert same_bits(solve_forward(a, h, 0), h[None])
+    assert same_bits(solve_forward(a, h, np.int64(3)), solve_forward(a, h, 3))
 
 
 # -- backward Green's function --------------------------------------------------------
