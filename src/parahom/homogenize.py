@@ -25,14 +25,16 @@ with it at the midpoint c = (lam + Lam)/2, whose error map is T b with
 the contrast b = 1 - a/c, so it converges at the rate
 (Lam - lam)/(Lam + lam).  M holds the whole time part and eta, so a
 sweep applies only the contrast, and the true residual f - A u is formed
-after the last sweep; a field constant in time is solved on one level.  Everything runs on the calling thread.
+after the last sweep; a field constant in time is solved on one level.
+Everything runs on the calling thread.
 
 At xi = 0 every twisted difference is real, so the stencils, the
 corrector and T run in real arithmetic, with the real cos/sin
 eigenbasis; at xi != 0 they run in complex arithmetic, with the unitary
 DFT along each axis whose xi_j is not 0.  The switch is
 ``lattice._phases``, whose factors are the real 1.0 at xi = 0; the
-stencils are ``PeriodicCube.grad``/``div`` called with ``xi``.
+stencils are ``parabolic.div_a_grad`` and ``PeriodicCube.grad``/``div``
+called with ``xi``.
 
 The right side carries the mean-zero projection P so that constant
 coefficients yield Phi = 0 for every xi; at xi = 0 the projection is a
@@ -208,13 +210,13 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     periodic problem has one solution (every norm scales by sqrt(nt), so
     the one-level ``iterations`` and ``residual`` stand).  The sweeps
     stop at relative residual 1e-12, or after the sweeps that rate needs
-    to gain 14 digits plus 10.  Then the true residual f - A u, summed in
-    the order written above, is formed; should rounding have left it
-    above 1e-12 with sweeps to spare, the sweeps resume from it.  It is
-    ``residual``, and a value above 1e-8 max(1, |f|), or one that is not
-    finite, raises SolverError.  A non-finite or non-positive ``eta`` and a non-finite
-    ``xi`` raise ConfigError.  Both residuals run through
-    ``parabolic.div_a_grad`` in buffers made once per solve.
+    to gain 14 digits plus 10.  Then the true residual f - A u is formed,
+    summed in the order written above.  Where rounding has left it above
+    1e-12 and sweeps remain, the sweeps resume from it.  Its relative
+    size is ``residual``.  A residual above 1e-8 max(1, |f|), or one that
+    is not finite, raises SolverError.  A non-finite or non-positive
+    ``eta`` and a non-finite ``xi`` raise ConfigError.  Both residuals run
+    through ``parabolic.div_a_grad`` in buffers made once per solve.
 
     The right side f = -P D_k^H a_k is projected to mean zero, which is
     what makes Phi = 0 the solution for constant coefficients at every xi
@@ -258,7 +260,8 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     c = 0.5 * (lam_s + Lam_s)
     apply = _preconditioner(cube, xi, nt, a.dt, eta, c)
     contrast = c - coeff  # M - A = dxi* (c - a) dxi: the time terms cancel
-    # the stencil's buffers: its gradient (nt, k, d_j, n) and its output, r
+    # the stencil's buffers: its flux (d_j, nt, k, n), one contiguous block
+    # per direction j, and its output (nt, k, n), where r is formed
     work = _stencil_work(cube, coeff, f)
     r_buf = work[1]
     u, r = np.zeros_like(f), f

@@ -1,8 +1,10 @@
 """Lattice geometry and discrete vector calculus on the periodic cube.
 
 Fields are stored as flat float arrays of length ``L**d`` in row-major
-site order (coordinate 0 slowest).  All operators broadcast over leading
-batch axes, so a ``(B, n_sites)`` stack of fields is processed in one call.
+site order (coordinate 0 slowest), so the neighbour x + e_j of a site sits
+at the flat offset ``L**(d-1-j)`` unless x_j wraps.  All operators
+broadcast over leading batch axes, so a ``(B, n_sites)`` stack of fields
+is processed in one call.
 
 Sign conventions: the gradient is the forward difference
 ``(grad phi)_j(x) = phi(x + e_j) - phi(x)``, the divergence is its exact
@@ -117,11 +119,41 @@ class PeriodicCube:
         return out
 
     def _shift_into(self, field: np.ndarray, out: np.ndarray, j: int, step: int):
-        """out <- field at x + step*e_j, by two slice copies along axis j."""
+        """out <- field at x + step*e_j for step = +1 or -1: one contiguous
+        copy at the flat offset step*L**(d-1-j), which is right except on
+        the slab where x_j wraps (x_j = L-1 for +1, x_j = 0 for -1), then
+        that one slab rewritten through ``_grid``."""
+        s, n = self.L ** (self.d - 1 - j), self.n_sites
         src, dst = self._grid(field, j), self._grid(out, j)
-        s = step % self.L
-        dst[..., : self.L - s, :] = src[..., s:, :]
-        dst[..., self.L - s :, :] = src[..., :s, :]
+        if step == 1:
+            out[..., : n - s] = field[..., s:]
+            dst[..., -1, :] = src[..., 0, :]
+        else:
+            out[..., s:] = field[..., : n - s]
+            dst[..., 0, :] = src[..., -1, :]
+
+    def _grad_into(self, phi: np.ndarray, outs, ph):
+        """The forward differences of ``phi``, direction j into ``outs[j]``
+        for j = 0..d-1, twisted by the phases ``ph`` (none when None)."""
+        for j in range(self.d):
+            out_j = outs[j]
+            self._shift_into(phi, out_j, j, +1)
+            if ph is not None and ph[j] != 1.0:
+                out_j *= ph[j]
+            out_j -= phi
+
+    def _div_into(self, Fs, out: np.ndarray, ph):
+        """out <- sum_j [ph_j F_j(x - e_j) - F_j(x)] over the d arrays
+        ``Fs[j]``, summed from zero in the order j = 0..d-1."""
+        out[...] = 0
+        term = np.empty_like(out)
+        for j in range(self.d):
+            F_j = Fs[j]
+            self._shift_into(F_j, term, j, -1)
+            if ph is not None and ph[j] != 1.0:
+                term *= ph[j]
+            term -= F_j
+            out += term
 
     def grad(self, phi: np.ndarray, out=None, xi=None) -> np.ndarray:
         """Forward-difference gradient, shape (..., d, n_sites); into
@@ -131,12 +163,7 @@ class PeriodicCube:
         phi = np.asarray(phi)
         ph = None if xi is None else _phases(xi)
         out = self._out(out, phi.shape[:-1] + (self.d, self.n_sites), phi, ph)
-        for j in range(self.d):
-            out_j = out[..., j, :]
-            self._shift_into(phi, out_j, j, +1)
-            if ph is not None and ph[j] != 1.0:
-                out_j *= ph[j]
-            out_j -= phi
+        self._grad_into(phi, np.moveaxis(out, -2, 0), ph)
         return out
 
     def div(self, F: np.ndarray, out=None, xi=None) -> np.ndarray:
@@ -147,15 +174,7 @@ class PeriodicCube:
         F = np.asarray(F)
         ph = None if xi is None else np.conj(_phases(xi))
         out = self._out(out, F.shape[:-2] + (self.n_sites,), F, ph)
-        out[...] = 0
-        term = np.empty_like(out)
-        for j in range(self.d):
-            F_j = F[..., j, :]
-            self._shift_into(F_j, term, j, -1)
-            if ph is not None and ph[j] != 1.0:
-                term *= ph[j]
-            term -= F_j
-            out += term
+        self._div_into(np.moveaxis(F, -2, 0), out, ph)
         return out
 
     def laplacian_symbol(self) -> np.ndarray:

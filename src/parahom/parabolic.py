@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrityError
-from .lattice import EllipticityPair, PeriodicCube
+from .lattice import EllipticityPair, PeriodicCube, _phases
 
 
 # -- coefficient fields ----------------------------------------------------
@@ -42,10 +42,10 @@ class CoefficientField:
 
     ``values`` has shape (n_times, d, n_sites): the entry a_j(x) of level
     i weights the edge (x, x+e_j) on [t_i, t_{i+1}).  A field is checked
-    on construction: any other shape raises ConfigError, and values
-    outside the declared window raise IntegrityError.  ``values`` is then
-    made read-only and no member can be rebound, so a field stays inside
-    the window it was checked against.
+    on construction: any other shape raises ConfigError, and values that
+    are not finite or lie outside the declared window raise
+    IntegrityError.  ``values`` is then made read-only and no member can
+    be rebound, so a field stays inside the window it was checked against.
     """
 
     cube: PeriodicCube
@@ -67,12 +67,13 @@ class CoefficientField:
         return self.values.shape[0]
 
     def validate(self) -> None:
-        """Raise IntegrityError if any entry leaves the window by more than
-        1e-12."""
+        """Raise IntegrityError if any entry is not finite or leaves the
+        window by more than 1e-12."""
         lam, Lam = self.window.lam, self.window.Lam
         lo = float(self.values.min())
         hi = float(self.values.max())
-        if lo < lam - 1e-12 or hi > Lam + 1e-12:
+        # one NaN entry makes lo and hi NaN, and then both comparisons are false
+        if not (lo >= lam - 1e-12 and hi <= Lam + 1e-12):
             raise IntegrityError(
                 f"coefficient spectrum [{lo}, {hi}] leaves window [{lam}, {Lam}]"
             )
@@ -98,18 +99,33 @@ def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, work=None, xi=N
     ``_stencil_work``; the result is then written into its ``out``.  With
     ``xi``, the differences are xi-twisted (``PeriodicCube.grad``), which
     gives the corrector's dxi* a dxi u.
+
+    The flux a_j grad_j u is kept direction-major, one contiguous block of
+    the buffer per direction j, and goes through the same per-direction
+    loops as ``PeriodicCube.grad`` and ``div``, so the result is bit for
+    bit ``cube.div(a * cube.grad(u, xi=xi), xi=xi)``.
     """
-    flux, out = (None, None) if work is None else work
-    g = cube.grad(u, out=flux, xi=xi)
-    return cube.div(np.multiply(a, g, out=g), out=out, xi=xi)
+    a, u = np.asarray(a), np.asarray(u)
+    flux, out = _stencil_work(cube, a, u, xi) if work is None else work
+    ph = None if xi is None else _phases(xi)
+    cube._grad_into(u, flux, ph)
+    # a's direction axis to the front, padded with unit axes to the rank of
+    # the flux, so that a with fewer batch axes than u lines up on the right
+    a_dir = np.moveaxis(a, -2, 0)[(slice(None),) + (None,) * (flux.ndim - a.ndim)]
+    np.multiply(a_dir, flux, out=flux)
+    cube._div_into(flux, out, None if ph is None else np.conj(ph))
+    return out
 
 
-def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray):
-    """Buffers (flux, out) for ``div_a_grad(cube, a, u)``, sized to the
-    broadcast of the batch axes of u and a."""
+def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, xi=None):
+    """Buffers (flux, out) for ``div_a_grad(cube, a, u, xi=xi)``, in the
+    result type of a, u and the phases of ``xi``: the flux, shape
+    (d,) + lead + (n_sites,) with lead the broadcast of the batch axes of
+    u and a, holds direction j in its contiguous row j; the output has
+    shape lead + (n_sites,)."""
     lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-2])
-    dtype = np.result_type(a, u)
-    return (np.empty(lead + (cube.d, cube.n_sites), dtype),
+    dtype = np.result_type(a, u) if xi is None else np.result_type(a, u, _phases(xi))
+    return (np.empty((cube.d,) + lead + (cube.n_sites,), dtype),
             np.empty(lead + (cube.n_sites,), dtype))
 
 

@@ -27,7 +27,7 @@ from parahom import (
     avg_greens_mc,
 )
 from parahom import parabolic
-from test_lattice import same_bits
+from test_lattice import _stencil_data, same_bits
 
 
 def random_diagonal_field(cube, dt, n_times, lam, Lam, seed=0):
@@ -109,6 +109,15 @@ def test_validate_catches_window_violation():
         CoefficientField(cube, a.dt, bad, a.window)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_field_with_a_non_finite_entry_is_refused(entry):
+    # NaN makes min and max NaN, and every comparison with NaN is false
+    values = np.full((2, 1, 4), 1.0)
+    values[1, 0, 2] = entry
+    with pytest.raises(IntegrityError):
+        CoefficientField(PeriodicCube(1, 4), 0.05, values, EllipticityPair(0.5, 2.0))
+
+
 @pytest.mark.parametrize("name", ["values", "window", "dt", "cube"])
 def test_checked_field_members_cannot_be_rebound(name):
     cube = PeriodicCube(1, 8)
@@ -141,6 +150,53 @@ def test_contrast_window():
     b = a.contrast()
     assert b.min() >= 0.0
     assert b.max() <= 1.0 - 1.0 / 4.0 + 1e-12
+
+
+# -- the stencil div(a grad .) ------------------------------------------------------
+
+# the batch axes of a against those of u: fewer (the leading one dropped, as
+# for a single level against a stack of fields), the same, or the last one
+# broadcast as 1
+a_batches = {"fewer": lambda batch: batch[1:], "same": lambda batch: batch,
+             "ones": lambda batch: batch[:-1] + (1,)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    L=st.sampled_from([2, 4, 6]),
+    batch=st.sampled_from([(), (2,), (3, 2)]),
+    a_batch=st.sampled_from(sorted(a_batches)),
+    a_dtype=st.sampled_from([np.float32, np.float64]),
+    complex_u=st.booleans(),
+    xi_kind=st.sampled_from(["none", "zero", "random"]),
+    use_work=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+# d equal to the length of a batch axis of u that a lacks or broadcasts: the
+# layouts that a plain move of a's direction axis would broadcast wrongly
+@example(d=2, L=4, batch=(2,), a_batch="fewer", a_dtype=np.float64, complex_u=False,
+         xi_kind="none", use_work=True, seed=0)
+@example(d=3, L=2, batch=(3, 2), a_batch="fewer", a_dtype=np.float32, complex_u=True,
+         xi_kind="random", use_work=False, seed=1)
+@example(d=2, L=2, batch=(3, 2), a_batch="ones", a_dtype=np.float64, complex_u=False,
+         xi_kind="random", use_work=True, seed=2)
+def test_div_a_grad_is_div_of_a_times_grad_bit_for_bit(d, L, batch, a_batch, a_dtype,
+                                                       complex_u, xi_kind, use_work,
+                                                       seed):
+    cube = PeriodicCube(d, L)
+    rng = np.random.default_rng(seed)
+    u = _stencil_data(rng, batch + (cube.n_sites,), complex_u)
+    a = _stencil_data(rng, a_batches[a_batch](batch) + (d, cube.n_sites), False)
+    a = a.astype(a_dtype)
+    xi = {"none": None, "zero": np.zeros(d),
+          "random": rng.uniform(-np.pi, np.pi, size=d)}[xi_kind]
+    expected = cube.div(a * cube.grad(u, xi=xi), xi=xi)
+    work = parabolic._stencil_work(cube, a, u, xi) if use_work else None
+    got = parabolic.div_a_grad(cube, a, u, work, xi)
+    assert same_bits(got, expected)
+    if use_work:
+        assert got is work[1]
 
 
 # -- forward problem ---------------------------------------------------------------
