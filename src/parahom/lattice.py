@@ -163,7 +163,7 @@ class PeriodicCube:
         phi = np.asarray(phi)
         ph = None if xi is None else _phases(xi)
         out = self._out(out, phi.shape[:-1] + (self.d, self.n_sites), phi, ph)
-        self._grad_into(phi, np.moveaxis(out, -2, 0), ph)
+        self._grad_into(phi, [out[..., j, :] for j in range(self.d)], ph)
         return out
 
     def div(self, F: np.ndarray, out=None, xi=None) -> np.ndarray:
@@ -174,7 +174,7 @@ class PeriodicCube:
         F = np.asarray(F)
         ph = None if xi is None else np.conj(_phases(xi))
         out = self._out(out, F.shape[:-2] + (self.n_sites,), F, ph)
-        self._div_into(np.moveaxis(F, -2, 0), out, ph)
+        self._div_into([F[..., j, :] for j in range(self.d)], out, ph)
         return out
 
     def laplacian_symbol(self) -> np.ndarray:
