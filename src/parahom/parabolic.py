@@ -109,9 +109,10 @@ def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, work=None, xi=N
     flux, out = _stencil_work(cube, a, u, xi) if work is None else work
     ph = None if xi is None else _phases(xi)
     cube._grad_into(u, flux, ph)
-    # a's direction axis to the front (a transpose: np.moveaxis costs 4 us a
-    # call), padded with unit axes to the rank of the flux, so that a with
-    # fewer batch axes than u lines up on the right
+    # a's direction axis to the front by a transpose (np.moveaxis costs
+    # several times more per call, which shows on small lattices), padded
+    # with unit axes to the rank of the flux, so that a with fewer batch
+    # axes than u lines up on the right
     a_dir = a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
     a_dir = a_dir[(slice(None),) + (None,) * (flux.ndim - a.ndim)]
     np.multiply(a_dir, flux, out=flux)
