@@ -12,7 +12,6 @@ from .lattice import (
 )
 from .parabolic import (
     CoefficientField,
-    GreensTable,
     aronson_fit,
     constant_coefficients,
     damped_perturbation_terms,
@@ -25,15 +24,11 @@ from .parabolic import (
 )
 from .environments import (
     CoefficientMap,
-    FieldTrajectory,
     PotentialSpec,
     coefficient_field,
     langevin_simulate,
 )
 from .homogenize import (
-    CorrectorField,
-    QMatrix,
-    RateReport,
     a_hom_extract,
     avg_greens_mc,
     corrector_solve,
@@ -52,7 +47,6 @@ from .field_theory import (
     poincare_variance_check,
 )
 from .convex_diffusion import (
-    ConvexPotential,
     convex_diffusion_simulate,
     cosine_perturbed_potential,
     exact_gaussian_path,

@@ -34,7 +34,6 @@ from .homogenize import (
     greens_hat_quadrature,
     neumann_series_q,
     q_matrix_single,
-    sample_norm,
     t_operator_apply,
 )
 from .lattice import EllipticityPair, PeriodicCube, heat_kernel_solver, heat_kernel_table
@@ -204,7 +203,7 @@ def criterion_7():
         xi = rng.uniform(-np.pi, np.pi, size=2)
         eta_c = 10.0 ** rng.uniform(-3, 0)
         out = t_operator_apply(cube_c, g, xi, eta_c, 0.1, 2.0)
-        worst = max(worst, sample_norm(out) / sample_norm(g))
+        worst = max(worst, spacetime_norm(out, 0.1) / spacetime_norm(g, 0.1))
     passed = diff_two_phase < 1e-5 and diff_time < 1e-6 and worst <= 1.0 + 1e-6
     detail = (
         f"|q_series-q_corrector|: two-phase {diff_two_phase:.1e} (tol 1e-5), "

@@ -28,9 +28,9 @@ def _dim(x):
     return x in (1, 2, 3)
 
 
-def _distinct_positive(n):
-    """Check: at least n distinct values, all positive."""
-    return lambda xs: len(set(xs)) >= n and min(xs) > 0
+def _eta_ladder(xs):
+    """Check: at least 3 positive values, none repeated (a decreasing ladder)."""
+    return len(set(xs)) == len(xs) >= 3 and min(xs) > 0
 
 
 @dataclass
@@ -62,7 +62,7 @@ def _float_list(s):
 
 _D = Key(int, 1, _dim, "spatial dimension in {1,2,3}")
 _SEED = Key(int, 0, lambda x: x >= 0, "non-negative master seed")
-_ETAS_WHY = "at least 3 distinct positive values"
+_ETAS_WHY = "at least 3 positive values, none repeated"
 
 _ENV_KEYS = {
     "d": _D,
@@ -107,7 +107,7 @@ SCHEMAS = {
     "ahom": {
         **_CELL_KEYS,
         "n_env": _N_ENV,
-        "etas": Key(_float_list, [1e-1, 1e-2, 1e-3], _distinct_positive(3), _ETAS_WHY),
+        "etas": Key(_float_list, [1e-1, 1e-2, 1e-3], _eta_ladder, _ETAS_WHY),
     },
     "avg-greens": {
         **_ENV_KEYS,
@@ -131,11 +131,12 @@ SCHEMAS = {
     },
     "thm13": {
         **_ENV_KEYS,
-        "t_indices": Key(_int_list, [20, 30, 45, 68, 100], _distinct_positive(4),
+        "t_indices": Key(_int_list, [20, 30, 45, 68, 100],
+                         lambda xs: len(set(xs)) >= 4 and min(xs) > 0,
                          "at least 4 distinct positive time indices"),
         "n_samples": _n_samples(100),
         "n_env_cell": Key(int, 4, _positive),
-        "etas": Key(_float_list, [0.13, 0.013, 0.0013], _distinct_positive(3), _ETAS_WHY),
+        "etas": Key(_float_list, [0.13, 0.013, 0.0013], _eta_ladder, _ETAS_WHY),
     },
     "malliavin": {
         **_ENV_KEYS,
@@ -158,7 +159,7 @@ SCHEMAS = {
     "sde-appendix": {
         "seed": _SEED,
         "n_paths": Key(int, 30000, _positive),
-        "n_keep": Key(int, 20000, _positive),
+        "n_keep": Key(int, 20000, lambda n: n >= 20, "at least 20 steps for 20 batch means"),
     },
 }
 KINDS = tuple(SCHEMAS)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .environments import _stderr
 from .errors import ConfigError
+from .lattice import EllipticityPair
 
 # -- potentials -----------------------------------------------------------------
 
@@ -26,20 +27,15 @@ class ConvexPotential:
     """Uniformly convex potential on R^k with callable derivatives.
 
     ``value``, ``grad`` and ``laplacian`` map (..., k) arrays to values,
-    gradients and the trace of the Hessian, trace W''.  ``lam`` and
-    ``Lam`` bound the Hessian spectrum.
+    gradients and the trace of the Hessian, trace W''.  ``window`` is the
+    EllipticityPair [lam, Lam] that bounds the Hessian spectrum.
     """
 
     k: int
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     laplacian: Callable[[np.ndarray], np.ndarray]
-    lam: float
-    Lam: float
-
-    def __post_init__(self):
-        if not 0 < self.lam <= self.Lam:
-            raise ConfigError(f"need 0 < lam <= Lam, got ({self.lam}, {self.Lam})")
+    window: EllipticityPair
 
 
 def _quadratic_data(A, b):
@@ -64,8 +60,7 @@ def quadratic_potential(A, b=None) -> ConvexPotential:
         - np.einsum("...i,i->...", p, b),
         grad=lambda p: np.einsum("ij,...j->...i", A, p) - b,
         laplacian=lambda p: np.full(np.shape(p)[:-1], np.trace(A)),
-        lam=float(eig.min()),
-        Lam=float(eig.max()),
+        window=EllipticityPair(float(eig.min()), float(eig.max())),
     )
 
 
@@ -79,8 +74,7 @@ def cosine_perturbed_potential(eps: float) -> ConvexPotential:
         + eps * np.cos(np.asarray(p)[..., 0]),
         grad=lambda p: np.stack([np.asarray(p)[..., 0] - eps * np.sin(np.asarray(p)[..., 0])], axis=-1),
         laplacian=lambda p: 1.0 - eps * np.cos(np.asarray(p)[..., 0]),
-        lam=1.0 - abs(eps),
-        Lam=1.0 + abs(eps),
+        window=EllipticityPair(1.0 - abs(eps), 1.0 + abs(eps)),
     )
 
 
@@ -102,8 +96,8 @@ def convex_diffusion_simulate(
 
     Requires dt <= 1/Lam.  Returns the levels, shape (n_steps + 1, k).
     """
-    if dt > 1.0 / W.Lam * (1 + 1e-12):
-        raise ConfigError(f"dt={dt} exceeds the stability bound 1/Lam={1.0 / W.Lam}")
+    if dt > 1.0 / W.window.Lam * (1 + 1e-12):
+        raise ConfigError(f"dt={dt} exceeds the stability bound 1/Lam={1.0 / W.window.Lam}")
     values = np.empty((increments.shape[0] + 1, W.k))
     values[0] = 0.0 if phi0 is None else np.asarray(phi0, dtype=float)
     for i in range(increments.shape[0]):
@@ -137,7 +131,10 @@ def _batch_sigma(x: np.ndarray) -> np.ndarray:
     """Standard error of the time average of ``x`` along axis 0: the
     spread of the means of 20 consecutive batches (``np.array_split``)
     over sqrt(20) (``environments._stderr`` of the batch means), which
-    stays honest when successive steps correlate."""
+    stays honest when successive steps correlate.  Fewer than 20 rows
+    raise ConfigError: a batch would be empty."""
+    if len(x) < 20:
+        raise ConfigError(f"need at least 20 steps for 20 batch means, got {len(x)}")
     return _stderr(np.stack([batch.mean(axis=0) for batch in np.array_split(x, 20)]))
 
 
@@ -154,7 +151,7 @@ def stationary_moments_check(A, b, lags, dt: float, n_keep: int, seed: int = 0) 
 
     A_m, b_v = _quadratic_data(A, b)
     W = quadratic_potential(A_m, b_v)
-    burn = int(np.ceil(10.0 / W.lam / dt))
+    burn = int(np.ceil(10.0 / W.window.lam / dt))
     max_lag = int(np.ceil(max(lags) / dt)) if len(lags) else 0
     incr = _increments(W.k, dt, burn + n_keep + max_lag, seed)
     vals = convex_diffusion_simulate(W, dt, incr)[burn:]

@@ -143,16 +143,16 @@ def correlation_identity_check(
         raise ConfigError(f"anchors: need at least one site, each in "
                           f"[0, {cube.n_sites}), got {anchors}")
     n_anchors, n_x = len(anchors), len(x_list)
-    # all delta sources needed, the anchors first and then their x-shifts;
-    # pair p = (anchor, x) in anchor-major order reads sources s_pos[p] and
-    # a_pos[p] < n_a
-    src_sites = []
-    a_pos = [_index_of(src_sites, a_site) for a_site in anchors for _ in x_list]
-    n_a = len(src_sites)
-    s_pos = [_index_of(src_sites, cube.site_index(cube.site_coords(a_site) + x))
+    # all delta sources needed, numbered in first-seen order, the anchors
+    # first and then their x-shifts; pair p = (anchor, x) in anchor-major
+    # order reads sources s_pos[p] and a_pos[p] < n_a
+    src = {}
+    a_pos = [src.setdefault(a_site, len(src)) for a_site in anchors for _ in x_list]
+    n_a = len(src)
+    s_pos = [src.setdefault(cube.site_index(cube.site_coords(a_site) + x), len(src))
              for a_site in anchors for x in x_list]
-    sites = np.array(src_sites)
-    n_src = len(src_sites)
+    sites = np.array(list(src))
+    n_src = len(src)
     rho = 1.0 - m * m * dt / 2.0
 
     def anchor_mean(pairs):
@@ -216,12 +216,6 @@ def correlation_identity_check(
         "z_max": float(np.max(np.abs(difference) / np.maximum(sigma, 1e-300))),
         "n_samples": diff.shape[0],
     }
-
-
-def _index_of(pool: list, item) -> int:
-    if item not in pool:
-        pool.append(item)
-    return pool.index(item)
 
 
 # -- decay-rate extraction ---------------------------------------------------------

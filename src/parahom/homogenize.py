@@ -34,7 +34,9 @@ eigenbasis; at xi != 0 they run in complex arithmetic, with the unitary
 DFT along each axis whose xi_j is not 0.  The switch is
 ``lattice._phases``, whose factors are the real 1.0 at xi = 0; the
 stencils are ``parabolic.div_a_grad`` and ``PeriodicCube.grad``/``div``
-called with ``xi``.
+called with ``xi``.  At xi = 0 the preconditioner also maps the spatial
+mean to 0: neither the corrector nor T has one, and M would divide its
+rounding residue by about nt dt eta, which is fatal as eta -> 0.
 
 The right side carries the mean-zero projection P so that constant
 coefficients yield Phi = 0 for every xi; at xi = 0 the projection is a
@@ -94,14 +96,22 @@ def _preconditioner(cube: PeriodicCube, xi, nt: int, dt: float, eta: float, c: f
     (eta + c mu) x_i + (x_i - x_{i-1})/dt = r_i is then solved exactly:
     y_i = gam (dt r_i + y_{i-1}) from y_{-1} = 0, and
     x_i = y_i + gam^{i+1} y_{nt-1} / (1 - gam^nt).  The products with B_j
-    bring x back.  Real fields stay real at xi = 0."""
+    bring x back.  Real fields stay real at xi = 0.
+
+    At xi = 0 the spatial-mean mode (mu = 0) is mapped to 0, by s = inf:
+    M would divide it by about nt dt eta, which as eta -> 0 blows up the
+    rounding residue of a mean-free field.  Neither user has that mode: the
+    corrector's mean solves (eta + D_t) m = 0, and T's gradient removes it."""
     L, d = cube.L, cube.d
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     bases, mu = [], np.zeros(())
-    for xi_j in np.atleast_1d(np.asarray(xi, dtype=float)):
+    for xi_j in xi:
         basis, lam = _eigenbasis(L, xi_j)
         bases.append(basis)
         mu = np.add.outer(mu, lam)
     s = dt * (eta + c * mu.reshape(-1))
+    if not xi.any():
+        s[0] = np.inf  # the spatial mean, mapped to 0
     gam = 1.0 / (1.0 + s)
     # gam^{i+1} / (1 - gam^nt), the second through expm1: 1 - gam**nt loses
     # digits when dt eta is small
@@ -260,10 +270,7 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     c = 0.5 * (lam_s + Lam_s)
     apply = _preconditioner(cube, xi, nt, a.dt, eta, c)
     contrast = c - coeff  # M - A = dxi* (c - a) dxi: the time terms cancel
-    # the stencil's buffers: its flux (d_j, nt, k, n), one contiguous block
-    # per direction j, and its output (nt, k, n), where r is formed
     work = _stencil_work(cube, coeff, f)
-    r_buf = work[1]
     u, r = np.zeros_like(f), f
     f_norm = _component_norms(f)
     scale = np.where(f_norm > 0, f_norm, 1.0)
@@ -278,14 +285,9 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
             del w  # before the next apply, where the solve's memory peaks
             r_norm = _component_norms(r)
             iterations += 1
-        # the true residual f - A u, A u = eta u + (u - u_prev)/dt + dxi* a dxi u
-        au = eta * u
-        np.subtract(u[1:], u[:-1], out=r_buf[1:])  # the periodic backward difference
-        np.subtract(u[0], u[-1], out=r_buf[0])
-        np.divide(r_buf, a.dt, out=r_buf)
-        np.add(au, r_buf, out=au)
-        np.add(au, div_a_grad(cube, coeff, u, work, xi), out=au)
-        r = np.subtract(f, au, out=r_buf)
+        # the true residual f - A u, with the periodic backward difference
+        r = f - (eta * u + (u - np.roll(u, 1, axis=0)) / a.dt
+                 + div_a_grad(cube, coeff, u, work, xi))
         r_norm = _component_norms(r)
         rel = float((r_norm / scale).max())
         # the recurrence drifts from f - A u by rounding: where that leaves
@@ -358,11 +360,6 @@ def t_operator_apply(
     rhs = cube.div(g, xi=xi)[:, None]  # (nt, 1, n)
     psi = Lam * _preconditioner(cube, xi, rhs.shape[0], dt, eta, Lam)(rhs)
     return cube.grad(psi[:, 0], xi=xi)
-
-
-def sample_norm(w: np.ndarray) -> float:
-    """Root mean square over time, components, and sites."""
-    return float(np.sqrt(np.mean(np.abs(w) ** 2)))
 
 
 def neumann_series_q(a: CoefficientField, xi, eta: float,

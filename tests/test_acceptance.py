@@ -11,7 +11,8 @@ import os
 import numpy as np
 import pytest
 
-from parahom import RateReport, acceptance
+from parahom import acceptance
+from parahom.homogenize import RateReport
 
 FULL_TIER = os.environ.get("PARAHOM_TIER", "fast") == "full"
 

@@ -204,6 +204,9 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     ("malliavin", "m = 3.0\ns_index = 2\nt_index = 5\ndt = 0.2\n"),
     ("ahom", "etas = 0.1,0.01\n"),
     ("ahom", "etas = 0.1,0.1,0.01\n"),
+    # three distinct values, but a_hom_extract needs strictly decreasing ones
+    ("ahom", "etas = 0.1,0.1,0.01,0.001\n"),
+    ("thm13", "etas = 0.13,0.13,0.013,0.0013\n"),
     ("ahom", "etas = 0.1,0.01,-0.001\n"),
     ("thm13", "etas = 0.13,0.013\n"),
     ("thm13", "t_indices = 20,30,45\n"),
@@ -225,7 +228,8 @@ def test_exit_code_2_on_schema_error(tmp_path, capsys):
     ("correlate", "x_max = 9\n"),
     ("avg-greens", "x_max = 9\n"),
 ], ids=["x_site", "y_site", "anchors", "anchors_empty", "anchors_comma", "source_site",
-        "xi", "malliavin_window", "etas_too_few", "etas_duplicate", "etas_negative",
+        "xi", "malliavin_window", "etas_too_few", "etas_duplicate",
+        "etas_repeated", "thm13_etas_repeated", "etas_negative",
         "thm13_etas_too_few", "thm13_t_indices_too_few", "thm13_t_indices_duplicate",
         "thm13_t_indices_zero", "avg_greens_negative_t_index", "eta_inf", "xi_nan",
         "xi_inf", "qmatrix_xi_minus_inf", "etas_inf", "thm13_etas_nan",
@@ -347,6 +351,18 @@ def test_exit_code_2_on_one_sample_before_compute(kind, n_samples, tmp_path, mon
         assert main([kind, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "n_samples" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_too_few_batch_steps_before_compute(tmp_path, capsys):
+    # 5 steps split into 20 batch means leave empty batches: "Mean of empty
+    # slice" warnings and a NaN sigma, so the schema refuses n_keep < 20
+    cfg = _write(tmp_path, "n_keep = 5\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sde-appendix", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "n_keep" in capsys.readouterr().err
 
 
 class Arrived(BaseException):

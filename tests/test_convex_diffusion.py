@@ -6,6 +6,7 @@ from scipy import stats
 
 from parahom import (
     ConfigError,
+    EllipticityPair,
     convex_diffusion_simulate,
     cosine_perturbed_potential,
     exact_gaussian_path,
@@ -41,7 +42,7 @@ def test_quadratic_potential_validation():
     with pytest.raises(ConfigError):
         quadratic_potential(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     W = quadratic_potential(np.diag([1.0, 4.0]), [1.0, 1.0])
-    assert W.lam == 1.0 and W.Lam == 4.0 and W.k == 2
+    assert W.window == EllipticityPair(1.0, 4.0) and W.k == 2
 
 
 def test_quadratic_potential_derivatives():
@@ -59,14 +60,14 @@ def test_quadratic_potential_derivatives():
     assert W.laplacian(p) == pytest.approx(np.trace(A))
     assert np.array_equal(W.laplacian(np.stack([p, -p])), [np.trace(A)] * 2)
     eig = np.linalg.eigvalsh(A)
-    assert (W.lam, W.Lam) == (eig.min(), eig.max())
+    assert W.window == EllipticityPair(eig.min(), eig.max())
 
 
 def test_cosine_perturbed_potential():
     with pytest.raises(ConfigError):
         cosine_perturbed_potential(1.0)
     W = cosine_perturbed_potential(0.3)
-    assert W.lam == pytest.approx(0.7) and W.Lam == pytest.approx(1.3)
+    assert W.window.lam == pytest.approx(0.7) and W.window.Lam == pytest.approx(1.3)
     p = np.array([0.9])
     assert W.grad(p)[0] == pytest.approx(0.9 - 0.3 * np.sin(0.9))
     assert W.laplacian(p) == pytest.approx(1.0 - 0.3 * np.cos(0.9))
@@ -130,6 +131,13 @@ def test_stationary_covariance_scalar():
     assert lag1["oracle"][0, 0] == pytest.approx(0.5 * np.exp(-1.0))
     assert lag0["passes"] and lag1["passes"], out
     assert abs(lag0["cov_hat"][0, 0] - 0.5) < 0.05
+
+
+def test_batch_sigma_refuses_fewer_rows_than_batches():
+    # 19 rows would leave an empty batch, whose mean is NaN
+    assert np.isfinite(_batch_sigma(np.arange(20.0)))
+    with pytest.raises(ConfigError, match="20"):
+        _batch_sigma(np.arange(19.0))
 
 
 def test_batch_sigma_covers_the_time_average_of_a_stationary_ar1_path():

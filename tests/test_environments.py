@@ -13,7 +13,6 @@ from scipy import stats
 from parahom import (
     CoefficientMap,
     ConfigError,
-    FieldTrajectory,
     PeriodicCube,
     PotentialSpec,
     coefficient_field,
@@ -22,6 +21,7 @@ from parahom import (
 )
 from parahom import environments
 from parahom.environments import (
+    FieldTrajectory,
     _map_chunks_on_cores,
     _map_on_cores,
     _stderr,

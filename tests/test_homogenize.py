@@ -24,12 +24,13 @@ from parahom import (
     neumann_series_q,
     q_matrix,
     rate_fit,
+    spacetime_norm,
     t_operator_apply,
 )
 from parahom import homogenize
-from parahom.environments import _map_chunks_on_cores
+from parahom.environments import _map_chunks_on_cores, sample_environment
 from test_environments import assert_sigma_matches_spread
-from parahom.homogenize import q_matrix_single, sample_norm
+from parahom.homogenize import q_matrix_single
 from test_lattice import same_bits
 
 
@@ -180,13 +181,16 @@ def symbol_division(cube, xi, nt, dt, eta, c, r):
     """M^{-1} r for M = (eta + D_t) + c dxi* dxi by numpy.fft: division by
     the space-time symbol eta + tau_l + c sum_j |d_j(k)|^2, with
     d_j(k) = e^{-i xi_j + 2 pi i k_j / L} - 1 and the periodic backward
-    difference's tau_l = (1 - e^{-2 pi i l / nt}) / dt."""
+    difference's tau_l = (1 - e^{-2 pi i l / nt}) / dt.  At xi = 0 the
+    spatial-mean mode k = 0 is mapped to 0, as the preconditioner maps it."""
     mu = np.zeros(())
     for xi_j in xi:
         d_j = np.exp(-1j * xi_j + 2j * np.pi * np.fft.fftfreq(cube.L)) - 1.0
         mu = np.add.outer(mu, np.abs(d_j) ** 2)
     tau = (1.0 - np.exp(-2j * np.pi * np.fft.fftfreq(nt))) / dt
     symbol = eta + tau.reshape((nt,) + (1,) * cube.d) + c * mu
+    if not np.any(xi):
+        symbol[(slice(None),) + (0,) * cube.d] = np.inf
     axes = (0,) + tuple(range(2, 2 + cube.d))
     w = np.fft.fftn(r.reshape(r.shape[:2] + cube.shape), axes=axes)
     return np.fft.ifftn(w / symbol[:, None], axes=axes).reshape(r.shape)
@@ -247,6 +251,19 @@ def test_corrector_of_a_zero_right_side_takes_no_sweep():
         assert corr.iterations == 0 and corr.residual == 0.0
         assert corr.values.shape == (4, 2, 16) and np.all(corr.values == 0.0)
         assert corr.values.dtype == (np.complex128 if any(xi) else np.float64)
+
+
+def test_corrector_at_a_vanishing_eta_maps_the_spatial_mean_to_zero():
+    # the default d = 2, L = 8, 8-step corrector cell at xi = 0: M would
+    # divide the spatial mean of a residual by about nt dt eta, and at
+    # eta = 1e-300 that blew rounding up to a relative residual of 1.0;
+    # the corrector has no spatial mean there, and the mode goes to 0
+    a = sample_environment(PotentialSpec("dipole", c=1.0, a_dip=0.3), 1.0,
+                           PeriodicCube(2, 8), 0.1, 8, 0)
+    ref = q_matrix_single(corrector_solve(a, [0.0, 0.0], eta=1e-20), a)
+    corr = corrector_solve(a, [0.0, 0.0], eta=1e-300)
+    assert corr.residual <= 1e-12
+    assert np.abs(q_matrix_single(corr, a) - ref).max() <= 1e-15
 
 
 def test_corrector_two_phase_harmonic_mean():
@@ -697,7 +714,7 @@ def test_t_operator_contraction(d, L, nt, dt, Lam, xi_zero, seed, n_draws):
         eta = 10.0 ** rng.uniform(-3, 0)
         out = t_operator_apply(cube, g, xi, eta, dt, Lam)
         assert out.dtype == (np.float64 if xi_zero else np.complex128)
-        assert sample_norm(out) <= sample_norm(g) * (1 + 1e-12)
+        assert spacetime_norm(out, dt) <= spacetime_norm(g, dt) * (1 + 1e-12)
 
 
 def test_t_operator_matches_dense_solve():
