@@ -5,11 +5,12 @@ dynamics
 
     d phi(x) = -(1/2) [ div(V'(grad phi))(x) + m^2 phi(x) ] dt + dB(x)
 
-produces `FieldTrajectory` objects.  The coefficient map turns a
-trajectory into a `CoefficientField` for the parabolic solvers by
-evaluating the Hessian V''(grad phi).  ``check_langevin_window`` is the
-one guard of the integrator's stability window; every entry point that
-steps the dynamics calls it before the first step.  ``_map_on_cores``
+produces `FieldTrajectory` objects; its one stepper, ``langevin_path``,
+makes its buffers and shift views once per path and steps phi in place.
+The coefficient map turns a trajectory into a `CoefficientField` for the
+parabolic solvers by evaluating the Hessian V''(grad phi).
+``check_langevin_window`` is the one guard of the integrator's stability
+window; every entry point that steps the dynamics calls it first.  ``_map_on_cores``
 maps a function over independent environments (seeds) on every core, and
 ``_map_chunks_on_cores`` maps one over contiguous chunks of items (the
 paths of the correlation and variance checks, through
@@ -232,7 +233,8 @@ def hessian_coefficients(V: PotentialSpec, cube: PeriodicCube, phi: np.ndarray,
     phi = np.asarray(phi, dtype=float)
     if out is None:
         out = np.empty(phi.shape[:-1] + (cube.d, cube.n_sites))
-    if V.window.lam == V.window.Lam:
+    window = V.window  # a new, checked pair on every read
+    if window.lam == window.Lam:
         out[...] = V.c
         return out
     return V.d2v_diag(cube.grad(phi, out=out), out=out)
@@ -254,26 +256,6 @@ class FieldTrajectory:
 
 
 # -- Langevin dynamics ---------------------------------------------------------
-
-
-def langevin_drift(
-    V: PotentialSpec, m: float, cube: PeriodicCube, phi: np.ndarray,
-    out=None, work=None,
-) -> np.ndarray:
-    """-(1/2) [ div(V'(grad phi)) + m^2 phi ].  Broadcasts over batch axes.
-
-    Computed in place in ``out`` (phi's shape) with ``work`` (shape
-    phi.shape[:-1] + (d, n_sites)) as the gradient and flux buffer, each
-    made when not given.
-    """
-    flux = cube.grad(phi, out=work)
-    V.dv(flux, out=flux)
-    out = cube.div(flux, out=out)
-    # the flux is spent: its first component takes m^2 phi
-    mass = np.multiply(m * m, phi, out=flux[..., 0, :])
-    out += mass
-    out *= -0.5
-    return out
 
 
 def check_langevin_window(V: PotentialSpec, m: float, cube: PeriodicCube,
@@ -341,19 +323,28 @@ def brownian_increments(rngs: list, dt: float, n_sites: int, n_steps: int):
 def langevin_path(V: PotentialSpec, m: float, cube: PeriodicCube, dt: float,
                   phi: np.ndarray, increments):
     """The Euler--Maruyama stepper: yield phi after each step
-    phi <- phi + dt drift(phi) + dB, one step per entry dB of
+    phi <- phi + dt drift(phi) + dB with the drift
+    -(1/2) [div(V'(grad phi)) + m^2 phi], one step per entry dB of
     ``increments`` (already scaled by sqrt(dt), of phi's shape).  Batched
-    over leading axes of ``phi``; the drift is formed in buffers made once
-    per path, and every yielded phi is a new array."""
-    phi = np.asarray(phi, dtype=float)
+    over leading axes of ``phi``, which is never written: a copy of it is
+    stepped in place, and every yielded phi is a new array."""
+    phi = np.array(phi, dtype=float)
+    flux = np.empty((cube.d,) + phi.shape)
     drift = np.empty(phi.shape)
-    work = np.empty(phi.shape[:-1] + (cube.d, cube.n_sites))
+    grad = cube._grad_step(phi, flux, None)
+    div = cube._div_step(flux, drift, None)
+    m2, mass = m * m, flux[0]  # the flux is spent once div has run
     for dB in increments:
-        step = langevin_drift(V, m, cube, phi, out=drift, work=work)
-        step *= dt
-        phi = phi + step
+        grad()
+        V.dv(flux, out=flux)
+        div()
+        np.multiply(m2, phi, out=mass)
+        drift += mass
+        drift *= -0.5
+        drift *= dt
+        phi += drift
         phi += dB
-        yield phi
+        yield phi.copy()
 
 
 def langevin_simulate(

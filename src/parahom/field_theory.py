@@ -178,7 +178,8 @@ def correlation_identity_check(
 
     # a collapsed window means V'' = c on every path: one propagation serves
     # all paths, with c rounded as the per-path store would round it
-    constant = V.window.lam == V.window.Lam
+    window = V.window
+    constant = window.lam == window.Lam
     if constant:
         a_c = np.full((cube.d, cube.n_sites), V.c, dtype=np.float32)
         rhs_c = pathwise_rhs(lambda i: a_c, 1)

@@ -270,7 +270,7 @@ def corrector_solve(a: CoefficientField, xi, eta: float) -> CorrectorField:
     c = 0.5 * (lam_s + Lam_s)
     apply = _preconditioner(cube, xi, nt, a.dt, eta, c)
     contrast = c - coeff  # M - A = dxi* (c - a) dxi: the time terms cancel
-    work = _stencil_work(cube, coeff, f)
+    work = _stencil_work(cube, coeff, f, xi)
     u, r = np.zeros_like(f), f
     f_norm = _component_norms(f)
     scale = np.where(f_norm > 0, f_norm, 1.0)

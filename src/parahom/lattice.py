@@ -17,6 +17,10 @@ Called with ``xi``, the same two operators are the xi-twisted difference
 adjoint.  ``_phases`` is the one switch: its factors are the real 1.0 at
 xi = 0, which keeps real fields real, and each output takes the result
 type of its input and the phases.
+
+A shift is a copy through the view pairs of ``PeriodicCube._shift_views``;
+a stepping loop that works in place makes them once per loop, through
+``_grad_step`` and ``_div_step``, not once per step.
 """
 
 from __future__ import annotations
@@ -50,6 +54,13 @@ def _phases(xi) -> np.ndarray:
     1.0 at xi = 0, which keeps real fields real."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     return np.exp(-1j * xi) if xi.any() else np.ones_like(xi)
+
+
+def _shift_into(views) -> None:
+    """The one shift of a field: each source of the (destination, source)
+    pairs of ``PeriodicCube._shift_views`` copied in order."""
+    for dst, src in views:
+        dst[...] = src
 
 
 class PeriodicCube:
@@ -100,13 +111,6 @@ class PeriodicCube:
 
     # -- shifts and differential operators -------------------------------
 
-    def _grid(self, field: np.ndarray, j: int) -> np.ndarray:
-        """View of ``field`` as (..., L**j, L, L**(d-1-j)): axis -2 is the
-        coordinate j.  Splitting the site axis never copies, so writes to
-        the view land in ``field``."""
-        L = self.L
-        return field.reshape(field.shape[:-1] + (L**j, L, L ** (self.d - 1 - j)))
-
     def _out(self, out, shape, field: np.ndarray, ph) -> np.ndarray:
         """``out``, or when it is None a new array of ``shape`` in the
         result type of ``field`` and the phases ``ph`` (``field``'s own type
@@ -118,42 +122,52 @@ class PeriodicCube:
             raise ConfigError("out must not overlap the input")
         return out
 
-    def _shift_into(self, field: np.ndarray, out: np.ndarray, j: int, step: int):
-        """out <- field at x + step*e_j for step = +1 or -1: one contiguous
-        copy at the flat offset step*L**(d-1-j), which is right except on
-        the slab where x_j wraps (x_j = L-1 for +1, x_j = 0 for -1), then
-        that one slab rewritten through ``_grid``."""
-        s, n = self.L ** (self.d - 1 - j), self.n_sites
-        src, dst = self._grid(field, j), self._grid(out, j)
+    def _shift_views(self, field, out, j: int, step: int) -> tuple:
+        """The view pairs of out <- field at x + step*e_j, step = +1 or -1:
+        the contiguous stretch at the flat offset step*s, s = L**(d-1-j),
+        right but on the slab where x_j wraps (x_j = L-1 for +1, 0 for -1),
+        then that slab, through views of both arrays as (..., L**j, L, s).
+        Splitting the site axis never copies, so writes land in ``out``."""
+        L, s, n = self.L, self.L ** (self.d - 1 - j), self.n_sites
+        grid = (L**j, L, s)
+        src, dst = field.reshape(field.shape[:-1] + grid), out.reshape(out.shape[:-1] + grid)
         if step == 1:
-            out[..., : n - s] = field[..., s:]
-            dst[..., -1, :] = src[..., 0, :]
-        else:
-            out[..., s:] = field[..., : n - s]
-            dst[..., 0, :] = src[..., -1, :]
+            return (out[..., : n - s], field[..., s:]), (dst[..., -1, :], src[..., 0, :])
+        return (out[..., s:], field[..., : n - s]), (dst[..., 0, :], src[..., -1, :])
 
-    def _grad_into(self, phi: np.ndarray, outs, ph):
-        """The forward differences of ``phi``, direction j into ``outs[j]``
-        for j = 0..d-1, twisted by the phases ``ph`` (none when None)."""
-        for j in range(self.d):
-            out_j = outs[j]
-            self._shift_into(phi, out_j, j, +1)
-            if ph is not None and ph[j] != 1.0:
-                out_j *= ph[j]
-            out_j -= phi
+    def _grad_step(self, phi: np.ndarray, outs, ph):
+        """A function of no arguments that writes the forward differences
+        of ``phi``, direction j into ``outs[j]`` for j = 0..d-1, twisted by
+        the phases ``ph`` (none when None), through shift views made here."""
+        steps = [(out_j, self._shift_views(phi, out_j, j, +1),
+                  None if ph is None or ph[j] == 1.0 else ph[j])
+                 for j, out_j in enumerate(outs)]
 
-    def _div_into(self, Fs, out: np.ndarray, ph):
-        """out <- sum_j [ph_j F_j(x - e_j) - F_j(x)] over the d arrays
-        ``Fs[j]``, summed from zero in the order j = 0..d-1."""
-        out[...] = 0
+        def grad():
+            for out_j, pairs, twist in steps:
+                _shift_into(pairs)
+                if twist is not None:
+                    out_j *= twist
+                out_j -= phi
+        return grad
+
+    def _div_step(self, Fs, out: np.ndarray, ph):
+        """As ``_grad_step`` for out <- sum_j [ph_j F_j(x - e_j) - F_j(x)]
+        over the d arrays ``Fs[j]``, summed from zero in the order j = 0..d-1."""
         term = np.empty_like(out)
-        for j in range(self.d):
-            F_j = Fs[j]
-            self._shift_into(F_j, term, j, -1)
-            if ph is not None and ph[j] != 1.0:
-                term *= ph[j]
-            term -= F_j
-            out += term
+        steps = [(F_j, self._shift_views(F_j, term, j, -1),
+                  None if ph is None or ph[j] == 1.0 else ph[j])
+                 for j, F_j in enumerate(Fs)]
+
+        def div():
+            out[...] = 0
+            for F_j, pairs, twist in steps:
+                _shift_into(pairs)
+                if twist is not None:
+                    np.multiply(term, twist, out=term)
+                np.subtract(term, F_j, out=term)
+                np.add(out, term, out=out)
+        return div
 
     def grad(self, phi: np.ndarray, out=None, xi=None) -> np.ndarray:
         """Forward-difference gradient, shape (..., d, n_sites); into
@@ -163,18 +177,18 @@ class PeriodicCube:
         phi = np.asarray(phi)
         ph = None if xi is None else _phases(xi)
         out = self._out(out, phi.shape[:-1] + (self.d, self.n_sites), phi, ph)
-        self._grad_into(phi, [out[..., j, :] for j in range(self.d)], ph)
+        self._grad_step(phi, [out[..., j, :] for j in range(self.d)], ph)()
         return out
 
-    def div(self, F: np.ndarray, out=None, xi=None) -> np.ndarray:
+    def div(self, F: np.ndarray, xi=None) -> np.ndarray:
         """Adjoint of grad: (div F)(x) = sum_j [F_j(x - e_j) - F_j(x)],
-        summed from zero in the order j = 0..d-1; into ``out`` when given,
-        as for ``grad``.  With ``xi``, the adjoint of the twisted
+        summed from zero in the order j = 0..d-1, in a new array of the
+        type ``grad`` gives.  With ``xi``, the adjoint of the twisted
         difference, sum_j [e^{i xi_j} F_j(x - e_j) - F_j(x)]."""
         F = np.asarray(F)
         ph = None if xi is None else np.conj(_phases(xi))
-        out = self._out(out, F.shape[:-2] + (self.n_sites,), F, ph)
-        self._div_into([F[..., j, :] for j in range(self.d)], out, ph)
+        out = self._out(None, F.shape[:-2] + (self.n_sites,), F, ph)
+        self._div_step([F[..., j, :] for j in range(self.d)], out, ph)()
         return out
 
     def laplacian_symbol(self) -> np.ndarray:

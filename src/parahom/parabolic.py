@@ -10,7 +10,9 @@ sparse-stencil applications and bit-reproducible.
 
 All of them run through one streaming kernel, ``_sweep``, which yields
 (i, u) after each step u <- rho (u - h div(a_i grad u) + f_i) over a given
-step order; each caller keeps only the levels or reductions it needs.  A
+step order; each caller keeps only the levels or reductions it needs.  The
+kernel makes its buffers and shift views once per sweep and steps u in
+place, in two buffers in turn.  A
 field with ``n_times == 1`` is constant in time and serves every step;
 any other field must cover every step a solve takes, else ConfigError.
 
@@ -95,8 +97,8 @@ def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, work=None, xi=N
     """Apply u -> div(a grad u).  Broadcasts over leading axes of u and a.
 
     ``a`` has shape (..., d, n_sites); the entry a_j(x) weights the edge
-    (x, x+e_j).  ``work`` is an optional pair (flux, out) of buffers from
-    ``_stencil_work``; the result is then written into its ``out``.  With
+    (x, x+e_j).  ``work`` is an optional ``_stencil_work`` made with the
+    same ``xi``; the result is then written into its ``out``.  With
     ``xi``, the differences are xi-twisted (``PeriodicCube.grad``), which
     gives the corrector's dxi* a dxi u.
 
@@ -106,30 +108,45 @@ def div_a_grad(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, work=None, xi=N
     bit ``cube.div(a * cube.grad(u, xi=xi), xi=xi)``.
     """
     a, u = np.asarray(a), np.asarray(u)
-    flux, out = _stencil_work(cube, a, u, xi) if work is None else work
-    ph = None if xi is None else _phases(xi)
-    cube._grad_into(u, flux, ph)
-    # a's direction axis to the front by a transpose (np.moveaxis costs
-    # several times more per call, which shows on small lattices), padded
-    # with unit axes to the rank of the flux, so that a with fewer batch
-    # axes than u lines up on the right
-    a_dir = a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
-    a_dir = a_dir[(slice(None),) + (None,) * (flux.ndim - a.ndim)]
-    np.multiply(a_dir, flux, out=flux)
-    cube._div_into(flux, out, None if ph is None else np.conj(ph))
-    return out
+    work = _stencil_work(cube, a, u, xi) if work is None else work
+    return _stencil(cube, u, work, xi)(a)
+
+
+def _stencil(cube: PeriodicCube, u: np.ndarray, work, xi=None):
+    """The function a -> div(a grad u) of ``div_a_grad`` for the array
+    ``u``, in ``work``, with the gradient's shift views made here: a loop
+    that steps ``u`` in place makes it once."""
+    flux, out, div = work
+    grad = cube._grad_step(u, flux, None if xi is None else _phases(xi))
+
+    def apply(a):
+        grad()
+        # a's direction axis to the front by a transpose (np.moveaxis costs
+        # several times more per call, which shows on small lattices), padded
+        # with unit axes to the rank of the flux, so that a with fewer batch
+        # axes than u lines up on the right
+        a_dir = a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
+        a_dir = a_dir[(slice(None),) + (None,) * (flux.ndim - a.ndim)]
+        np.multiply(a_dir, flux, out=flux)
+        div()
+        return out
+    return apply
 
 
 def _stencil_work(cube: PeriodicCube, a: np.ndarray, u: np.ndarray, xi=None):
-    """Buffers (flux, out) for ``div_a_grad(cube, a, u, xi=xi)``, in the
-    result type of a, u and the phases of ``xi``: the flux, shape
+    """The work (flux, out, div) of ``div_a_grad(cube, a, u, work, xi)``:
+    buffers in the result type of a, u and the phases of ``xi``, and the
+    divergence step from the flux into out (``PeriodicCube._div_step``,
+    its shift views made here, once per work).  The flux, shape
     (d,) + lead + (n_sites,) with lead the broadcast of the batch axes of
     u and a, holds direction j in its contiguous row j; the output has
     shape lead + (n_sites,)."""
     lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-2])
-    dtype = np.result_type(a, u) if xi is None else np.result_type(a, u, _phases(xi))
-    return (np.empty((cube.d,) + lead + (cube.n_sites,), dtype),
-            np.empty(lead + (cube.n_sites,), dtype))
+    ph = None if xi is None else _phases(xi)
+    dtype = np.result_type(a, u) if ph is None else np.result_type(a, u, ph)
+    flux = np.empty((cube.d,) + lead + (cube.n_sites,), dtype)
+    out = np.empty(lead + (cube.n_sites,), dtype)
+    return flux, out, cube._div_step(flux, out, None if ph is None else np.conj(ph))
 
 
 def _check_dt(a: CoefficientField) -> None:
@@ -180,22 +197,28 @@ def _sweep(cube, coeff, u, steps, h, rho=1.0, forcing=None):
     make the step u <- rho (u - h div(a_i grad u) + f_i) and yield (i, u).
 
     ``coeff(i)`` returns a_i and ``forcing(i)`` returns f_i (no forcing
-    when None).  The stencil works in one set of buffers per sweep; every
-    step makes a new u, so a caller may keep the ones it yields.  Batch
-    axes of u broadcast against those of a_i.
+    when None).  Batch axes of u broadcast against those of a_i, which
+    size the buffers at the first step.  The u given is never written; u
+    is stepped in two buffers in turn, so a yielded u holds until the step
+    after next: a caller may keep the previous yield beside the current
+    one, and copies any it keeps longer.
     """
-    work = None
+    cur = nxt = None  # (buffer, its stencil) that holds u, and the other
     for i in steps:
         a_i = coeff(i)
-        if work is None or work[1].shape != u.shape:
+        if cur is None:
             work = _stencil_work(cube, a_i, u)
-        du = div_a_grad(cube, a_i, u, work)
+            cur, nxt = [(b, _stencil(cube, b, work))
+                        for b in (np.empty_like(work[1]), np.empty_like(work[1]))]
+            cur[0][...] = u
+        du = cur[1](a_i)
         du *= h
-        u = u - du
+        u = np.subtract(cur[0], du, out=nxt[0])
         if forcing is not None:
             u += forcing(i)
         if rho != 1.0:
             u *= rho
+        cur, nxt = nxt, cur
         yield i, u
 
 

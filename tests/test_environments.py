@@ -1,5 +1,6 @@
 """Sampler, coefficient-map and process-parallel map tests."""
 
+import itertools
 import os
 import time
 from unittest import mock
@@ -26,9 +27,9 @@ from parahom.environments import (
     _map_on_cores,
     _stderr,
     brownian_increments,
-    langevin_drift,
     langevin_path,
 )
+from test_lattice import same_bits
 
 
 # -- potentials --------------------------------------------------------------
@@ -57,6 +58,12 @@ def test_dipole_derivatives():
 
 
 # -- Langevin dynamics ------------------------------------------------------------
+
+
+def langevin_drift(V, m, cube, phi):
+    """-(1/2) [div(V'(grad phi)) + m^2 phi] through the public grad and div:
+    the oracle of the drift of one Euler--Maruyama step."""
+    return -0.5 * (cube.div(V.dv(cube.grad(phi))) + m * m * phi)
 
 
 def test_langevin_zero_noise_decay_of_constant_field():
@@ -144,6 +151,34 @@ def test_langevin_drift_indicator_hand_computed():
     # div V'(grad phi) = laplacian phi = [2, -1, 0, -1]
     expect = -0.5 * (np.array([2.0, -1.0, 0.0, -1.0]) + m * m * phi)
     assert np.allclose(langevin_drift(V, m, cube, phi), expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), L=st.sampled_from([2, 4, 6, 8]),
+       batch=st.sampled_from([(), (3,), (2, 3)]),
+       form=st.sampled_from(["quadratic", "dipole"]), n_steps=st.integers(0, 6),
+       seed=st.integers(0, 2**31))
+def test_langevin_path_is_a_loop_of_drift_steps_bit_for_bit(d, L, batch, form, n_steps,
+                                                             seed):
+    # the stepper works in place in buffers of its own; the oracle makes a new
+    # phi <- phi + dt drift(phi) + dB per step, and the bytes must agree
+    cube = PeriodicCube(d, L)
+    V = PotentialSpec(form, c=1.0, a_dip=0.6 if form == "dipole" else 0.0)
+    m, dt = 0.8, 0.9 / (2 * d * V.window.Lam)
+    rng = np.random.default_rng(seed)
+    phi0 = rng.standard_normal(batch + (cube.n_sites,))
+    increments = np.sqrt(dt) * rng.standard_normal((n_steps,) + phi0.shape)
+    given_phi = phi0.copy()
+    path = list(langevin_path(V, m, cube, dt, phi0, increments))
+    phi = phi0
+    for level, dB in zip(path, increments):
+        phi = phi + dt * langevin_drift(V, m, cube, phi) + dB
+        assert same_bits(level, phi)
+    assert len(path) == n_steps
+    assert same_bits(phi0, given_phi)  # the start is never written
+    # every yield is an array of its own, so a caller may keep any of them
+    for x, y in itertools.combinations([phi0] + path, 2):
+        assert not np.may_share_memory(x, y)
 
 
 def test_langevin_guards():

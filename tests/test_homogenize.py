@@ -162,10 +162,9 @@ def test_twisted_stencils_into_out_match_the_allocating_forms(d, L, batch, compl
     dv = cube.div(F, xi=xi)
     assert g.dtype == dv.dtype == (np.float64 if xi_zero and not complex_
                                    else np.complex128)
-    g_out, dv_out = np.full_like(g, np.nan), np.full_like(dv, np.nan)
+    g_out = np.full_like(g, np.nan)
     assert cube.grad(psi, out=g_out, xi=xi) is g_out
-    assert cube.div(F, out=dv_out, xi=xi) is dv_out
-    assert same_bits(g_out, g) and same_bits(dv_out, dv)
+    assert same_bits(g_out, g)
     # at xi = 0 the twisted stencils are the plain ones, bit for bit
     if xi_zero:
         assert same_bits(g, cube.grad(psi)) and same_bits(dv, cube.div(F))
@@ -173,8 +172,6 @@ def test_twisted_stencils_into_out_match_the_allocating_forms(d, L, batch, compl
     buf = np.zeros(batch + (d + 1, cube.n_sites), dtype=g.dtype)
     with pytest.raises(ConfigError, match="overlap"):
         cube.grad(buf[..., 0, :], out=buf[..., :d, :], xi=xi)
-    with pytest.raises(ConfigError, match="overlap"):
-        cube.div(buf[..., 1:, :], out=buf[..., 1, :], xi=xi)
 
 
 def symbol_division(cube, xi, nt, dt, eta, c, r):

@@ -21,6 +21,7 @@ from parahom import (
     langevin_simulate,
     solve_forward,
 )
+from parahom.lattice import _shift_into
 
 
 # -- oracles ------------------------------------------------------------------
@@ -268,11 +269,11 @@ def test_stencil_matches_roll_and_pointwise_oracles(d, L, batch, step, complex_,
 
     for j in range(d):
         shifted = np.full(phi.shape, np.nan, dtype=phi.dtype)
-        cube._shift_into(phi, shifted, j, step)
+        _shift_into(cube._shift_views(phi, shifted, j, step))
         assert same_bits(shifted, roll_shift(cube, phi, j, step))
     g = call(cube.grad, phi, batch + (d, cube.n_sites))
     assert same_bits(g, roll_grad(cube, phi))
-    dv = call(cube.div, F, batch + (cube.n_sites,))
+    dv = cube.div(F)
     assert same_bits(dv, roll_div(cube, F))
     for idx in np.ndindex(batch):
         for x in range(cube.n_sites):
@@ -285,8 +286,6 @@ def test_stencil_out_aliasing_its_input_raises():
     buf = np.arange(3.0 * cube.n_sites).reshape(3, cube.n_sites) ** 2
     with pytest.raises(ConfigError):
         cube.grad(buf[0], out=buf[:2])
-    with pytest.raises(ConfigError):
-        cube.div(buf[:2], out=buf[1])
     # adjacent rows of one buffer do not overlap
     assert same_bits(cube.grad(buf[0], out=buf[1:]), roll_grad(cube, buf[0]))
 

@@ -199,6 +199,52 @@ def test_div_a_grad_is_div_of_a_times_grad_bit_for_bit(d, L, batch, a_batch, a_d
         assert got is work[1]
 
 
+# the batch axes of a against those of u in a sweep: those of the stencil,
+# or one more in front (a stack of paths against one field)
+sweep_a_batches = {**a_batches, "more": lambda batch: (2,) + batch}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    L=st.sampled_from([2, 4, 6]),
+    batch=st.sampled_from([(), (2,), (3, 2)]),
+    a_batch=st.sampled_from(sorted(sweep_a_batches)),
+    a_dtype=st.sampled_from([np.float32, np.float64]),
+    n_steps=st.integers(min_value=0, max_value=5),
+    rho=st.sampled_from([1.0, 0.9]),
+    forced=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_sweep_is_a_loop_of_div_a_grad_steps_bit_for_bit(d, L, batch, a_batch, a_dtype,
+                                                         n_steps, rho, forced, seed):
+    # the kernel steps in buffers of its own; the oracle makes a new
+    # u <- rho (u - h div(a_i grad u) + f_i) per step, and the bytes must agree
+    cube = PeriodicCube(d, L)
+    rng = np.random.default_rng(seed)
+    u0 = rng.standard_normal(batch + (cube.n_sites,))
+    a_shape = sweep_a_batches[a_batch](batch) + (d, cube.n_sites)
+    a = rng.uniform(0.5, 1.5, size=(n_steps,) + a_shape).astype(a_dtype)
+    f = rng.standard_normal((n_steps,) + u0.shape)
+    forcing = f.__getitem__ if forced else None
+    h, steps = 0.05, range(n_steps - 1, -1, -1)
+    given_u = u0.copy()
+    u, previous, n_yields = u0, None, 0
+    for (i, level), k in zip(parabolic._sweep(cube, a.__getitem__, u0, steps, h, rho,
+                                              forcing), steps):
+        # the previous yield holds while the kernel makes this one
+        assert previous is None or same_bits(previous, u)
+        u = u - h * parabolic.div_a_grad(cube, a[k], u)
+        if forced:
+            u = u + f[k]
+        if rho != 1.0:
+            u = u * rho
+        assert i == k and same_bits(level, u)
+        previous, n_yields = level, n_yields + 1
+    assert n_yields == n_steps
+    assert same_bits(u0, given_u)  # the start is never written
+
+
 # -- forward problem ---------------------------------------------------------------
 
 
